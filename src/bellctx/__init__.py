@@ -1,7 +1,7 @@
 """Per-context classical probability spaces, CHSH Monte Carlo, and
 frame-function checks for finite-dimensional quantum models."""
 
-from .chsh import ChshCombination, DEFAULT_COMBINATION, all_combinations, chsh_value
+from .chsh import ChshCombination, DEFAULT_COMBINATION, all_combinations, chsh_value, correlations
 from .gleason import (
     AdditivityReport,
     ExtravalenceReport,
@@ -34,11 +34,9 @@ from .kolmogorov import (
     ClassicalProbabilitySpace,
     KolmogorovReport,
     SettingsSpec,
-    build_mixed_context_space,
     build_mixed_context_space_from_tables,
     build_single_context_space,
     optimal_settings,
-    per_context_chsh,
     szabo_chsh,
     verify_kolmogorov,
 )
@@ -52,14 +50,12 @@ from .models import (
     SignallingTablesError,
     SuperdeterministicModel,
     enumerate_deterministic_strategies,
-    exact_joint_table,
     lhv_max_chsh,
     local_polytope_membership,
-    model_from_json,
-    model_to_json,
     nearest_lhv_mixture,
-    sample_trial,
+    no_signalling_deltas,
     superdeterministic_s4_example,
+    tables_from_json,
 )
 from .quantum import (
     Context,
@@ -68,8 +64,6 @@ from .quantum import (
     Projector,
     born_probability,
     context_distribution,
-    correlation,
-    joint_outcome_distribution,
     maximally_mixed,
     photon_pair_state,
     polarization_observable,

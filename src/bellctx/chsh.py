@@ -1,15 +1,20 @@
-"""CHSH sign patterns and the S value they induce on a correlation table.
+"""CHSH sign patterns and the S value they induce on a correlation array.
 
 A CHSH combination assigns a sign to each of the four settings cells
 (x_index, y_index) with the product of the four signs equal to -1; there
 are exactly eight such patterns. The default is the widely used
 S = E(0,0) + E(1,0) + E(1,1) - E(0,1).
+
+Correlations are read off a behaviour p[x, y, a, b] or a counts array in
+the same layout (outcome index 0 is +1, 1 is -1).
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+
+import numpy as np
 
 CELLS: tuple[tuple[int, int], ...] = ((0, 0), (0, 1), (1, 0), (1, 1))
 
@@ -59,13 +64,25 @@ def all_combinations() -> tuple[ChshCombination, ...]:
     return tuple(out)
 
 
-def chsh_value(correlations, combination: ChshCombination = DEFAULT_COMBINATION):
-    """Signed sum of the four cell correlations.
+def correlations(p: np.ndarray) -> np.ndarray:
+    """E[x, y] = p(++) + p(--) - p(+-) - p(-+) of a behaviour or counts array."""
+    return p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
 
-    ``correlations`` maps (x_index, y_index) to a number; integer tables
-    stay integer so exhaustive bounds can be exact.
+
+def chsh_value(e: np.ndarray, combination: ChshCombination = DEFAULT_COMBINATION):
+    """Signed sum of the four cell correlations of a (2, 2) array E[x, y].
+
+    Summed left to right in CELLS order; integer arrays stay integer so
+    exhaustive bounds can be exact.
     """
-    missing = [cell for cell in CELLS if cell not in correlations]
-    if missing:
-        raise ValueError(f"correlation table is missing cells {missing}")
-    return sum(combination.sign(x, y) * correlations[(x, y)] for x, y in CELLS)
+    e = np.asarray(e)
+    if e.shape != (2, 2):
+        raise ValueError(
+            f"CHSH needs exactly two settings per side, got correlations of shape {e.shape}")
+    return sum(sign * e[cell].item() for sign, cell in zip(combination.signs, CELLS))
+
+
+def max_abs_chsh(e: np.ndarray) -> tuple[float, ChshCombination]:
+    """(S, pattern) of the first of the eight patterns with the largest |S|."""
+    return max(((chsh_value(e, c), c) for c in all_combinations()),
+               key=lambda pair: abs(pair[0]))

@@ -30,7 +30,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chsh import DEFAULT_COMBINATION
+from .chsh import DEFAULT_COMBINATION, chsh_value, correlations
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -52,30 +52,20 @@ from .harness import estimate_report, exact_estimates, run_experiment
 from .kolmogorov import (
     ClassicalProbabilitySpace,
     build_mixed_context_space_from_tables,
-    build_single_context_space,
     szabo_chsh,
     verify_kolmogorov,
 )
 from .models import (
+    OutcomeModel,
     QuantumModel,
     SignallingTablesError,
     lhv_max_chsh,
     local_polytope_membership,
     maximizing_strategies,
-    model_chsh,
-    model_tables,
-    table_correlation,
-    table_vector,
     tables_from_json,
 )
 from .plotsvg import Panel, render_panels
-from .quantum import (
-    DensityOperator,
-    born_probability,
-    joint_context,
-    operator_from_json,
-    polarization_observable,
-)
+from .quantum import DensityOperator, born_probability, operator_from_json
 from .rng import chunk_generator
 
 EXIT_OK = 0
@@ -134,7 +124,7 @@ def _kc_summary(cfg: ExperimentConfig) -> dict | None:
     """Audit the mixed-context space implied by the config's model."""
     if cfg.model.n_alice != 2 or cfg.model.n_bob != 2:
         return None
-    space = build_mixed_context_space_from_tables(model_tables(cfg.model), cfg.settings)
+    space = build_mixed_context_space_from_tables(cfg.model.behaviour(), cfg.settings)
     audit = verify_kolmogorov(space, exhaustive_limit=cfg.kc_exhaustive_limit)
     return {
         "n_atoms": len(space),
@@ -168,8 +158,8 @@ def cmd_simulate(args) -> int:
         },
         "estimates": estimates.to_json_dict(),
         "exact": None if exact is None else {
-            "correlations": {f"{ix},{iy}": e for (ix, iy), e in
-                             sorted(exact.correlations.items())},
+            "correlations": {f"{ix},{iy}": float(e) for (ix, iy), e in
+                             np.ndenumerate(exact.correlations)},
             "s": exact.s,
             "s_global": exact.s_global,
         },
@@ -202,29 +192,24 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_kc_verify(args) -> int:
+    started = time.perf_counter()
     cfg = load_experiment(args.config, args.seed)
     out_dir = _out_dir(args)
-    tables = model_tables(cfg.model) if cfg.model.n_alice == 2 and cfg.model.n_bob == 2 \
-        else None
-    if tables is None:
+    if cfg.model.n_alice != 2 or cfg.model.n_bob != 2:
         raise ConfigError("kc-verify needs a model with two settings per side")
+    p = cfg.model.behaviour()
 
     contexts = {}
-    for (ix, iy), table in sorted(tables.items()):
-        if isinstance(cfg.model, QuantumModel):
-            ctx = joint_context(polarization_observable(cfg.settings.alice_angles[ix]),
-                                polarization_observable(cfg.settings.bob_angles[iy]))
-            space = build_single_context_space(cfg.model.rho, ctx)
-        else:
-            space = ClassicalProbabilitySpace(
-                ("P0", "P1", "P2", "P3"), table_vector(table))
+    for ix, iy in np.ndindex(p.shape[:2]):
+        # One context's own space: its four joint outcomes, one atom each.
+        space = ClassicalProbabilitySpace(("P0", "P1", "P2", "P3"), p[ix, iy].ravel())
         audit = verify_kolmogorov(space, exhaustive_limit=cfg.kc_exhaustive_limit)
         contexts[f"{ix},{iy}"] = {
             "n_atoms": len(space),
             "report": json.loads(audit.to_json()),
         }
 
-    mixed = build_mixed_context_space_from_tables(tables, cfg.settings)
+    mixed = build_mixed_context_space_from_tables(p, cfg.settings)
     mixed_audit = verify_kolmogorov(mixed, exhaustive_limit=cfg.kc_exhaustive_limit)
     exact = exact_estimates(cfg.model, cfg.settings, cfg.combination)
     s_prime = szabo_chsh(mixed, cfg.combination)
@@ -247,7 +232,7 @@ def cmd_kc_verify(args) -> int:
             "conditional-normalization bound"),
     }
     path = out_dir / "kc_report.json"
-    _atomic_write(path, _report_json(report, _meta(0.0)))
+    _atomic_write(path, _report_json(report, _meta(time.perf_counter() - started)))
 
     if args.format == "json":
         _say(args, json.dumps(report, sort_keys=True))
@@ -268,6 +253,7 @@ def cmd_kc_verify(args) -> int:
 
 
 def cmd_gleason_check(args) -> int:
+    started = time.perf_counter()
     if args.dim < 2:
         raise ConfigError(f"dimension must be at least 2, got {args.dim}")
     out_dir = _out_dir(args)
@@ -324,7 +310,7 @@ def cmd_gleason_check(args) -> int:
         }
 
     path = out_dir / f"gleason_dim{args.dim}.json"
-    _atomic_write(path, _report_json(report, _meta(0.0)))
+    _atomic_write(path, _report_json(report, _meta(time.perf_counter() - started)))
 
     if args.format == "json":
         _say(args, json.dumps(report, sort_keys=True))
@@ -348,11 +334,11 @@ def cmd_gleason_check(args) -> int:
 def cmd_lhv_bound(args) -> int:
     if args.tables:
         try:
-            tables = tables_from_json(Path(args.tables).read_text())
-        except (OSError, json.JSONDecodeError, KeyError, ValueError) as exc:
+            p = tables_from_json(Path(args.tables).read_text())
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"tables file {args.tables}: {exc}") from exc
         try:
-            verdict = local_polytope_membership(tables)
+            verdict = local_polytope_membership(p)
         except SignallingTablesError as exc:
             _say(args, f"ill-posed: signalling -- {exc}")
             return EXIT_OK
@@ -390,22 +376,12 @@ def cmd_lhv_bound(args) -> int:
     return EXIT_OK
 
 
-def _exact_e_of_gap(cfg: ExperimentConfig, gap: float) -> float:
-    """E at analyzer gap ``gap`` (models without angle semantics are flat)."""
+def _at_angles(cfg: ExperimentConfig, alice_angles, bob_angles) -> OutcomeModel:
+    """The config's model at other analyzer angles (models without angle
+    semantics are the same at every angle)."""
     if isinstance(cfg.model, QuantumModel):
-        base = cfg.settings.alice_angles[0]
-        single = QuantumModel(cfg.model.rho, (base,), (base + gap,))
-        return float(table_correlation(single.exact_joint_table(0, 0)))
-    return float(table_correlation(cfg.model.exact_joint_table(0, 0)))
-
-
-def _exact_s_of_offset(cfg: ExperimentConfig, offset: float) -> float:
-    """S with every Bob angle shifted by ``offset`` (flat for table models)."""
-    if isinstance(cfg.model, QuantumModel):
-        shifted = QuantumModel(cfg.model.rho, cfg.model.alice_angles,
-                               tuple(b + offset for b in cfg.model.bob_angles))
-        return model_chsh(shifted, cfg.combination)
-    return model_chsh(cfg.model, cfg.combination)
+        return QuantumModel(cfg.model.rho, alice_angles, bob_angles)
+    return cfg.model
 
 
 def cmd_plot(args) -> int:
@@ -420,18 +396,19 @@ def cmd_plot(args) -> int:
         raise ConfigError("mc-trials must be at least 100")
     out_dir = _out_dir(args)
 
+    base = cfg.settings.alice_angles[0]
+
+    def first_cell(gap: float) -> np.ndarray:
+        """p[0, 0] with Bob's analyzer ``gap`` away from Alice's first one."""
+        return _at_angles(cfg, (base,), (base + gap,)).behaviour()[0, 0]
+
     gaps = np.linspace(0.0, np.pi, 97)
-    e_curve = [_exact_e_of_gap(cfg, g) for g in gaps]
+    e_curve = [float(correlations(first_cell(g))) for g in gaps]
     mc_gaps = np.linspace(0.0, np.pi, 13)
     mc_e, mc_se = [], []
     for index, gap in enumerate(mc_gaps):
-        if isinstance(cfg.model, QuantumModel):
-            base = cfg.settings.alice_angles[0]
-            table = QuantumModel(cfg.model.rho, (base,), (base + gap,)).exact_joint_table(0, 0)
-        else:
-            table = cfg.model.exact_joint_table(0, 0)
         rng = chunk_generator(cfg.master_seed, index)
-        draws = rng.multinomial(args.mc_trials, table_vector(table))
+        draws = rng.multinomial(args.mc_trials, first_cell(gap).ravel())
         e_hat = (draws[0] + draws[3] - draws[1] - draws[2]) / args.mc_trials
         mc_e.append(float(e_hat))
         mc_se.append(float(np.sqrt(max(0.0, 1 - e_hat ** 2) / args.mc_trials)))
@@ -446,7 +423,11 @@ def cmd_plot(args) -> int:
     correlation_panel.add_points(mc_gaps, mc_e, mc_se)
 
     offsets = np.linspace(args.sweep_start, args.sweep_stop, args.sweep_points)
-    s_curve = [_exact_s_of_offset(cfg, o) for o in offsets]
+    s_curve = []
+    for offset in offsets:
+        shifted = _at_angles(cfg, cfg.settings.alice_angles,
+                             tuple(b + offset for b in cfg.settings.bob_angles))
+        s_curve.append(chsh_value(correlations(shifted.behaviour()), cfg.combination))
     top = max(3.0, max(abs(min(s_curve)), abs(max(s_curve))) + 0.2)
     sweep_panel = Panel(
         title="S vs analyzer offset",

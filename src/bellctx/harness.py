@@ -28,15 +28,10 @@ from typing import Iterator, Mapping
 
 import numpy as np
 
-from .chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, all_combinations, chsh_value
+from .chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, chsh_value, correlations, \
+    max_abs_chsh
 from .kolmogorov import SettingsSpec
-from .models import (
-    OutcomeModel,
-    model_description_hash,
-    table_correlation,
-    table_vector,
-    validate_table,
-)
+from .models import OutcomeModel, marginals, model_description_hash
 from .rng import chunk_generator, stream_label
 
 EVENT_LOG_SCHEMA_VERSION = 1
@@ -146,15 +141,10 @@ class ChunkData:
     rng_label: str
 
 
-def _cell_cumulatives(model: OutcomeModel, spec: SettingsSpec) -> dict[tuple[int, int], np.ndarray]:
-    cums = {}
-    for ix in range(spec.n_alice):
-        for iy in range(spec.n_bob):
-            table = model.exact_joint_table(ix, iy)
-            validate_table(table)
-            cum = np.cumsum(table_vector(table))
-            cums[(ix, iy)] = cum / cum[-1]
-    return cums
+def _cell_cumulatives(p: np.ndarray) -> np.ndarray:
+    """Per-cell cumulative outcome distributions [x, y, 4] of a behaviour."""
+    cum = np.cumsum(p.reshape(p.shape[0], p.shape[1], 4), axis=-1)
+    return cum / cum[..., -1:]
 
 
 def _draw_indices(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -163,7 +153,7 @@ def _draw_indices(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def _generate_chunk(
-    cell_cums: Mapping[tuple[int, int], np.ndarray],
+    cell_cums: np.ndarray,
     alice_cum: np.ndarray,
     bob_cum: np.ndarray,
     master_seed: int,
@@ -183,10 +173,10 @@ def _generate_chunk(
     xs = _draw_indices(alice_cum, ux).astype(np.int8)
     ys = _draw_indices(bob_cum, uy).astype(np.int8)
     outcome = np.empty(size, dtype=np.int8)
-    for (ix, iy), cum in sorted(cell_cums.items()):
+    for ix, iy in np.ndindex(cell_cums.shape[:2]):
         mask = (xs == ix) & (ys == iy)
         if mask.any():
-            outcome[mask] = _draw_indices(cum, uo[mask])
+            outcome[mask] = _draw_indices(cell_cums[ix, iy], uo[mask])
     a = np.where(outcome < 2, 1, -1).astype(np.int8)
     b = np.where((outcome & 1) == 0, 1, -1).astype(np.int8)
     return ChunkData(
@@ -295,7 +285,7 @@ def run_experiment(
         raise ValueError(
             f"model declares {model.n_alice}x{model.n_bob} settings but the "
             f"settings spec has {settings.n_alice}x{settings.n_bob}")
-    cell_cums = _cell_cumulatives(model, settings)
+    cell_cums = _cell_cumulatives(model.behaviour())
     alice_cum = np.cumsum(settings.alice_probs)
     alice_cum /= alice_cum[-1]
     bob_cum = np.cumsum(settings.bob_probs)
@@ -346,17 +336,18 @@ class CorrelationEstimate:
 
 def estimate_correlations(counts: CountsTable) -> dict[tuple[int, int], CorrelationEstimate]:
     """E(x,y) = (n++ + n-- - n+- - n-+)/n per context; empty contexts absent."""
+    n = counts.counts.sum(axis=(2, 3))
+    signed = correlations(counts.counts)
     estimates = {}
-    for ix in range(counts.n_alice):
-        for iy in range(counts.n_bob):
-            n = counts.context_total(ix, iy)
-            if n == 0:
-                continue
-            e = (counts.cell(ix, iy, 1, 1) + counts.cell(ix, iy, -1, -1)
-                 - counts.cell(ix, iy, 1, -1) - counts.cell(ix, iy, -1, 1)) / n
-            se = float(np.sqrt(max(0.0, 1.0 - e * e) / n))
-            estimates[(ix, iy)] = CorrelationEstimate(e=float(e), se=se, n=n)
+    for ix, iy in zip(*np.nonzero(n)):
+        e = signed[ix, iy] / n[ix, iy]
+        se = float(np.sqrt(max(0.0, 1.0 - e * e) / n[ix, iy]))
+        estimates[(int(ix), int(iy))] = CorrelationEstimate(e=float(e), se=se, n=int(n[ix, iy]))
     return estimates
+
+
+def _estimate_array(estimates: Mapping[tuple[int, int], CorrelationEstimate]) -> np.ndarray:
+    return np.array([[estimates[(ix, iy)].e for iy in (0, 1)] for ix in (0, 1)])
 
 
 def chsh_estimate(
@@ -367,7 +358,7 @@ def chsh_estimate(
     missing = [cell for cell in CELLS if cell not in estimates]
     if missing:
         raise ValueError(f"cannot form S: no trials observed for contexts {missing}")
-    s = chsh_value({cell: estimates[cell].e for cell in CELLS}, combination)
+    s = chsh_value(_estimate_array(estimates), combination)
     se = float(np.sqrt(sum(estimates[cell].se ** 2 for cell in CELLS)))
     return float(s), se
 
@@ -385,15 +376,9 @@ def global_normalized_chsh(
     n_total = counts.n_total
     if n_total < 1:
         raise ValueError("counts table is empty")
-    e_prime = {}
-    variance = 0.0
-    for ix, iy in CELLS:
-        signed = (counts.cell(ix, iy, 1, 1) + counts.cell(ix, iy, -1, -1)
-                  - counts.cell(ix, iy, 1, -1) - counts.cell(ix, iy, -1, 1))
-        e = signed / n_total
-        e_prime[(ix, iy)] = e
-        context_share = counts.context_total(ix, iy) / n_total
-        variance += max(0.0, context_share - e * e) / n_total
+    e_prime = correlations(counts.counts) / n_total
+    context_share = counts.counts.sum(axis=(2, 3)) / n_total
+    variance = sum((np.maximum(0.0, context_share - e_prime * e_prime) / n_total).ravel().tolist())
     s_global = chsh_value(e_prime, combination)
     return float(s_global), float(np.sqrt(variance))
 
@@ -417,20 +402,16 @@ def no_signalling_audit(counts: CountsTable, z_threshold: float = 5.0) -> list[M
     compared across every pair of remote settings.
     """
 
-    def marginal(side: str, local: int, remote: int) -> tuple[int, int]:
-        if side == "alice":
-            block = counts.counts[local, remote]
-            return int(block[0].sum()), int(block.sum())
-        block = counts.counts[remote, local]
-        return int(block[:, 0].sum()), int(block.sum())
+    alice, bob = marginals(counts.counts)
+    # Per side: [local setting, remote setting, outcome] counts.
+    sides = (("alice", alice), ("bob", bob.transpose(1, 0, 2)))
 
     audits = []
-    for side, n_local, n_remote in (("alice", counts.n_alice, counts.n_bob),
-                                    ("bob", counts.n_bob, counts.n_alice)):
-        for local in range(n_local):
-            for r1, r2 in itertools.combinations(range(n_remote), 2):
-                k1, n1 = marginal(side, local, r1)
-                k2, n2 = marginal(side, local, r2)
+    for side, wing in sides:
+        for local in range(wing.shape[0]):
+            for r1, r2 in itertools.combinations(range(wing.shape[1]), 2):
+                k1, n1 = int(wing[local, r1, 0]), int(wing[local, r1].sum())
+                k2, n2 = int(wing[local, r2, 0]), int(wing[local, r2].sum())
                 if n1 == 0 or n2 == 0:
                     continue
                 p1, p2 = k1 / n1, k2 / n2
@@ -512,12 +493,8 @@ def estimate_report(
         s_global, s_global_se = global_normalized_chsh(counts, combination)
         if not missing:
             s, s_se = chsh_estimate(estimates, combination)
-            e_table = {cell: estimates[cell].e for cell in CELLS}
-            for candidate in all_combinations():
-                value = float(chsh_value(e_table, candidate))
-                if s_best_value is None or abs(value) > abs(s_best_value):
-                    s_best_value = value
-                    s_best_pattern = candidate.to_string()
+            s_best_value, best = max_abs_chsh(_estimate_array(estimates))
+            s_best_pattern = best.to_string()
     n_per_context = {
         (ix, iy): counts.context_total(ix, iy)
         for ix in range(counts.n_alice) for iy in range(counts.n_bob)
@@ -540,9 +517,9 @@ def estimate_report(
 
 @dataclass(frozen=True)
 class ExactEstimates:
-    """Infinite-n limits computed straight from the model's exact tables."""
+    """Infinite-n limits computed straight from the model's behaviour."""
 
-    correlations: dict[tuple[int, int], float]
+    correlations: np.ndarray
     s: float
     s_global: float
 
@@ -552,14 +529,8 @@ def exact_estimates(
     settings: SettingsSpec,
     combination: ChshCombination = DEFAULT_COMBINATION,
 ) -> ExactEstimates:
-    """E, S, and S' a run would converge to, from exact tables alone."""
-    correlations = {
-        cell: float(table_correlation(model.exact_joint_table(*cell))) for cell in CELLS
-    }
-    s = float(chsh_value(correlations, combination))
-    weighted = {
-        (ix, iy): settings.alice_probs[ix] * settings.bob_probs[iy] * correlations[(ix, iy)]
-        for ix, iy in CELLS
-    }
-    s_global = float(chsh_value(weighted, combination))
-    return ExactEstimates(correlations=correlations, s=s, s_global=s_global)
+    """E, S, and S' (E of P(x) P(y) p) a run would converge to, from the behaviour."""
+    p = model.behaviour()
+    e = correlations(p)
+    s_global = chsh_value(correlations(settings.joint_probs[:, :, None, None] * p), combination)
+    return ExactEstimates(correlations=e, s=chsh_value(e, combination), s_global=s_global)

@@ -13,31 +13,26 @@ which for uniform binary settings has 16 atoms each carrying a factor
 here are finite, so countable additivity coincides with the finite
 additivity that is actually checked; the report says so explicitly.
 
-Two CHSH normalizations are computed: the per-context S from conditional
-correlations E(x,y), and the globally normalized S' from unconditioned
-correlations E'(x,y) over the mixed space. For uniform binary settings
-S' = S/4 identically, which moves the quantum 2*sqrt(2) down to
-sqrt(2)/2 without changing the physics -- only the normalization.
+The mixed space is built from a behaviour p[x, y, a, b] (see
+:mod:`bellctx.models`). ``szabo_chsh`` reads the globally normalized S'
+back from its atoms, via the unconditioned correlations E'(x,y); the
+per-context S comes from the conditional correlations E(x,y) of p. For
+uniform binary settings S' = S/4 identically, which moves the quantum
+2*sqrt(2) down to sqrt(2)/2 without changing the physics -- only the
+normalization.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, chsh_value
-from .quantum import (
-    Context,
-    DensityOperator,
-    OUTCOME_PAIRS,
-    context_distribution,
-    correlation,
-    joint_outcome_distribution,
-    polarization_observable,
-)
+from .chsh import ChshCombination, DEFAULT_COMBINATION, chsh_value
+from .quantum import Context, DensityOperator, context_distribution
 
 SPACE_TOL = 1e-12
 
@@ -146,11 +141,10 @@ class SettingsSpec:
     def n_bob(self) -> int:
         return len(self.bob_angles)
 
-    def alice_observable(self, index: int):
-        return polarization_observable(self.alice_angles[index])
-
-    def bob_observable(self, index: int):
-        return polarization_observable(self.bob_angles[index])
+    @property
+    def joint_probs(self) -> np.ndarray:
+        """P(x) P(y) as an (nx, ny) array."""
+        return np.multiply.outer(self.alice_probs, self.bob_probs)
 
 
 # The standard angle set at which the pair state reaches S = 2*sqrt(2).
@@ -216,60 +210,20 @@ def parse_atom_label(label: str) -> tuple[int, int, int, int]:
     return int(m["ix"]), int(m["a"]), int(m["iy"]), int(m["b"])
 
 
-def _mixture_table(tables) -> dict[tuple[int, int], dict[tuple[int, int], float]]:
-    """Normalize either one table mapping or a weighted list into one mapping.
+def build_mixed_context_space_from_tables(
+    p: np.ndarray, spec: SettingsSpec,
+) -> ClassicalProbabilitySpace:
+    """Product space over settings and outcomes from a behaviour p[x, y, a, b].
 
-    A "table mapping" maps (x_index, y_index) to {(a, b): P(ab|xy)}. A
-    weighted list [(w, mapping), ...] represents a hidden variable with
-    more than one value; the mixture sum_w w * P(ab|xy,w) is formed here.
+    Atoms are (x, a, y, b) tuples with prob = P(x) P(y) p(ab|xy); for a
+    2x2 uniform-setting experiment that is 16 atoms at p(ab|xy)/4.
     """
-    if isinstance(tables, dict):
-        return tables
-    weighted = list(tables)
-    if not weighted:
-        raise ValueError("empty table list")
-    total_w = sum(w for w, _ in weighted)
-    if abs(total_w - 1.0) > SPACE_TOL:
-        raise ValueError(f"table weights sum to {total_w}, not 1")
-    cells = weighted[0][1].keys()
-    out: dict[tuple[int, int], dict[tuple[int, int], float]] = {}
-    for cell in cells:
-        out[cell] = {
-            pair: sum(w * mapping[cell][pair] for w, mapping in weighted) / total_w
-            for pair in OUTCOME_PAIRS
-        }
-    return out
-
-
-def build_mixed_context_space_from_tables(tables, spec: SettingsSpec) -> ClassicalProbabilitySpace:
-    """Product space over settings and outcomes from conditional tables.
-
-    Atoms are (x, a, y, b) tuples with prob = P(x) P(y) P(ab|xy); for a
-    2x2 uniform-setting experiment that is 16 atoms at P(ab|xy)/4.
-    """
-    mixture = _mixture_table(tables)
-    atoms: list[str] = []
-    probs: list[float] = []
-    for ix in range(spec.n_alice):
-        for a in (1, -1):
-            for iy in range(spec.n_bob):
-                for b in (1, -1):
-                    cell = mixture[(ix, iy)]
-                    atoms.append(atom_label(ix, spec.alice_angles[ix], a,
-                                            iy, spec.bob_angles[iy], b))
-                    probs.append(spec.alice_probs[ix] * spec.bob_probs[iy] * cell[(a, b)])
-    return ClassicalProbabilitySpace(tuple(atoms), np.asarray(probs))
-
-
-def build_mixed_context_space(rho: DensityOperator, spec: SettingsSpec) -> ClassicalProbabilitySpace:
-    """Mixed-context space of a state measured with randomly drawn settings."""
-    tables = {
-        (ix, iy): joint_outcome_distribution(
-            rho, spec.alice_observable(ix), spec.bob_observable(iy))
-        for ix in range(spec.n_alice)
-        for iy in range(spec.n_bob)
-    }
-    return build_mixed_context_space_from_tables(tables, spec)
+    atoms = tuple(
+        atom_label(ix, spec.alice_angles[ix], a, iy, spec.bob_angles[iy], b)
+        for ix, a, iy, b in itertools.product(range(spec.n_alice), (1, -1),
+                                              range(spec.n_bob), (1, -1)))
+    weighted = spec.joint_probs[:, :, None, None] * p
+    return ClassicalProbabilitySpace(atoms, weighted.transpose(0, 2, 1, 3).ravel())
 
 
 def _subset_probabilities(probs: np.ndarray) -> np.ndarray:
@@ -363,26 +317,6 @@ def verify_kolmogorov(
     )
 
 
-def _require_two_by_two(spec: SettingsSpec) -> None:
-    if spec.n_alice != 2 or spec.n_bob != 2:
-        raise ValueError(
-            f"CHSH needs exactly two settings per side, got {spec.n_alice}x{spec.n_bob}")
-
-
-def per_context_chsh(
-    rho: DensityOperator,
-    spec: SettingsSpec,
-    combination: ChshCombination = DEFAULT_COMBINATION,
-) -> float:
-    """S from the four conditional correlations E(x,y)."""
-    _require_two_by_two(spec)
-    correlations = {
-        (ix, iy): correlation(rho, spec.alice_observable(ix), spec.bob_observable(iy))
-        for ix, iy in CELLS
-    }
-    return float(chsh_value(correlations, combination))
-
-
 def szabo_chsh(
     space: ClassicalProbabilitySpace,
     combination: ChshCombination = DEFAULT_COMBINATION,
@@ -390,18 +324,18 @@ def szabo_chsh(
     """S' from unconditioned correlations E'(x,y) = sum_ab ab * P(x,a,y,b).
 
     The space must have the 16-atom (x, a, y, b) structure produced by
-    build_mixed_context_space with two settings per side.
+    build_mixed_context_space_from_tables with two settings per side.
     """
     if len(space) != 16:
         raise ValueError(f"expected the 16-atom mixed-context structure, got {len(space)} atoms")
-    e_prime: dict[tuple[int, int], float] = {cell: 0.0 for cell in CELLS}
+    e_prime = np.zeros((2, 2))
     seen: set[tuple[int, int, int, int]] = set()
     for label, prob in zip(space.atoms, space.probs):
         ix, a, iy, b = parse_atom_label(label)
-        if (ix, iy) not in e_prime:
+        if ix > 1 or iy > 1:
             raise ValueError(f"atom {label!r} indexes settings outside the 2x2 layout")
         seen.add((ix, a, iy, b))
-        e_prime[(ix, iy)] += a * b * float(prob)
+        e_prime[ix, iy] += a * b * float(prob)
     if len(seen) != 16:
         raise ValueError("mixed-space atoms do not cover all 16 (x,a,y,b) combinations")
     return float(chsh_value(e_prime, combination))

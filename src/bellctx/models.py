@@ -1,8 +1,9 @@
 """Outcome models for a two-party, two-setting, two-outcome experiment.
 
 Each model answers one question: given settings (x, y), what is the
-joint distribution of the +/-1 outcomes (a, b)? Five mechanisms are
-implemented:
+joint distribution of the +/-1 outcomes (a, b)? The answer is one
+read-only behaviour array p[x, y, a, b] (outcome index 0 is +1), built
+and validated once per model. Five mechanisms are implemented:
 
 - ``QuantumModel``: trace-rule tables from a shared state and analyzer
   angles. Tables exist only per settings pair; no joint distribution
@@ -18,8 +19,7 @@ implemented:
 - ``SignallingModel``: deliberate negative control whose Bob marginal
   depends on Alice's setting; its tables are signalling.
 
-Models are immutable value objects; they never own RNG state. Samplers
-take a Generator from the caller.
+Models are immutable value objects; they never own RNG state.
 """
 
 from __future__ import annotations
@@ -29,28 +29,71 @@ import itertools
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 import numpy as np
 
-from .chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, all_combinations, chsh_value
+from .chsh import (
+    CELLS,
+    ChshCombination,
+    DEFAULT_COMBINATION,
+    all_combinations,
+    chsh_value,
+    correlations,
+    max_abs_chsh,
+)
 from .quantum import (
     DensityOperator,
-    OUTCOME_PAIRS,
-    joint_outcome_distribution,
-    operator_from_json,
+    context_distribution,
+    joint_context,
     operator_to_json,
     polarization_observable,
 )
 
 TABLE_TOL = 1e-12
+BEHAVIOUR_TOL = 1e-9
 
-JointTable = dict[tuple[int, int], float]
+# Keys of the four outcome pairs in a tables file, in p[x, y].ravel() order.
+PAIR_KEYS = ("++", "+-", "-+", "--")
 
 
 class SignallingTablesError(ValueError):
     """Tables whose marginals depend on the remote setting: the hidden
     variable membership question is ill-posed for them."""
+
+
+def outcome_index(value: int) -> int:
+    """Array index of a +/-1 outcome: +1 -> 0, -1 -> 1."""
+    return (1 - value) // 2
+
+
+def validate_behaviour(p) -> np.ndarray:
+    """Read-only float copy of p[x, y, a, b] after checking it is a behaviour:
+    shape (nx, ny, 2, 2), no negative entry, every cell summing to 1."""
+    p = np.array(p, dtype=float)
+    if p.ndim != 4 or p.shape[2:] != (2, 2) or 0 in p.shape:
+        raise ValueError(f"behaviour must have shape (nx, ny, 2, 2), got {p.shape}")
+    if not np.isfinite(p).all() or float(p.min()) < -BEHAVIOUR_TOL:
+        raise ValueError(f"behaviour has a negative or non-finite entry {p.min()}")
+    sums = p.sum(axis=(2, 3))
+    bad = np.argwhere(np.abs(sums - 1.0) > BEHAVIOUR_TOL)
+    if len(bad):
+        ix, iy = bad[0]
+        raise ValueError(f"cell ({ix}, {iy}) sums to {sums[ix, iy]}, not 1")
+    p.setflags(write=False)
+    return p
+
+
+def marginals(p: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's [x, y, a] and Bob's [x, y, b] marginals of a behaviour or counts."""
+    return p.sum(axis=3), p.sum(axis=2)
+
+
+def no_signalling_deltas(p: np.ndarray) -> float:
+    """Worst shift of a wing's +1 marginal across remote settings, over both wings."""
+    alice, bob = marginals(p)
+    return float(max(np.ptp(alice[..., 0], axis=1).max(), np.ptp(bob[..., 0], axis=0).max()))
 
 
 class OutcomeModel(ABC):
@@ -62,51 +105,28 @@ class OutcomeModel(ABC):
     violates_parameter_independence: bool = False
     violates_measurement_independence: bool = False
 
-    @property
     @abstractmethod
-    def n_alice(self) -> int: ...
-
-    @property
-    @abstractmethod
-    def n_bob(self) -> int: ...
-
-    @abstractmethod
-    def exact_joint_table(self, x_index: int, y_index: int) -> JointTable: ...
+    def _behaviour(self) -> np.ndarray:
+        """p[x, y, a, b] as the mechanism produces it."""
 
     @abstractmethod
     def to_json_dict(self) -> dict: ...
 
-    def _check_cell(self, x_index: int, y_index: int) -> None:
-        if not (0 <= x_index < self.n_alice and 0 <= y_index < self.n_bob):
-            raise ValueError(
-                f"settings ({x_index}, {y_index}) outside the "
-                f"{self.n_alice}x{self.n_bob} layout")
+    @cached_property
+    def _validated_behaviour(self) -> np.ndarray:
+        return validate_behaviour(self._behaviour())
 
+    def behaviour(self) -> np.ndarray:
+        """Read-only p(a, b | x, y) as p[x, y, a, b], built and validated once."""
+        return self._validated_behaviour
 
-def exact_joint_table(model: OutcomeModel, x_index: int, y_index: int) -> JointTable:
-    """Module-level spelling of model.exact_joint_table."""
-    return model.exact_joint_table(x_index, y_index)
+    @property
+    def n_alice(self) -> int:
+        return self.behaviour().shape[0]
 
-
-def table_vector(table: JointTable) -> np.ndarray:
-    """Table as a 4-vector in OUTCOME_PAIRS order."""
-    return np.array([table[pair] for pair in OUTCOME_PAIRS])
-
-
-def table_correlation(table: JointTable):
-    return (table[(1, 1)] + table[(-1, -1)] - table[(1, -1)] - table[(-1, 1)])
-
-
-def validate_table(table: JointTable, tol: float = 1e-9) -> None:
-    missing = [pair for pair in OUTCOME_PAIRS if pair not in table]
-    if missing:
-        raise ValueError(f"table is missing outcome pairs {missing}")
-    values = table_vector(table)
-    if float(values.min()) < -tol:
-        raise ValueError(f"table has negative entry {values.min()}")
-    total = float(values.sum())
-    if abs(total - 1.0) > tol:
-        raise ValueError(f"table sums to {total}, not 1")
+    @property
+    def n_bob(self) -> int:
+        return self.behaviour().shape[1]
 
 
 @dataclass(frozen=True)
@@ -125,26 +145,14 @@ class DeterministicStrategy(OutcomeModel):
                 raise ValueError(f"{name} must be non-empty with values in {{-1, +1}}")
             object.__setattr__(self, name, values)
 
-    @property
-    def n_alice(self) -> int:
-        return len(self.a_of_x)
-
-    @property
-    def n_bob(self) -> int:
-        return len(self.b_of_y)
-
-    def outcomes(self, x_index: int, y_index: int) -> tuple[int, int]:
-        self._check_cell(x_index, y_index)
-        return self.a_of_x[x_index], self.b_of_y[y_index]
-
-    def exact_joint_table(self, x_index: int, y_index: int) -> JointTable:
-        fixed = self.outcomes(x_index, y_index)
-        return {pair: 1.0 if pair == fixed else 0.0 for pair in OUTCOME_PAIRS}
+    def _behaviour(self) -> np.ndarray:
+        one_hot = np.eye(2)
+        return np.einsum("xa,yb->xyab", one_hot[[outcome_index(a) for a in self.a_of_x]],
+                         one_hot[[outcome_index(b) for b in self.b_of_y]])
 
     def chsh(self, combination: ChshCombination = DEFAULT_COMBINATION) -> int:
         """Exact integer S of the strategy (two settings per side only)."""
-        correlations = {(ix, iy): self.a_of_x[ix] * self.b_of_y[iy] for ix, iy in CELLS}
-        return int(chsh_value(correlations, combination))
+        return chsh_value(np.outer(self.a_of_x, self.b_of_y), combination)
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "a_of_x": list(self.a_of_x), "b_of_y": list(self.b_of_y)}
@@ -215,20 +223,8 @@ class MixedLhvModel(OutcomeModel):
         strategies = enumerate_deterministic_strategies()
         return cls(tuple(strategies), (1.0 / len(strategies),) * len(strategies))
 
-    @property
-    def n_alice(self) -> int:
-        return self.strategies[0].n_alice
-
-    @property
-    def n_bob(self) -> int:
-        return self.strategies[0].n_bob
-
-    def exact_joint_table(self, x_index: int, y_index: int) -> JointTable:
-        self._check_cell(x_index, y_index)
-        table = dict.fromkeys(OUTCOME_PAIRS, 0.0)
-        for strategy, weight in zip(self.strategies, self.weights):
-            table[strategy.outcomes(x_index, y_index)] += weight
-        return table
+    def _behaviour(self) -> np.ndarray:
+        return sum(w * s.behaviour() for s, w in zip(self.strategies, self.weights))
 
     def to_json_dict(self) -> dict:
         return {
@@ -242,8 +238,8 @@ class MixedLhvModel(OutcomeModel):
 class QuantumModel(OutcomeModel):
     """Shared state plus per-side analyzer angles.
 
-    The conditional table is computed per requested settings pair and
-    never assembled into one joint distribution over incompatible pairs:
+    Each cell p[x, y] is the trace-rule distribution of its own joint
+    context; no joint distribution over incompatible pairs is formed:
     the state alone does not carry outcome statistics until a context is
     named.
     """
@@ -262,21 +258,11 @@ class QuantumModel(OutcomeModel):
         if self.rho.dim != 4:
             raise ValueError(f"two-qubit state required (dim 4), got dim {self.rho.dim}")
 
-    @property
-    def n_alice(self) -> int:
-        return len(self.alice_angles)
-
-    @property
-    def n_bob(self) -> int:
-        return len(self.bob_angles)
-
-    def exact_joint_table(self, x_index: int, y_index: int) -> JointTable:
-        self._check_cell(x_index, y_index)
-        return joint_outcome_distribution(
-            self.rho,
-            polarization_observable(self.alice_angles[x_index]),
-            polarization_observable(self.bob_angles[y_index]),
-        )
+    def _behaviour(self) -> np.ndarray:
+        alice = [polarization_observable(t) for t in self.alice_angles]
+        bob = [polarization_observable(t) for t in self.bob_angles]
+        return np.array([[context_distribution(self.rho, joint_context(a, b)).reshape(2, 2)
+                          for b in bob] for a in alice])
 
     def to_json_dict(self) -> dict:
         return {
@@ -309,19 +295,10 @@ class PrBoxModel(OutcomeModel):
             raise ValueError(f"negative_cell must be one of {CELLS}, got {cell}")
         object.__setattr__(self, "negative_cell", cell)
 
-    @property
-    def n_alice(self) -> int:
-        return 2
-
-    @property
-    def n_bob(self) -> int:
-        return 2
-
-    def exact_joint_table(self, x_index: int, y_index: int) -> JointTable:
-        self._check_cell(x_index, y_index)
-        if (x_index, y_index) == self.negative_cell:
-            return {(1, 1): 0.0, (1, -1): 0.5, (-1, 1): 0.5, (-1, -1): 0.0}
-        return {(1, 1): 0.5, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.5}
+    def _behaviour(self) -> np.ndarray:
+        p = np.tile(np.eye(2) / 2, (2, 2, 1, 1))
+        p[self.negative_cell] = np.fliplr(np.eye(2)) / 2
+        return p
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "negative_cell": list(self.negative_cell)}
@@ -355,25 +332,16 @@ class SuperdeterministicModel(OutcomeModel):
         object.__setattr__(self, "conditional", conditional)
 
     @property
-    def n_alice(self) -> int:
-        return 2
-
-    @property
-    def n_bob(self) -> int:
-        return 2
-
-    @property
     def violates_measurement_independence(self) -> bool:  # type: ignore[override]
         """True when the lambda marginal actually varies with the settings."""
         reference = self.conditional[CELLS[0]]
         return any(self.conditional[cell] != reference for cell in CELLS[1:])
 
-    def exact_joint_table(self, x_index: int, y_index: int) -> JointTable:
-        self._check_cell(x_index, y_index)
-        table = dict.fromkeys(OUTCOME_PAIRS, 0.0)
-        for strategy, weight in self.conditional[(x_index, y_index)]:
-            table[strategy.outcomes(x_index, y_index)] += weight
-        return table
+    def _behaviour(self) -> np.ndarray:
+        p = np.zeros((2, 2, 2, 2))
+        for (ix, iy), entries in self.conditional.items():
+            p[ix, iy] = sum(w * s.behaviour()[ix, iy] for s, w in entries)
+        return p
 
     def to_json_dict(self) -> dict:
         return {
@@ -426,81 +394,19 @@ class SignallingModel(OutcomeModel):
             raise ValueError("b_of_x must be two values in {-1, +1}")
         object.__setattr__(self, "b_of_x", values)
 
-    @property
-    def n_alice(self) -> int:
-        return 2
-
-    @property
-    def n_bob(self) -> int:
-        return 2
-
-    def exact_joint_table(self, x_index: int, y_index: int) -> JointTable:
-        self._check_cell(x_index, y_index)
-        b = self.b_of_x[x_index]
-        return {pair: 0.5 if pair[1] == b else 0.0 for pair in OUTCOME_PAIRS}
+    def _behaviour(self) -> np.ndarray:
+        p = np.zeros((2, 2, 2, 2))
+        for ix, b in enumerate(self.b_of_x):
+            p[ix, :, :, outcome_index(b)] = 0.5
+        return p
 
     def to_json_dict(self) -> dict:
         return {"kind": self.kind, "b_of_x": list(self.b_of_x)}
 
 
-def sample_trial(
-    model: OutcomeModel,
-    x_index: int,
-    y_index: int,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """One (a, b) draw from the model at the given settings.
-
-    Superdeterministic models first draw the hidden strategy from the
-    settings-conditioned distribution, then evaluate it locally; all
-    other kinds draw directly from the exact conditional table.
-    """
-    if isinstance(model, SuperdeterministicModel):
-        entries = model.conditional[(x_index, y_index)]
-        u = rng.random()
-        cumulative = 0.0
-        for strategy, weight in entries:
-            cumulative += weight
-            if u < cumulative:
-                return strategy.outcomes(x_index, y_index)
-        return entries[-1][0].outcomes(x_index, y_index)
-    table = model.exact_joint_table(x_index, y_index)
-    u = rng.random()
-    cumulative = 0.0
-    for pair in OUTCOME_PAIRS:
-        cumulative += table[pair]
-        if u < cumulative:
-            return pair
-    return OUTCOME_PAIRS[-1]
-
-
-def model_correlations(model: OutcomeModel) -> dict[tuple[int, int], float]:
-    """Exact E(x, y) for every settings cell of a 2x2 model."""
-    if model.n_alice != 2 or model.n_bob != 2:
-        raise ValueError("correlation table needs the 2x2 layout")
-    return {cell: float(table_correlation(model.exact_joint_table(*cell))) for cell in CELLS}
-
-
-def model_chsh(model: OutcomeModel, combination: ChshCombination = DEFAULT_COMBINATION) -> float:
-    """Exact S of a 2x2 model at the given sign pattern."""
-    return float(chsh_value(model_correlations(model), combination))
-
-
-def no_signalling_deltas(tables: Mapping[tuple[int, int], JointTable]) -> float:
-    """Worst marginal discrepancy across remote settings, over both wings."""
-    worst = 0.0
-    for ix in (0, 1):
-        marginals = [tables[(ix, iy)][(1, 1)] + tables[(ix, iy)][(1, -1)] for iy in (0, 1)]
-        worst = max(worst, abs(marginals[0] - marginals[1]))
-    for iy in (0, 1):
-        marginals = [tables[(ix, iy)][(1, 1)] + tables[(ix, iy)][(-1, 1)] for ix in (0, 1)]
-        worst = max(worst, abs(marginals[0] - marginals[1]))
-    return worst
-
-
 @dataclass(frozen=True)
 class PolytopeResult:
-    """Verdict of the local-model membership test for four tables."""
+    """Verdict of the local-model membership test for a behaviour."""
 
     is_local: bool
     max_abs_s: float
@@ -514,11 +420,8 @@ class PolytopeResult:
                 f"at pattern {self.witness_combination.to_string()}")
 
 
-def local_polytope_membership(
-    tables: Mapping[tuple[int, int], JointTable],
-    tol: float = 1e-9,
-) -> PolytopeResult:
-    """Decide whether one strategy mixture reproduces all four tables.
+def local_polytope_membership(p: np.ndarray, tol: float = 1e-9) -> PolytopeResult:
+    """Decide whether one strategy mixture reproduces the behaviour p[x, y, a, b].
 
     For no-signalling tables in the two-setting/two-outcome scenario the
     eight CHSH inequalities (with positivity and normalization) cut out
@@ -527,23 +430,12 @@ def local_polytope_membership(
     Signalling tables are rejected up front: asking for a shared local
     variable behind them is ill-posed.
     """
-    for cell in CELLS:
-        if cell not in tables:
-            raise ValueError(f"tables missing settings cell {cell}")
-        validate_table(tables[cell], tol=max(tol, 1e-9))
-    delta = no_signalling_deltas(tables)
+    delta = no_signalling_deltas(p)
     if delta > tol:
         raise SignallingTablesError(
             f"tables are signalling (worst marginal shift {delta:.3g}); "
             "local-model membership is ill-posed")
-    correlations = {cell: table_correlation(tables[cell]) for cell in CELLS}
-    worst_combination = None
-    worst_s = 0.0
-    for combination in all_combinations():
-        s = float(chsh_value(correlations, combination))
-        if abs(s) > abs(worst_s):
-            worst_s = s
-            worst_combination = combination
+    worst_s, worst_combination = max_abs_chsh(correlations(p))
     if abs(worst_s) <= 2.0 + tol:
         return PolytopeResult(True, abs(worst_s), None, None)
     return PolytopeResult(False, abs(worst_s), worst_combination, worst_s)
@@ -560,28 +452,20 @@ def _project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def nearest_lhv_mixture(
-    tables: Mapping[tuple[int, int], JointTable],
-    n_iterations: int = 4000,
-) -> tuple[np.ndarray, float]:
+def nearest_lhv_mixture(p: np.ndarray, n_iterations: int = 4000) -> tuple[np.ndarray, float]:
     """Approximate least-squares projection onto the strategy mixtures.
 
     Accelerated projected gradient on the simplex of weights over the 16
     deterministic strategies. Returns (weights, residual) where residual
-    is the Euclidean distance between the stacked target tables and the
+    is the Euclidean distance between the flattened target behaviour and the
     best mixture found. This is a coarse independent cross-check of
     local_polytope_membership, not a boundary-precision decision: for
     clearly local tables the residual is tiny, for boxes beyond the
     bound it stays bounded away from zero.
     """
     strategies = enumerate_deterministic_strategies()
-    columns = []
-    for strategy in strategies:
-        stacked = np.concatenate([table_vector(strategy.exact_joint_table(*cell))
-                                  for cell in CELLS])
-        columns.append(stacked)
-    design = np.column_stack(columns)
-    target = np.concatenate([table_vector(tables[cell]) for cell in CELLS])
+    design = np.column_stack([strategy.behaviour().ravel() for strategy in strategies])
+    target = np.asarray(p).ravel()
     gram = design.T @ design
     step = 1.0 / float(np.linalg.eigvalsh(gram).max())
     weights = np.full(len(strategies), 1.0 / len(strategies))
@@ -597,65 +481,34 @@ def nearest_lhv_mixture(
     return weights, residual
 
 
-_MODEL_REGISTRY = {
-    "deterministic": lambda d: DeterministicStrategy(tuple(d["a_of_x"]), tuple(d["b_of_y"])),
-    "mixed_lhv": lambda d: MixedLhvModel(
-        tuple(DeterministicStrategy(tuple(s["a_of_x"]), tuple(s["b_of_y"]))
-              for s in d["strategies"]),
-        tuple(d["weights"])),
-    "quantum": lambda d: QuantumModel(
-        DensityOperator(operator_from_json(d["state"])),
-        tuple(d["alice_angles"]), tuple(d["bob_angles"])),
-    "pr_box": lambda d: PrBoxModel(tuple(d.get("negative_cell", (0, 1)))),
-    "superdeterministic": lambda d: SuperdeterministicModel({
-        tuple(int(t) for t in key.split(",")): tuple(
-            (DeterministicStrategy(tuple(s["a_of_x"]), tuple(s["b_of_y"])), float(w))
-            for s, w in entries)
-        for key, entries in d["conditional"].items()
-    }),
-    "signalling": lambda d: SignallingModel(tuple(d.get("b_of_x", (1, -1)))),
-}
-
-
-def model_from_json(data: dict | str) -> OutcomeModel:
-    """Rebuild a model from its JSON description (kind tag + parameters)."""
-    if isinstance(data, str):
-        data = json.loads(data)
-    kind = data.get("kind")
-    if kind not in _MODEL_REGISTRY:
-        raise ValueError(f"unknown model kind {kind!r}; known: {sorted(_MODEL_REGISTRY)}")
-    return _MODEL_REGISTRY[kind](data)
-
-
-def model_to_json(model: OutcomeModel) -> str:
-    return json.dumps(model.to_json_dict(), sort_keys=True)
-
-
 def model_description_hash(model: OutcomeModel) -> str:
     """Stable hash of the model's JSON description, for log headers."""
-    return hashlib.sha256(model_to_json(model).encode()).hexdigest()
+    return hashlib.sha256(json.dumps(model.to_json_dict(), sort_keys=True).encode()).hexdigest()
 
 
-def tables_from_json(data: dict | str) -> dict[tuple[int, int], JointTable]:
-    """Parse {"x,y": {"++": p, "+-": p, "-+": p, "--": p}} table sets."""
+def tables_from_json(data: dict | str) -> np.ndarray:
+    """Parse {"x,y": {"++": p, "+-": p, "-+": p, "--": p}} into a validated p[x, y, a, b].
+
+    Every cell of the nx-by-ny layout must be present with all four
+    outcome pairs; malformed input raises ValueError.
+    """
     if isinstance(data, str):
         data = json.loads(data)
-    pair_keys = {"++": (1, 1), "+-": (1, -1), "-+": (-1, 1), "--": (-1, -1)}
-    tables = {}
-    for key, cell_table in data.items():
+    if not isinstance(data, dict) or not data:
+        raise ValueError("tables must be a non-empty JSON object keyed by 'x,y'")
+    cells = {}
+    for key, cell in data.items():
         ix, iy = (int(t) for t in key.split(","))
-        tables[(ix, iy)] = {pair_keys[k]: float(v) for k, v in cell_table.items()}
-    return tables
-
-
-def tables_to_json(tables: Mapping[tuple[int, int], JointTable]) -> str:
-    pair_keys = {(1, 1): "++", (1, -1): "+-", (-1, 1): "-+", (-1, -1): "--"}
-    return json.dumps({
-        f"{ix},{iy}": {pair_keys[pair]: float(v) for pair, v in table.items()}
-        for (ix, iy), table in sorted(tables.items())
-    }, sort_keys=True)
-
-
-def model_tables(model: OutcomeModel) -> dict[tuple[int, int], JointTable]:
-    """All four conditional tables of a 2x2 model."""
-    return {cell: model.exact_joint_table(*cell) for cell in CELLS}
+        if ix < 0 or iy < 0:
+            raise ValueError(f"negative setting index in cell {key!r}")
+        if not isinstance(cell, dict) or sorted(cell) != sorted(PAIR_KEYS):
+            raise ValueError(f"cell {key!r} must give exactly the outcome pairs {PAIR_KEYS}")
+        if not all(isinstance(cell[k], (int, float)) for k in PAIR_KEYS):
+            raise ValueError(f"cell {key!r} has a non-numeric probability")
+        cells[(ix, iy)] = [cell[k] for k in PAIR_KEYS]
+    shape = (1 + max(ix for ix, _ in cells), 1 + max(iy for _, iy in cells))
+    missing = [cell for cell in np.ndindex(shape) if cell not in cells]
+    if missing:
+        raise ValueError(f"tables missing settings cells {missing}")
+    return validate_behaviour(np.reshape([cells[cell] for cell in np.ndindex(shape)],
+                                         shape + (2, 2)))

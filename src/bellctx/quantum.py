@@ -20,7 +20,6 @@ Conventions
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 
@@ -28,7 +27,8 @@ import numpy as np
 
 TOL = 1e-10
 
-# Fixed ordering of dichotomic outcome pairs used for 4-entry joint tables.
+# Fixed ordering of dichotomic outcome pairs in a joint context; it is the
+# row-major order of a behaviour cell p[x, y, a, b] (outcome index 0 is +1).
 OUTCOME_PAIRS: tuple[tuple[int, int], ...] = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 
 
@@ -254,29 +254,6 @@ def joint_context(a: DichotomicObservable, b: DichotomicObservable) -> Context:
     ))
 
 
-def joint_outcome_distribution(
-    rho: DensityOperator,
-    a: DichotomicObservable,
-    b: DichotomicObservable,
-) -> dict[tuple[int, int], float]:
-    """Joint table P(ab) = Tr(rho (Pa (x) Pb)) over the four outcome pairs."""
-    if rho.dim != a.dim * b.dim:
-        raise ValueError(
-            f"dimension mismatch: state {rho.dim}, observables {a.dim}x{b.dim}")
-    probs = context_distribution(rho, joint_context(a, b))
-    return {pair: float(pr) for pair, pr in zip(OUTCOME_PAIRS, probs)}
-
-
-def correlation(
-    rho: DensityOperator,
-    a: DichotomicObservable,
-    b: DichotomicObservable,
-) -> float:
-    """Correlation E = P(++) + P(--) - P(+-) - P(-+) of the two outcomes."""
-    table = joint_outcome_distribution(rho, a, b)
-    return table[(1, 1)] + table[(-1, -1)] - table[(1, -1)] - table[(-1, 1)]
-
-
 def operator_to_json(mat: np.ndarray) -> list[list[list[float]]]:
     """Nested-array form with [real, imag] entry pairs (JSON-compatible)."""
     arr = np.asarray(mat, dtype=complex)
@@ -287,7 +264,3 @@ def operator_from_json(data: object) -> np.ndarray:
     """Inverse of operator_to_json."""
     rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]  # type: ignore[union-attr]
     return as_operator(rows)
-
-
-def operator_json_dumps(mat: np.ndarray) -> str:
-    return json.dumps(operator_to_json(mat))

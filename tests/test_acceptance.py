@@ -29,16 +29,16 @@ from bellctx.gleason import (
 from bellctx.harness import (
     chsh_estimate,
     estimate_correlations,
+    exact_estimates,
     no_signalling_audit,
     run_experiment,
 )
 from bellctx.kolmogorov import (
     SettingsSpec,
-    build_mixed_context_space,
+    build_mixed_context_space_from_tables,
     build_single_context_space,
     optimal_settings,
     parse_atom_label,
-    per_context_chsh,
     szabo_chsh,
     verify_kolmogorov,
 )
@@ -49,8 +49,8 @@ from bellctx.models import (
     enumerate_deterministic_strategies,
     superdeterministic_s4_example,
 )
-from bellctx.quantum import Projector, born_probability, joint_outcome_distribution, \
-    photon_pair_state
+from bellctx.quantum import Projector, born_probability, photon_pair_state, \
+    polarization_observable
 
 RT2 = math.sqrt(2.0)
 CONFIGS = Path(__file__).parent.parent / "src" / "bellctx" / "configs"
@@ -66,9 +66,14 @@ def quantum_pair_model() -> QuantumModel:
     return QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles)
 
 
+def mixed_space(rho, spec: SettingsSpec):
+    p = QuantumModel(rho, spec.alice_angles, spec.bob_angles).behaviour()
+    return build_mixed_context_space_from_tables(p, spec)
+
+
 def test_criterion_1_quantum_chsh_landmark():
     spec = optimal_settings()
-    s_analytic = per_context_chsh(photon_pair_state(), spec)
+    s_analytic = exact_estimates(quantum_pair_model(), spec).s
     analytic_ok = abs(s_analytic - 2 * RT2) <= 1e-10
 
     started = time.perf_counter()
@@ -85,7 +90,7 @@ def test_criterion_1_quantum_chsh_landmark():
 
 def test_criterion_2_global_normalization_reduction():
     spec = optimal_settings()
-    space = build_mixed_context_space(photon_pair_state(), spec)
+    space = mixed_space(photon_pair_state(), spec)
     s_prime = szabo_chsh(space)
     landmark_ok = abs(s_prime - RT2 / 2) <= 1e-10
 
@@ -95,8 +100,9 @@ def test_criterion_2_global_normalization_reduction():
         rho = random_density(4, rng)
         angles = rng.uniform(-np.pi, np.pi, size=4)
         random_spec = SettingsSpec.uniform(angles[:2], angles[2:])
-        s = per_context_chsh(rho, random_spec)
-        s_p = szabo_chsh(build_mixed_context_space(rho, random_spec))
+        model = QuantumModel(rho, random_spec.alice_angles, random_spec.bob_angles)
+        s = exact_estimates(model, random_spec).s
+        s_p = szabo_chsh(mixed_space(rho, random_spec))
         worst_gap = max(worst_gap, abs(s_p - s / 4))
     identity_ok = worst_gap <= 1e-12
     check(2, "global normalization lands at sqrt(2)/2 and S'=S/4",
@@ -119,15 +125,17 @@ def test_criterion_3_deterministic_bound_exact():
 def test_criterion_4_mixed_space_structure():
     rho = photon_pair_state()
     spec = optimal_settings()
-    space = build_mixed_context_space(rho, spec)
+    space = mixed_space(rho, spec)
     atoms_ok = len(space) == 16
 
     worst = 0.0
     for label, prob in zip(space.atoms, space.probs):
         ix, a, iy, b = parse_atom_label(label)
-        table = joint_outcome_distribution(
-            rho, spec.alice_observable(ix), spec.bob_observable(iy))
-        worst = max(worst, abs(prob - table[(a, b)] / 4))
+        # Independent of the behaviour array: the trace rule on Pa (x) Pb.
+        pa = polarization_observable(spec.alice_angles[ix]).projector(a)
+        pb = polarization_observable(spec.bob_angles[iy]).projector(b)
+        p_ab = born_probability(rho, Projector(np.kron(pa.matrix, pb.matrix)))
+        worst = max(worst, abs(prob - p_ab / 4))
     factor_ok = worst <= 1e-12
     check(4, "mixed space has 16 atoms with prob = P(ab|xy)/4",
           atoms_ok and factor_ok, f"atoms={len(space)}, worst cell gap={worst:.2e}")

@@ -1,9 +1,17 @@
 """Sign-pattern bookkeeping for the CHSH combination."""
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bellctx.chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, all_combinations, chsh_value
+from bellctx.chsh import (
+    ChshCombination,
+    DEFAULT_COMBINATION,
+    all_combinations,
+    chsh_value,
+    correlations,
+    max_abs_chsh,
+)
 
 
 def test_default_pattern_matches_standard_form():
@@ -35,21 +43,29 @@ def test_string_round_trip():
 
 
 def test_missing_cell_rejected():
-    with pytest.raises(ValueError, match="missing"):
-        chsh_value({(0, 0): 1.0}, DEFAULT_COMBINATION)
+    with pytest.raises(ValueError, match="two settings"):
+        chsh_value(np.ones((1, 1)), DEFAULT_COMBINATION)
+    with pytest.raises(ValueError, match="two settings"):
+        chsh_value(np.ones((2, 3)), DEFAULT_COMBINATION)
 
 
 def test_integer_tables_stay_integer():
-    table = {cell: 1 for cell in CELLS}
-    value = chsh_value(table, DEFAULT_COMBINATION)
+    value = chsh_value(np.ones((2, 2), dtype=int), DEFAULT_COMBINATION)
     assert value == 2 and isinstance(value, int)
+
+
+def test_correlations_of_behaviour_and_counts_layout():
+    # p[x, y, a, b] with outcome index 0 = +1: E = p++ + p-- - p+- - p-+.
+    p = np.array([[0.5, 0.125], [0.25, 0.125]])
+    assert correlations(p) == pytest.approx(0.5 + 0.125 - 0.125 - 0.25)
+    counts = np.arange(16).reshape(2, 2, 2, 2)
+    assert correlations(counts)[1, 0] == 8 + 11 - 9 - 10
 
 
 @given(st.lists(st.floats(-1, 1), min_size=4, max_size=4))
 def test_outcome_relabeling_preserves_max_abs_s(es):
     """Flipping a -> -a on one Alice setting permutes the 8 patterns."""
-    table = dict(zip(CELLS, es))
-    flipped = {(x, y): (-e if x == 0 else e) for (x, y), e in table.items()}
+    table = np.reshape(es, (2, 2))
+    flipped = table * np.array([[-1.0], [1.0]])
     original = max(abs(chsh_value(table, c)) for c in all_combinations())
-    relabeled = max(abs(chsh_value(flipped, c)) for c in all_combinations())
-    assert relabeled == pytest.approx(original, abs=1e-12)
+    assert abs(max_abs_chsh(flipped)[0]) == pytest.approx(original, abs=1e-12)

@@ -8,11 +8,11 @@ import pytest
 
 from bellctx.cli import main
 from bellctx.harness import CountsTable, read_event_log
-from bellctx.kolmogorov import optimal_settings
-from bellctx.models import QuantumModel, model_tables, tables_to_json
-from bellctx.quantum import photon_pair_state
+from bellctx.models import SignallingModel
 
 CONFIGS = Path(__file__).parent.parent / "src" / "bellctx" / "configs"
+PHOTON_PAIR_TABLES = Path(__file__).parent / "golden" / "photon_pair_tables.json"
+CELL = {"++": 0.5, "+-": 0.0, "-+": 0.0, "--": 0.5}
 
 
 def write_quick_config(tmp_path: Path, base: str = "chsh_quantum.cfg",
@@ -172,19 +172,16 @@ class TestLhvBound:
         assert "2" in out.splitlines()[0]
         assert sum(1 for line in out.splitlines() if line.strip().startswith("a(")) == 8
 
-    def test_quantum_tables_diagnosed_nonlocal(self, tmp_path, capsys):
-        spec = optimal_settings()
-        tables = model_tables(QuantumModel(photon_pair_state(),
-                                           spec.alice_angles, spec.bob_angles))
-        path = tmp_path / "tables.json"
-        path.write_text(tables_to_json(tables))
-        assert main(["lhv-bound", str(path)]) == 0
+    def test_quantum_tables_diagnosed_nonlocal(self, capsys):
+        assert main(["lhv-bound", str(PHOTON_PAIR_TABLES)]) == 0
         assert "nonlocal: violates CHSH, S = 2.8284" in capsys.readouterr().out
 
     def test_signalling_tables_distinct_diagnosis(self, tmp_path, capsys):
-        from bellctx.models import SignallingModel
+        p = SignallingModel().behaviour()
+        tables = {f"{ix},{iy}": dict(zip(("++", "+-", "-+", "--"), p[ix, iy].ravel().tolist()))
+                  for ix, iy in ((0, 0), (0, 1), (1, 0), (1, 1))}
         path = tmp_path / "tables.json"
-        path.write_text(tables_to_json(model_tables(SignallingModel())))
+        path.write_text(json.dumps(tables))
         assert main(["lhv-bound", str(path)]) == 0
         assert "ill-posed: signalling" in capsys.readouterr().out
 
@@ -192,6 +189,22 @@ class TestLhvBound:
         path = tmp_path / "tables.json"
         path.write_text("{not json")
         assert main(["lhv-bound", str(path)]) == 2
+
+    @pytest.mark.parametrize("tables, message", [
+        ({"0,0": {"++": 0.5, "+-": 0.0, "-+": 0.0}, "0,1": CELL, "1,0": CELL, "1,1": CELL},
+         "outcome pairs"),
+        ({"0,0": CELL, "0,1": CELL, "1,1": CELL}, "missing settings cells [(1, 0)]"),
+        ({"0,0": dict(CELL, **{"+-": 0.4}), "0,1": CELL, "1,0": CELL, "1,1": CELL},
+         "sums to 1.4"),
+        ([CELL, CELL, CELL, CELL], "JSON object"),
+    ], ids=["missing-pair", "missing-cell", "cell-sum-1.4", "top-level-list"])
+    def test_malformed_tables_exit_2_without_traceback(self, tmp_path, capsys, tables, message):
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps(tables))
+        assert main(["lhv-bound", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tables file") and message in err
+        assert "Traceback" not in err
 
 
 class TestPlot:

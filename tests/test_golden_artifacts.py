@@ -3,8 +3,10 @@
 Covers every shipped config: ``simulate`` at 20 000 trials with
 ``chunk_size = 4096`` at 1 and 2 workers (event log, counts CSV and the
 report without its ``meta`` block), the ``kc-verify`` report without
-``meta``, the ``plot`` SVG, and the stdout of ``lhv-bound --format json``
-with no argument and with the photon-pair tables file.
+``meta``, the ``gleason-check`` report without ``meta`` at dim 2 and 3,
+the ``plot`` SVG, and the stdout of ``lhv-bound --format json`` with no
+argument and with the photon-pair tables file. The reports whose digests
+leave ``meta`` out must still time themselves there.
 
 Regenerate the golden file (only when an output change is intended and
 explained) with ``PYTHONPATH=src python tests/test_golden_artifacts.py``.
@@ -28,6 +30,7 @@ GOLDEN = HERE / "golden" / "artifact_digests.json"
 PHOTON_PAIR_TABLES = HERE / "golden" / "photon_pair_tables.json"
 SHIPPED = sorted(path.name for path in CONFIGS.glob("*.cfg"))
 PLOTTED = ("chsh_quantum.cfg", "chsh_lhv_uniform.cfg")
+GLEASON_DIMS = (2, 3)
 
 
 def sha256(data) -> str:
@@ -62,6 +65,16 @@ def kc_verify_digest(out: Path, name: str) -> str:
     return report_digest(out / "kc_report.json")
 
 
+def gleason_check_digest(out: Path, dim: int) -> str:
+    assert main(["gleason-check", "--dim", str(dim), "--n-contexts", "200", "--seed", "5",
+                 "--out-dir", str(out), "--quiet"]) == 0
+    return report_digest(out / f"gleason_dim{dim}.json")
+
+
+def wall_clock(path: Path) -> float:
+    return json.loads(path.read_text())["meta"]["wall_clock_seconds"]
+
+
 def plot_digest(out: Path, name: str) -> str:
     assert main(["plot", str(CONFIGS / name), "curve.svg", "--out-dir", str(out),
                  "--mc-trials", "2000", "--quiet"]) == 0
@@ -88,6 +101,13 @@ def test_simulate_artifacts_match_golden(tmp_path, name, workers):
 @pytest.mark.parametrize("name", SHIPPED)
 def test_kc_verify_report_matches_golden(tmp_path, name):
     assert kc_verify_digest(tmp_path, name) == golden()["kc_verify"][name]
+    assert wall_clock(tmp_path / "kc_report.json") > 0
+
+
+@pytest.mark.parametrize("dim", GLEASON_DIMS)
+def test_gleason_check_report_matches_golden(tmp_path, dim):
+    assert gleason_check_digest(tmp_path, dim) == golden()["gleason_check"][f"dim{dim}"]
+    assert wall_clock(tmp_path / f"gleason_dim{dim}.json") > 0
 
 
 @pytest.mark.parametrize("name", PLOTTED)
@@ -103,7 +123,7 @@ def test_lhv_bound_stdout_matches_golden():
 
 def _record(out: Path) -> dict:
     """Recompute every digest (used to write the golden file)."""
-    digests = {"simulate": {}, "kc_verify": {}, "plot": {}}
+    digests = {"simulate": {}, "kc_verify": {}, "plot": {}, "gleason_check": {}}
     for name in SHIPPED:
         runs = []
         for workers in (1, 2):
@@ -115,6 +135,10 @@ def _record(out: Path) -> dict:
         target = out / f"{name}-kc"
         target.mkdir()
         digests["kc_verify"][name] = kc_verify_digest(target, name)
+    for dim in GLEASON_DIMS:
+        target = out / f"gleason-dim{dim}"
+        target.mkdir()
+        digests["gleason_check"][f"dim{dim}"] = gleason_check_digest(target, dim)
     for name in PLOTTED:
         target = out / f"{name}-plot"
         target.mkdir()

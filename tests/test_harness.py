@@ -25,7 +25,6 @@ from bellctx.kolmogorov import (
     build_mixed_context_space_from_tables,
     optimal_settings,
     szabo_chsh,
-    per_context_chsh,
 )
 from bellctx.models import (
     DeterministicStrategy,
@@ -34,7 +33,6 @@ from bellctx.models import (
     QuantumModel,
     SignallingModel,
     enumerate_deterministic_strategies,
-    model_tables,
     superdeterministic_s4_example,
 )
 from bellctx.quantum import photon_pair_state
@@ -45,6 +43,20 @@ RT2 = math.sqrt(2.0)
 def quantum_pair_model() -> QuantumModel:
     spec = optimal_settings()
     return QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles)
+
+
+def analyzer(theta: float) -> np.ndarray:
+    """P+ - P- of a polarization analyzer at angle theta, as a plain matrix."""
+    c, s = math.cos(2 * theta), math.sin(2 * theta)
+    return np.array([[c, s], [s, -c]])
+
+
+def trace_rule_s(rho, spec: SettingsSpec) -> float:
+    """Oracle on raw matrices: E(x, y) = Re Tr(rho (A_x (x) B_y)), signed sum."""
+    return sum(
+        DEFAULT_COMBINATION.sign(ix, iy) * np.trace(rho.matrix @ np.kron(
+            analyzer(spec.alice_angles[ix]), analyzer(spec.bob_angles[iy]))).real
+        for ix, iy in CELLS)
 
 
 class TestCountsTable:
@@ -122,13 +134,11 @@ class TestRunExperiment:
         spec = optimal_settings()
         n = 1_000_000
         result = run_experiment(model, n, spec, master_seed=10)
-        tables = model_tables(model)
-        for cell in CELLS:
-            for pair, p in tables[cell].items():
-                p_joint = p * 0.25
-                sigma = math.sqrt(p_joint * (1 - p_joint) / n)
-                observed = result.counts.cell(*cell, *pair) / n
-                assert abs(observed - p_joint) <= 5 * sigma
+        for index, p in np.ndenumerate(model.behaviour()):
+            p_joint = p * 0.25
+            sigma = math.sqrt(p_joint * (1 - p_joint) / n)
+            observed = result.counts.counts[index] / n
+            assert abs(observed - p_joint) <= 5 * sigma
 
     def test_trial_ids_are_contiguous(self):
         result = run_experiment(quantum_pair_model(), 2500, optimal_settings(),
@@ -277,7 +287,7 @@ class TestConsistencyAcrossModules:
         model = quantum_pair_model()
         exact = exact_estimates(model, optimal_settings())
         assert exact.s == pytest.approx(
-            per_context_chsh(photon_pair_state(), optimal_settings()), abs=1e-12)
+            trace_rule_s(photon_pair_state(), optimal_settings()), abs=1e-12)
 
     def test_exact_global_matches_mixed_space_route(self):
         rng = np.random.default_rng(25)
@@ -288,9 +298,9 @@ class TestConsistencyAcrossModules:
             spec = SettingsSpec.uniform(angles[:2], angles[2:])
             model = QuantumModel(rho, spec.alice_angles, spec.bob_angles)
             exact = exact_estimates(model, spec)
-            space = build_mixed_context_space_from_tables(model_tables(model), spec)
+            space = build_mixed_context_space_from_tables(model.behaviour(), spec)
             assert exact.s_global == pytest.approx(szabo_chsh(space), abs=1e-12)
-            assert exact.s == pytest.approx(per_context_chsh(rho, spec), abs=1e-12)
+            assert exact.s == pytest.approx(trace_rule_s(rho, spec), abs=1e-12)
 
     def test_estimate_report_json_is_serializable(self):
         result = run_experiment(quantum_pair_model(), 10_000, optimal_settings(),

@@ -7,25 +7,23 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from bellctx.chsh import CELLS, all_combinations
+from bellctx.chsh import DEFAULT_COMBINATION, all_combinations, chsh_value, correlations
 from bellctx.gleason import random_context, random_density, random_rank_profile
 from bellctx.kolmogorov import (
     ClassicalProbabilitySpace,
     SettingsSpec,
-    build_mixed_context_space,
     build_mixed_context_space_from_tables,
     build_single_context_space,
     optimal_settings,
     parse_atom_label,
-    per_context_chsh,
     szabo_chsh,
     verify_kolmogorov,
 )
+from bellctx.models import DeterministicStrategy, MixedLhvModel, QuantumModel
 from bellctx.quantum import (
     Context,
     Projector,
     computational_context,
-    joint_outcome_distribution,
     maximally_mixed,
     photon_pair_state,
     polarization_observable,
@@ -33,6 +31,20 @@ from bellctx.quantum import (
 )
 
 RT2 = math.sqrt(2.0)
+
+
+def behaviour(rho, spec: SettingsSpec) -> np.ndarray:
+    """p[x, y, a, b] of a two-qubit state measured at the spec's angles."""
+    return QuantumModel(rho, spec.alice_angles, spec.bob_angles).behaviour()
+
+
+def mixed_space(rho, spec: SettingsSpec) -> ClassicalProbabilitySpace:
+    return build_mixed_context_space_from_tables(behaviour(rho, spec), spec)
+
+
+def quantum_s(rho, spec: SettingsSpec, combination=DEFAULT_COMBINATION) -> float:
+    """S from the conditional correlations E(x, y) of each context."""
+    return chsh_value(correlations(behaviour(rho, spec)), combination)
 
 
 class TestClassicalSpace:
@@ -118,37 +130,36 @@ class TestSingleContextSpace:
 
 class TestMixedContextSpace:
     def test_sixteen_atoms_for_two_by_two(self):
-        space = build_mixed_context_space(photon_pair_state(), optimal_settings())
+        space = mixed_space(photon_pair_state(), optimal_settings())
         assert len(space) == 16
 
     def test_total_probability_one(self):
-        space = build_mixed_context_space(photon_pair_state(), optimal_settings())
+        space = mixed_space(photon_pair_state(), optimal_settings())
         assert space.probs.sum() == pytest.approx(1.0, abs=1e-15)
 
     def test_maximally_mixed_gives_sixteenth_each(self):
-        space = build_mixed_context_space(maximally_mixed(4), optimal_settings())
+        space = mixed_space(maximally_mixed(4), optimal_settings())
         assert space.probs == pytest.approx([1 / 16] * 16)
 
     def test_quarter_factorization_cellwise(self):
         rho = photon_pair_state()
         spec = optimal_settings()
-        space = build_mixed_context_space(rho, spec)
+        space = mixed_space(rho, spec)
+        p = behaviour(rho, spec)
         for label, prob in zip(space.atoms, space.probs):
             ix, a, iy, b = parse_atom_label(label)
-            table = joint_outcome_distribution(
-                rho, spec.alice_observable(ix), spec.bob_observable(iy))
-            assert prob == pytest.approx(table[(a, b)] / 4, abs=1e-12)
+            assert prob == pytest.approx(p[ix, iy, (1 - a) // 2, (1 - b) // 2] / 4, abs=1e-12)
 
     def test_named_atom_probability(self):
         spec = optimal_settings()
-        space = build_mixed_context_space(photon_pair_state(), spec)
+        space = mixed_space(photon_pair_state(), spec)
         index = space.atoms.index(
             f"x0@{0.0:.12g}:a+1|y0@{math.pi / 8:.12g}:b+1")
         assert space.probs[index] == pytest.approx((2 + RT2) / 8 / 4, abs=1e-12)
 
     def test_marginal_consistency(self):
         spec = SettingsSpec((0.0, 0.5), (0.3, 0.7), (0.1, 0.9), (0.25, 0.75))
-        space = build_mixed_context_space(photon_pair_state(), spec)
+        space = mixed_space(photon_pair_state(), spec)
         marginals = {}
         for label, prob in zip(space.atoms, space.probs):
             ix, _, iy, _ = parse_atom_label(label)
@@ -158,13 +169,12 @@ class TestMixedContextSpace:
                 spec.alice_probs[ix] * spec.bob_probs[iy], abs=1e-12)
 
     def test_weighted_table_list_is_mixed(self):
+        # A hidden variable with two values is the strategy mixture itself.
         spec = optimal_settings()
-        table_up = {cell: {(1, 1): 1.0, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 0.0}
-                    for cell in CELLS}
-        table_down = {cell: {(1, 1): 0.0, (1, -1): 0.0, (-1, 1): 0.0, (-1, -1): 1.0}
-                      for cell in CELLS}
-        space = build_mixed_context_space_from_tables(
-            [(0.25, table_up), (0.75, table_down)], spec)
+        all_up = DeterministicStrategy((1, 1), (1, 1))
+        all_down = DeterministicStrategy((-1, -1), (-1, -1))
+        model = MixedLhvModel((all_up, all_down), (0.25, 0.75))
+        space = build_mixed_context_space_from_tables(model.behaviour(), spec)
         ix_up = space.atoms.index(f"x0@{0.0:.12g}:a+1|y0@{math.pi / 8:.12g}:b+1")
         assert space.probs[ix_up] == pytest.approx(0.25 / 4)
 
@@ -190,14 +200,14 @@ class TestVerifier:
         assert report.worst_violation >= 0.2
 
     def test_mixed_space_passes_exhaustively(self):
-        space = build_mixed_context_space(photon_pair_state(), optimal_settings())
+        space = mixed_space(photon_pair_state(), optimal_settings())
         report = verify_kolmogorov(space)
         assert report.all_ok
         assert report.additivity_mode == "exhaustive"
         assert report.n_additivity_checks == 3 ** 16
 
     def test_sampled_mode_above_limit(self):
-        space = build_mixed_context_space(photon_pair_state(), optimal_settings())
+        space = mixed_space(photon_pair_state(), optimal_settings())
         report = verify_kolmogorov(space, exhaustive_limit=8, seed=5)
         assert report.additivity_mode == "sampled"
         assert report.n_additivity_checks == 10_000
@@ -239,16 +249,16 @@ def grid_search_max_s(steps: int = 24) -> float:
 
 class TestPerContextChsh:
     def test_pair_state_hits_two_root_two(self):
-        s = per_context_chsh(photon_pair_state(), optimal_settings())
+        s = quantum_s(photon_pair_state(), optimal_settings())
         assert s == pytest.approx(2 * RT2, abs=1e-10)
 
     def test_optimal_angles_agree_with_grid_search(self):
         assert grid_search_max_s() <= 2 * RT2 + 1e-9
         # The standard set achieves the grid maximum up to grid resolution.
-        assert per_context_chsh(photon_pair_state(), optimal_settings()) >= grid_search_max_s() - 1e-9
+        assert quantum_s(photon_pair_state(), optimal_settings()) >= grid_search_max_s() - 1e-9
 
     def test_maximally_mixed_gives_zero(self):
-        s = per_context_chsh(maximally_mixed(4), optimal_settings())
+        s = quantum_s(maximally_mixed(4), optimal_settings())
         assert s == pytest.approx(0.0, abs=1e-12)
 
     def test_product_state_respects_local_bound(self):
@@ -258,17 +268,17 @@ class TestPerContextChsh:
             angles = rng.uniform(0, np.pi, size=4)
             spec = SettingsSpec.uniform(angles[:2], angles[2:])
             for combination in all_combinations():
-                assert abs(per_context_chsh(hh, spec, combination)) <= 2.0 + 1e-10
+                assert abs(quantum_s(hh, spec, combination)) <= 2.0 + 1e-10
 
     def test_requires_two_settings_per_side(self):
         spec = SettingsSpec.uniform((0.0,), (0.0, 1.0))
         with pytest.raises(ValueError, match="two settings"):
-            per_context_chsh(photon_pair_state(), spec)
+            quantum_s(photon_pair_state(), spec)
 
 
 class TestSzaboChsh:
     def test_pair_state_reduces_to_quarter(self):
-        space = build_mixed_context_space(photon_pair_state(), optimal_settings())
+        space = mixed_space(photon_pair_state(), optimal_settings())
         assert szabo_chsh(space) == pytest.approx(RT2 / 2, abs=1e-10)
 
     def test_equals_quarter_of_s_for_random_states_and_angles(self):
@@ -277,12 +287,12 @@ class TestSzaboChsh:
             rho = random_density(4, rng)
             angles = rng.uniform(-np.pi, np.pi, size=4)
             spec = SettingsSpec.uniform(angles[:2], angles[2:])
-            s = per_context_chsh(rho, spec)
-            s_prime = szabo_chsh(build_mixed_context_space(rho, spec))
+            s = quantum_s(rho, spec)
+            s_prime = szabo_chsh(mixed_space(rho, spec))
             assert s_prime == pytest.approx(s / 4, abs=1e-12)
 
     def test_maximally_mixed_gives_zero(self):
-        space = build_mixed_context_space(maximally_mixed(4), optimal_settings())
+        space = mixed_space(maximally_mixed(4), optimal_settings())
         assert szabo_chsh(space) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_mixed_structure(self):
@@ -296,7 +306,7 @@ class TestSzaboChsh:
         rng = np.random.default_rng(13)
         rho = random_density(4, rng)
         spec = SettingsSpec.uniform(rng.uniform(0, np.pi, 2), rng.uniform(0, np.pi, 2))
-        space = build_mixed_context_space(rho, spec)
+        space = mixed_space(rho, spec)
 
         def flipped(space):
             atoms, probs = [], []

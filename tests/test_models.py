@@ -1,11 +1,14 @@
 """Tests for the outcome-model zoo and the local-bound machinery."""
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bellctx.chsh import CELLS, DEFAULT_COMBINATION, all_combinations
+from bellctx.chsh import CELLS, DEFAULT_COMBINATION, all_combinations, chsh_value, correlations
+from bellctx.harness import _cell_cumulatives, _generate_chunk
 from bellctx.kolmogorov import optimal_settings
 from bellctx.models import (
     DeterministicStrategy,
@@ -16,33 +19,39 @@ from bellctx.models import (
     SignallingTablesError,
     SuperdeterministicModel,
     enumerate_deterministic_strategies,
-    exact_joint_table,
     lhv_max_chsh,
     local_polytope_membership,
     maximizing_strategies,
-    model_chsh,
-    model_correlations,
     model_description_hash,
-    model_from_json,
-    model_tables,
-    model_to_json,
     nearest_lhv_mixture,
     no_signalling_deltas,
-    sample_trial,
     superdeterministic_s4_example,
-    table_vector,
     tables_from_json,
-    tables_to_json,
+    validate_behaviour,
 )
-from bellctx.quantum import OUTCOME_PAIRS, joint_outcome_distribution, maximally_mixed, \
-    photon_pair_state, polarization_observable
+from bellctx.quantum import OUTCOME_PAIRS, context_distribution, joint_context, \
+    maximally_mixed, photon_pair_state, polarization_observable
 
 RT2 = math.sqrt(2.0)
+PHOTON_PAIR_TABLES = Path(__file__).parent / "golden" / "photon_pair_tables.json"
 
 
 def quantum_pair_model() -> QuantumModel:
     spec = optimal_settings()
     return QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles)
+
+
+def model_s(model, combination=DEFAULT_COMBINATION) -> float:
+    return chsh_value(correlations(model.behaviour()), combination)
+
+
+def sample_cell(model, x_index, y_index, n, seed):
+    """(a, b) draws of the chunked sampler with the settings pinned to one cell."""
+    alice_cum = (np.arange(model.n_alice) >= x_index).astype(float)
+    bob_cum = (np.arange(model.n_bob) >= y_index).astype(float)
+    chunk = _generate_chunk(_cell_cumulatives(model.behaviour()), alice_cum, bob_cum,
+                            master_seed=seed, chunk_id=0, start_trial=0, size=n)
+    return list(zip(chunk.a.tolist(), chunk.b.tolist()))
 
 
 class TestDeterministicStrategies:
@@ -62,9 +71,9 @@ class TestDeterministicStrategies:
 
     def test_point_table(self):
         strategy = DeterministicStrategy((1, 1), (-1, -1))
-        table = exact_joint_table(strategy, 0, 1)
-        assert table[(1, -1)] == 1.0
-        assert sum(table.values()) == 1.0
+        cell = strategy.behaviour()[0, 1]
+        assert cell[0, 1] == 1.0  # (a, b) = (+1, -1)
+        assert cell.sum() == 1.0
 
     def test_every_vertex_has_abs_s_two(self):
         for strategy in enumerate_deterministic_strategies():
@@ -90,7 +99,7 @@ class TestLhvBound:
         strategies = tuple(enumerate_deterministic_strategies())
         for _ in range(1000):
             model = MixedLhvModel(strategies, tuple(rng.dirichlet(np.ones(16))))
-            assert abs(model_chsh(model)) <= 2.0 + 1e-12
+            assert abs(model_s(model)) <= 2.0 + 1e-12
 
     def test_mixture_s_is_convex_combination(self):
         rng = np.random.default_rng(1)
@@ -99,14 +108,13 @@ class TestLhvBound:
             weights = rng.dirichlet(np.ones(16))
             model = MixedLhvModel(strategies, tuple(weights))
             expected = sum(w * s.chsh() for w, s in zip(weights, strategies))
-            assert model_chsh(model) == pytest.approx(expected, abs=1e-12)
+            assert model_s(model) == pytest.approx(expected, abs=1e-12)
 
 
 class TestMixedLhv:
     def test_uniform_mixture_is_uniform_table(self):
         model = MixedLhvModel.uniform_over_all()
-        for cell in CELLS:
-            assert table_vector(exact_joint_table(model, *cell)) == pytest.approx([0.25] * 4)
+        assert np.array_equal(model.behaviour(), np.full((2, 2, 2, 2), 0.25))
 
     def test_weights_validated(self):
         strategies = tuple(enumerate_deterministic_strategies())
@@ -119,23 +127,19 @@ class TestQuantumModel:
         model = quantum_pair_model()
         spec = optimal_settings()
         for ix, iy in CELLS:
-            expected = joint_outcome_distribution(
-                photon_pair_state(),
+            expected = context_distribution(photon_pair_state(), joint_context(
                 polarization_observable(spec.alice_angles[ix]),
-                polarization_observable(spec.bob_angles[iy]))
-            produced = exact_joint_table(model, ix, iy)
-            for pair in OUTCOME_PAIRS:
-                assert produced[pair] == pytest.approx(expected[pair], abs=1e-12)
+                polarization_observable(spec.bob_angles[iy])))
+            assert np.array_equal(model.behaviour()[ix, iy].ravel(), expected)
 
     def test_maximally_mixed_tables_uniform(self):
         model = QuantumModel(maximally_mixed(4), (0.0, 0.5), (0.1, 0.9))
-        for cell in CELLS:
-            assert table_vector(exact_joint_table(model, *cell)) == pytest.approx([0.25] * 4)
+        assert model.behaviour() == pytest.approx(np.full((2, 2, 2, 2), 0.25))
 
     def test_single_setting_model(self):
         model = QuantumModel(photon_pair_state(), (0.0,), (0.3,))
-        table = exact_joint_table(model, 0, 0)
-        assert sum(table.values()) == pytest.approx(1.0)
+        assert model.behaviour().shape == (1, 1, 2, 2)
+        assert model.behaviour().sum() == pytest.approx(1.0)
 
     def test_no_signalling_identically(self):
         rng = np.random.default_rng(2)
@@ -144,25 +148,27 @@ class TestQuantumModel:
             model = QuantumModel(random_density(4, rng),
                                  tuple(rng.uniform(0, np.pi, 2)),
                                  tuple(rng.uniform(0, np.pi, 2)))
-            assert no_signalling_deltas(model_tables(model)) <= 1e-12
+            assert no_signalling_deltas(model.behaviour()) <= 1e-12
 
     def test_out_of_range_settings_rejected(self):
-        with pytest.raises(ValueError, match="outside"):
-            exact_joint_table(quantum_pair_model(), 2, 0)
+        p = quantum_pair_model().behaviour()
+        assert p.shape == (2, 2, 2, 2)
+        with pytest.raises(IndexError):
+            p[2, 0]
 
 
 class TestPrBox:
     def test_tables_correlate_except_negative_cell(self):
-        box = PrBoxModel()
-        assert exact_joint_table(box, 0, 0)[(1, 1)] == 0.5
-        assert exact_joint_table(box, 0, 1)[(1, -1)] == 0.5
-        assert exact_joint_table(box, 0, 1)[(1, 1)] == 0.0
+        p = PrBoxModel().behaviour()
+        assert p[0, 0, 0, 0] == 0.5  # (+1, +1)
+        assert p[0, 1, 0, 1] == 0.5  # (+1, -1) on the negative cell
+        assert p[0, 1, 0, 0] == 0.0
 
     def test_reaches_four(self):
-        assert model_chsh(PrBoxModel()) == pytest.approx(4.0)
+        assert model_s(PrBoxModel()) == pytest.approx(4.0)
 
     def test_no_signalling_tables(self):
-        assert no_signalling_deltas(model_tables(PrBoxModel())) == 0.0
+        assert no_signalling_deltas(PrBoxModel().behaviour()) == 0.0
 
     def test_flags(self):
         box = PrBoxModel()
@@ -172,10 +178,10 @@ class TestPrBox:
 
 class TestSuperdeterministic:
     def test_example_reaches_four(self):
-        assert model_chsh(superdeterministic_s4_example()) == pytest.approx(4.0)
+        assert model_s(superdeterministic_s4_example()) == pytest.approx(4.0)
 
     def test_observable_tables_are_no_signalling(self):
-        assert no_signalling_deltas(model_tables(superdeterministic_s4_example())) == 0.0
+        assert no_signalling_deltas(superdeterministic_s4_example().behaviour()) == 0.0
 
     def test_lambda_distribution_depends_on_settings(self):
         model = superdeterministic_s4_example()
@@ -195,34 +201,44 @@ class TestSuperdeterministic:
     def test_adapts_to_requested_combination(self):
         for combination in all_combinations():
             model = superdeterministic_s4_example(combination)
-            assert model_chsh(model, combination) == pytest.approx(4.0)
+            assert model_s(model, combination) == pytest.approx(4.0)
+
+    def test_lambda_draw_evaluates_locally(self):
+        # Draw lambda from the cell's conditional, then evaluate it locally:
+        # each lambda answers a from x alone and b from y alone, and the
+        # weighted point masses add up to the observable cell p[x, y].
+        model = superdeterministic_s4_example()
+        for (ix, iy), entries in model.conditional.items():
+            cell = np.zeros((2, 2))
+            for strategy, weight in entries:
+                lam = strategy.behaviour()
+                alice, bob = lam.sum(axis=3), lam.sum(axis=2)
+                assert all(np.array_equal(alice[ix, y], alice[ix, iy]) for y in range(2))
+                assert all(np.array_equal(bob[x, iy], bob[ix, iy]) for x in range(2))
+                assert lam[ix, iy].max() == 1.0
+                cell += weight * lam[ix, iy]
+            assert np.array_equal(cell, model.behaviour()[ix, iy])
 
 
 class TestSignallingControl:
     def test_tables_signal(self):
-        assert no_signalling_deltas(model_tables(SignallingModel())) == pytest.approx(1.0)
+        assert no_signalling_deltas(SignallingModel().behaviour()) == pytest.approx(1.0)
 
     def test_membership_question_rejected(self):
         with pytest.raises(SignallingTablesError, match="ill-posed"):
-            local_polytope_membership(model_tables(SignallingModel()))
+            local_polytope_membership(SignallingModel().behaviour())
 
 
 class TestSampling:
     def test_deterministic_strategy_always_fixed_pair(self):
         strategy = DeterministicStrategy((1, -1), (-1, 1))
-        rng = np.random.default_rng(3)
-        for _ in range(20):
-            assert sample_trial(strategy, 0, 1, rng) == (1, 1)
-            assert sample_trial(strategy, 1, 0, rng) == (-1, -1)
+        assert set(sample_cell(strategy, 0, 1, 20, seed=3)) == {(1, 1)}
+        assert set(sample_cell(strategy, 1, 0, 20, seed=3)) == {(-1, -1)}
 
     def test_fixed_seed_reproduces_sequence(self):
         model = quantum_pair_model()
-        seq1 = [sample_trial(model, 0, 1, np.random.default_rng(4)) for _ in range(1)]
-        seq2 = [sample_trial(model, 0, 1, np.random.default_rng(4)) for _ in range(1)]
-        rng1, rng2 = np.random.default_rng(5), np.random.default_rng(5)
-        many1 = [sample_trial(model, 1, 1, rng1) for _ in range(50)]
-        many2 = [sample_trial(model, 1, 1, rng2) for _ in range(50)]
-        assert seq1 == seq2 and many1 == many2
+        assert sample_cell(model, 1, 1, 50, seed=5) == sample_cell(model, 1, 1, 50, seed=5)
+        assert sample_cell(model, 1, 1, 50, seed=5) != sample_cell(model, 1, 1, 50, seed=6)
 
     def test_empirical_frequencies_within_five_sigma(self):
         # One context sampled a million times: pin the model to a single
@@ -236,33 +252,10 @@ class TestSampling:
         n = 1_000_000
         result = run_experiment(single, n, SettingsSpec.uniform(
             (spec.alice_angles[0],), (spec.bob_angles[0],)), master_seed=60)
-        table = exact_joint_table(single, 0, 0)
-        for pair in OUTCOME_PAIRS:
-            p = table[pair]
+        for pair, p in zip(OUTCOME_PAIRS, single.behaviour()[0, 0].ravel()):
             sigma = math.sqrt(p * (1 - p) / n)
             observed = result.counts.cell(0, 0, *pair) / n
             assert abs(observed - p) <= 5 * sigma
-
-    def test_per_trial_sampler_frequencies(self):
-        model = quantum_pair_model()
-        rng = np.random.default_rng(6)
-        n = 20_000
-        counts = dict.fromkeys(OUTCOME_PAIRS, 0)
-        for _ in range(n):
-            counts[sample_trial(model, 0, 0, rng)] += 1
-        table = exact_joint_table(model, 0, 0)
-        for pair in OUTCOME_PAIRS:
-            p = table[pair]
-            sigma = math.sqrt(p * (1 - p) / n)
-            assert abs(counts[pair] / n - p) <= 5 * sigma
-
-    def test_superdeterministic_sampling_matches_table(self):
-        model = superdeterministic_s4_example()
-        rng = np.random.default_rng(7)
-        n = 20_000
-        draws = [sample_trial(model, 0, 1, rng) for _ in range(n)]
-        share_plus_minus = sum(1 for d in draws if d == (1, -1)) / n
-        assert share_plus_minus == pytest.approx(0.5, abs=5 * math.sqrt(0.25 / n))
 
 
 class TestPolytopeMembership:
@@ -271,16 +264,16 @@ class TestPolytopeMembership:
         strategies = tuple(enumerate_deterministic_strategies())
         for _ in range(20):
             model = MixedLhvModel(strategies, tuple(rng.dirichlet(np.ones(16))))
-            result = local_polytope_membership(model_tables(model))
+            result = local_polytope_membership(model.behaviour())
             assert result.is_local
 
     def test_quantum_optimal_angles_violate(self):
-        result = local_polytope_membership(model_tables(quantum_pair_model()))
+        result = local_polytope_membership(quantum_pair_model().behaviour())
         assert not result.is_local
         assert result.witness_s == pytest.approx(2 * RT2, abs=1e-10)
 
     def test_pr_box_witness_is_four(self):
-        result = local_polytope_membership(model_tables(PrBoxModel()))
+        result = local_polytope_membership(PrBoxModel().behaviour())
         assert not result.is_local
         assert result.witness_s == pytest.approx(4.0)
         assert result.witness_combination == DEFAULT_COMBINATION
@@ -292,17 +285,16 @@ class TestPolytopeMembership:
         strategies = tuple(enumerate_deterministic_strategies())
         for _ in range(5):
             member = MixedLhvModel(strategies, tuple(rng.dirichlet(np.ones(16))))
-            _, residual = nearest_lhv_mixture(model_tables(member))
+            _, residual = nearest_lhv_mixture(member.behaviour())
             assert residual < 1e-6
-        for tables in (model_tables(PrBoxModel()), model_tables(quantum_pair_model())):
-            _, residual = nearest_lhv_mixture(tables)
+        for model in (PrBoxModel(), quantum_pair_model()):
+            _, residual = nearest_lhv_mixture(model.behaviour())
             assert residual > 0.1
 
     def test_missing_cell_rejected(self):
-        tables = model_tables(PrBoxModel())
-        del tables[(1, 1)]
-        with pytest.raises(ValueError, match="missing"):
-            local_polytope_membership(tables)
+        p = PrBoxModel().behaviour()[:, :1]
+        with pytest.raises(ValueError, match="two settings"):
+            local_polytope_membership(p)
 
 
 class TestSerialization:
@@ -315,16 +307,11 @@ class TestSerialization:
         SignallingModel((-1, 1)),
     ])
     def test_json_round_trip(self, model):
-        rebuilt = model_from_json(model_to_json(model))
-        assert rebuilt.kind == model.kind
-        for cell in CELLS:
-            original = exact_joint_table(model, *cell)
-            for pair, value in exact_joint_table(rebuilt, *cell).items():
-                assert value == pytest.approx(original[pair], abs=1e-12)
-
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ValueError, match="unknown model kind"):
-            model_from_json({"kind": "oracle"})
+        # The description behind model_hash is plain JSON: it survives a
+        # dump/load unchanged and names the kind.
+        description = model.to_json_dict()
+        assert json.loads(json.dumps(description)) == description
+        assert description["kind"] == model.kind
 
     def test_description_hash_is_stable_and_distinct(self):
         a = model_description_hash(PrBoxModel())
@@ -334,17 +321,30 @@ class TestSerialization:
         assert a != c
 
     def test_tables_json_round_trip(self):
-        tables = model_tables(quantum_pair_model())
-        rebuilt = tables_from_json(tables_to_json(tables))
-        for cell in CELLS:
-            for pair in OUTCOME_PAIRS:
-                assert rebuilt[cell][pair] == pytest.approx(tables[cell][pair])
+        # The photon-pair tables file was written from this model's tables.
+        p = tables_from_json(PHOTON_PAIR_TABLES.read_text())
+        assert np.array_equal(p, quantum_pair_model().behaviour())
 
 
-def test_model_correlations_requires_two_by_two():
+def test_chsh_value_requires_two_by_two():
     model = QuantumModel(photon_pair_state(), (0.0,), (0.0,))
-    with pytest.raises(ValueError, match="2x2"):
-        model_correlations(model)
+    with pytest.raises(ValueError, match="two settings"):
+        model_s(model)
+
+
+def test_behaviour_is_read_only_and_built_once():
+    model = quantum_pair_model()
+    p = model.behaviour()
+    assert model.behaviour() is p
+    with pytest.raises(ValueError):
+        p[0, 0, 0, 0] = 1.0
+
+
+def test_validation_rejects_non_behaviours():
+    with pytest.raises(ValueError, match="shape"):
+        validate_behaviour(np.full((2, 2, 4), 0.25))
+    with pytest.raises(ValueError, match="negative"):
+        validate_behaviour(np.array([[[[1.5, -0.5], [0.0, 0.0]]]]))
 
 
 def test_every_kind_emits_valid_tables():
@@ -362,8 +362,7 @@ def test_every_kind_emits_valid_tables():
         SignallingModel(),
     ]
     for model in zoo:
-        for cell in CELLS:
-            table = exact_joint_table(model, *cell)
-            values = table_vector(table)
-            assert float(values.min()) >= 0.0
-            assert abs(float(values.sum()) - 1.0) <= 1e-12
+        p = model.behaviour()
+        assert p.shape == (2, 2, 2, 2)
+        assert float(p.min()) >= 0.0
+        assert np.abs(p.sum(axis=(2, 3)) - 1.0).max() <= 1e-12

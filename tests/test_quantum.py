@@ -13,8 +13,7 @@ from bellctx.quantum import (
     born_probability,
     computational_context,
     context_distribution,
-    correlation,
-    joint_outcome_distribution,
+    joint_context,
     maximally_mixed,
     operator_from_json,
     operator_to_json,
@@ -24,12 +23,23 @@ from bellctx.quantum import (
     tensor,
     tensor_projector,
 )
+from bellctx.chsh import correlations
 from bellctx.gleason import haar_unitary, random_context, random_density, random_rank_profile
 
 
 def trace_prob(rho_matrix, proj_matrix) -> float:
     """Independent oracle: raw trace computation on plain arrays."""
     return float(np.trace(np.asarray(rho_matrix) @ np.asarray(proj_matrix)).real)
+
+
+def joint_table(rho, ta: float, tb: float) -> np.ndarray:
+    """p(a, b) of two analyzers as a 2x2 array (index 0 is outcome +1)."""
+    context = joint_context(polarization_observable(ta), polarization_observable(tb))
+    return context_distribution(rho, context).reshape(2, 2)
+
+
+def e_of(rho, ta: float, tb: float) -> float:
+    return float(correlations(joint_table(rho, ta, tb)))
 
 
 class TestTypeInvariants:
@@ -202,34 +212,28 @@ class TestPhotonPair:
     def test_perfect_correlation_at_equal_angles(self):
         rho = photon_pair_state()
         for theta in (0.0, 0.3, 1.1):
-            a = polarization_observable(theta)
-            e = correlation(rho, a, a)
+            e = e_of(rho, theta, theta)
             assert e == pytest.approx(1.0, abs=1e-12)
 
 
 class TestJointDistribution:
     def test_maximally_mixed_is_uniform(self):
-        table = joint_outcome_distribution(
-            maximally_mixed(4), polarization_observable(0.3), polarization_observable(1.0))
-        assert list(table.values()) == pytest.approx([0.25] * 4)
+        table = joint_table(maximally_mixed(4), 0.3, 1.0)
+        assert table.ravel() == pytest.approx([0.25] * 4)
 
     def test_equal_angles_diagonal(self):
-        table = joint_outcome_distribution(
-            photon_pair_state(), polarization_observable(0.0), polarization_observable(0.0))
-        assert table[(1, 1)] == pytest.approx(0.5)
-        assert table[(-1, -1)] == pytest.approx(0.5)
-        assert table[(1, -1)] == pytest.approx(0.0, abs=1e-15)
+        table = joint_table(photon_pair_state(), 0.0, 0.0)
+        assert table[0, 0] == pytest.approx(0.5)  # (+1, +1)
+        assert table[1, 1] == pytest.approx(0.5)  # (-1, -1)
+        assert table[0, 1] == pytest.approx(0.0, abs=1e-15)
 
     def test_angle_gap_quarter_is_uniform(self):
-        table = joint_outcome_distribution(
-            photon_pair_state(), polarization_observable(0.0),
-            polarization_observable(math.pi / 4))
-        assert list(table.values()) == pytest.approx([0.25] * 4)
+        table = joint_table(photon_pair_state(), 0.0, math.pi / 4)
+        assert table.ravel() == pytest.approx([0.25] * 4)
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            joint_outcome_distribution(
-                maximally_mixed(2), polarization_observable(0.0), polarization_observable(0.0))
+            joint_table(maximally_mixed(2), 0.0, 0.0)
 
 
 class TestCorrelation:
@@ -249,18 +253,15 @@ class TestCorrelation:
                     proj = np.kron(np.outer(vecs[sa], vecs[sa]), np.outer(vecs[sb], vecs[sb]))
                     e_brute += sign_a * sign_b * trace_prob(rho, proj)
             assert e_brute == pytest.approx(math.cos(2 * (ta - tb)), abs=1e-12)
-            e_module = correlation(photon_pair_state(),
-                                   polarization_observable(ta), polarization_observable(tb))
+            e_module = e_of(photon_pair_state(), ta, tb)
             assert e_module == pytest.approx(e_brute, abs=1e-12)
 
     def test_maximally_mixed_uncorrelated(self):
-        e = correlation(maximally_mixed(4), polarization_observable(0.2),
-                        polarization_observable(0.9))
+        e = e_of(maximally_mixed(4), 0.2, 0.9)
         assert e == pytest.approx(0.0, abs=1e-12)
 
     def test_half_wave_gap(self):
-        e = correlation(photon_pair_state(), polarization_observable(0.0),
-                        polarization_observable(math.pi / 8))
+        e = e_of(photon_pair_state(), 0.0, math.pi / 8)
         assert e == pytest.approx(math.sqrt(2) / 2, abs=1e-12)
 
     def test_depends_only_on_angle_difference(self):
@@ -268,9 +269,8 @@ class TestCorrelation:
         rng = np.random.default_rng(6)
         for _ in range(25):
             ta, tb, shift = rng.uniform(-np.pi, np.pi, size=3)
-            e1 = correlation(rho, polarization_observable(ta), polarization_observable(tb))
-            e2 = correlation(rho, polarization_observable(ta + shift),
-                             polarization_observable(tb + shift))
+            e1 = e_of(rho, ta, tb)
+            e2 = e_of(rho, ta + shift, tb + shift)
             assert abs(e1 - e2) <= 1e-10
 
     def test_bounded_by_one(self):
@@ -278,7 +278,7 @@ class TestCorrelation:
         for _ in range(50):
             rho = random_density(4, rng)
             ta, tb = rng.uniform(-np.pi, np.pi, size=2)
-            e = correlation(rho, polarization_observable(ta), polarization_observable(tb))
+            e = e_of(rho, ta, tb)
             assert -1.0 - 1e-10 <= e <= 1.0 + 1e-10
 
 
