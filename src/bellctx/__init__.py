@@ -20,7 +20,6 @@ from .harness import (
     CountsTable,
     EstimateReport,
     ExperimentResult,
-    TrialRecord,
     chsh_estimate,
     estimate_correlations,
     estimate_report,

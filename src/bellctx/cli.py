@@ -22,7 +22,6 @@ import math
 import os
 import platform
 import sys
-import tempfile
 import time
 from datetime import datetime, timezone
 from pathlib import Path
@@ -48,7 +47,7 @@ from .gleason import (
     random_density,
     random_rank_one,
 )
-from .harness import estimate_report, exact_estimates, run_experiment
+from .harness import atomic_write, estimate_report, exact_estimates, run_experiment
 from .kolmogorov import (
     ClassicalProbabilitySpace,
     build_mixed_context_space_from_tables,
@@ -83,17 +82,6 @@ def _out_dir(args) -> Path:
     path = Path(chosen)
     path.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
-        os.replace(tmp_name, path)
-    except BaseException:
-        os.unlink(tmp_name)
-        raise
 
 
 def _say(args, message: str) -> None:
@@ -168,9 +156,9 @@ def cmd_simulate(args) -> int:
 
     event_path = out_dir / cfg.out_event_log
     result.write_event_log(event_path)
-    _atomic_write(out_dir / cfg.out_counts, result.counts.to_csv())
-    _atomic_write(out_dir / cfg.out_report,
-                  _report_json(report, _meta(wall_clock, cfg.n_workers)))
+    atomic_write(out_dir / cfg.out_counts, (result.counts.to_csv(),))
+    atomic_write(out_dir / cfg.out_report,
+                 (_report_json(report, _meta(wall_clock, cfg.n_workers)),))
 
     if args.format == "json":
         _say(args, json.dumps(report, sort_keys=True))
@@ -232,7 +220,7 @@ def cmd_kc_verify(args) -> int:
             "conditional-normalization bound"),
     }
     path = out_dir / "kc_report.json"
-    _atomic_write(path, _report_json(report, _meta(time.perf_counter() - started)))
+    atomic_write(path, (_report_json(report, _meta(time.perf_counter() - started)),))
 
     if args.format == "json":
         _say(args, json.dumps(report, sort_keys=True))
@@ -310,7 +298,7 @@ def cmd_gleason_check(args) -> int:
         }
 
     path = out_dir / f"gleason_dim{args.dim}.json"
-    _atomic_write(path, _report_json(report, _meta(time.perf_counter() - started)))
+    atomic_write(path, (_report_json(report, _meta(time.perf_counter() - started)),))
 
     if args.format == "json":
         _say(args, json.dumps(report, sort_keys=True))
@@ -334,13 +322,15 @@ def cmd_gleason_check(args) -> int:
 def cmd_lhv_bound(args) -> int:
     if args.tables:
         try:
+            # An unreadable file is an OSError and exits as an I/O error.
             p = tables_from_json(Path(args.tables).read_text())
-        except (OSError, ValueError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"tables file {args.tables}: {exc}") from exc
         try:
             verdict = local_polytope_membership(p)
         except SignallingTablesError as exc:
-            _say(args, f"ill-posed: signalling -- {exc}")
+            _say(args, json.dumps({"ill_posed": "signalling", "reason": str(exc)}, sort_keys=True)
+                 if args.format == "json" else f"ill-posed: signalling -- {exc}")
             return EXIT_OK
         if args.format == "json":
             _say(args, json.dumps({
@@ -441,7 +431,7 @@ def cmd_plot(args) -> int:
 
     svg = render_panels([correlation_panel, sweep_panel])
     path = out_dir / args.output
-    _atomic_write(path, svg)
+    atomic_write(path, (svg,))
     _say(args, f"wrote {path} (peak |S| over sweep: {max(abs(s) for s in s_curve):.4f})")
     return EXIT_OK
 

@@ -16,15 +16,26 @@ outcome marginal across the remote setting with a pooled z-score.
 Simulated spacelike separation is bookkeeping only: setting draws never
 feed the model's hidden state (the superdeterministic kind conditions on
 them by design, which is its point).
+
+A trial is a row of the chunk columns, and one event log line on disk:
+``EVENT_FIELDS`` names the columns and one line template fixes the line.
+The writer fills it a slice of a chunk at a time; the reader matches its
+pattern a block of lines at a time into an ``(n_trials, 6)`` int64 array.
+One ``bincount`` helper counts trials into cells; every artifact is
+written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import os
+import re
+import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from pathlib import Path
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -32,26 +43,58 @@ from .chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, chsh_value, corre
     max_abs_chsh
 from .kolmogorov import SettingsSpec
 from .models import OutcomeModel, marginals, model_description_hash
-from .rng import chunk_generator, stream_label
+from .rng import chunk_generator
 
 EVENT_LOG_SCHEMA_VERSION = 1
 
+# A trial's columns, in log-line order and in read_event_log's column order.
+EVENT_FIELDS = ("trial_id", "x_index", "y_index", "a", "b", "chunk_id")
 
-@dataclass(frozen=True)
-class TrialRecord:
-    """One trial: settings drawn, outcomes observed, provenance tags."""
+# One log line; the writer fills it and the reader matches the pattern below.
+_EVENT_LINE = "{" + ",".join(f'"{name}":%d' for name in EVENT_FIELDS) + "}\n"
 
-    trial_id: int
-    x_index: int
-    y_index: int
-    a: int
-    b: int
-    chunk_id: int
-    rng_label: str = ""
+# The template's literal text with each %d replaced by its field's values:
+# outcomes are +/-1, every other field a non-negative integer as %d writes it.
+# A block of such lines matches _EVENT_LINES up to its first bad line.
+_EVENT_LINE_TEXT = [re.escape(part) for part in _EVENT_LINE.encode().split(b"%d")]
+_EVENT_LINES = re.compile(b"(?:" + _EVENT_LINE_TEXT[0] + b"".join(
+    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]*)") + text
+    for name, text in zip(EVENT_FIELDS, _EVENT_LINE_TEXT[1:])) + b")*")
 
-    def __post_init__(self) -> None:
-        if self.a not in (-1, 1) or self.b not in (-1, 1):
-            raise ValueError(f"outcomes must be +/-1, got a={self.a}, b={self.b}")
+# Blanks every byte of a matched block except its numbers.
+_NUMBERS_ONLY = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(256))
+
+# Trials per template fill and bytes per parsed block: memory does not grow
+# with chunk_size or with the log.
+_ENCODE_ROWS = 8192
+_READ_BYTES = 1 << 20
+
+
+def atomic_write(path, pieces: Iterable[str]) -> None:
+    """Write the text pieces to a temp file, then rename it to ``path``;
+    a failure part way removes the temp file and leaves ``path`` as it was."""
+    path = Path(path)
+    handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as fh:
+            fh.writelines(pieces)
+        os.replace(tmp_name, path)
+    except BaseException:
+        os.unlink(tmp_name)
+        raise
+
+
+def _cell_counts(x, y, a, b, n_alice: int, n_bob: int, weights=None) -> np.ndarray:
+    """Trials (x, y, a, b), each counted ``weights`` times (default once), in
+    an (n_alice, n_bob, 2, 2) array. Refuses a setting off the grid or an
+    outcome other than +/-1, which bincount would count into another cell."""
+    x, y, a, b = (np.asarray(v) for v in (x, y, a, b))
+    if x.size and (x.min() < 0 or x.max() >= n_alice or y.min() < 0 or y.max() >= n_bob):
+        raise ValueError(f"setting index outside the {n_alice}x{n_bob} settings grid")
+    if not (np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)):
+        raise ValueError("outcomes must be +/-1")
+    flat = ((x.astype(np.int64) * n_bob + y) * 2 + (1 - a) // 2) * 2 + (1 - b) // 2
+    return np.bincount(flat, weights, n_alice * n_bob * 4).reshape(n_alice, n_bob, 2, 2)
 
 
 class CountsTable:
@@ -67,16 +110,13 @@ class CountsTable:
         self.counts.setflags(write=False)
 
     @classmethod
-    def zeros(cls, n_alice: int, n_bob: int) -> "CountsTable":
-        return cls(np.zeros((n_alice, n_bob, 2, 2), dtype=np.int64))
-
-    @classmethod
     def from_records(cls, records, n_alice: int, n_bob: int) -> "CountsTable":
-        counts = np.zeros((n_alice, n_bob, 2, 2), dtype=np.int64)
-        for record in records:
-            counts[record.x_index, record.y_index,
-                   (1 - record.a) // 2, (1 - record.b) // 2] += 1
-        return cls(counts)
+        """Counts of an ``(n, 6)`` trial array with columns in ``EVENT_FIELDS`` order."""
+        records = np.asarray(records)
+        if records.ndim != 2 or records.shape[1] != len(EVENT_FIELDS):
+            raise ValueError(f"records must have shape (n, {len(EVENT_FIELDS)}), "
+                             f"got {records.shape}")
+        return cls(_cell_counts(*records.T[1:5], n_alice, n_bob))
 
     @property
     def n_total(self) -> int:
@@ -90,42 +130,32 @@ class CountsTable:
     def n_bob(self) -> int:
         return self.counts.shape[1]
 
-    def cell(self, x_index: int, y_index: int, a: int, b: int) -> int:
-        return int(self.counts[x_index, y_index, (1 - a) // 2, (1 - b) // 2])
-
     def context_total(self, x_index: int, y_index: int) -> int:
         return int(self.counts[x_index, y_index].sum())
-
-    def add(self, other: "CountsTable") -> "CountsTable":
-        return CountsTable(self.counts + other.counts)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CountsTable) and bool(np.array_equal(self.counts, other.counts))
 
     def to_csv(self) -> str:
         lines = ["x_index,y_index,a,b,count"]
-        for ix in range(self.n_alice):
-            for iy in range(self.n_bob):
-                for a in (1, -1):
-                    for b in (1, -1):
-                        lines.append(f"{ix},{iy},{a},{b},{self.cell(ix, iy, a, b)}")
+        for (ix, iy, ia, ib), count in np.ndenumerate(self.counts):
+            lines.append(f"{ix},{iy},{1 - 2 * ia},{1 - 2 * ib},{count}")
         return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "CountsTable":
-        rows = []
         lines = [line for line in text.strip().splitlines() if line]
-        if lines[0] != "x_index,y_index,a,b,count":
-            raise ValueError("unexpected counts CSV header")
-        for line in lines[1:]:
-            ix, iy, a, b, count = (int(f) for f in line.split(","))
-            rows.append((ix, iy, a, b, count))
-        n_alice = max(r[0] for r in rows) + 1
-        n_bob = max(r[1] for r in rows) + 1
-        counts = np.zeros((n_alice, n_bob, 2, 2), dtype=np.int64)
-        for ix, iy, a, b, count in rows:
-            counts[ix, iy, (1 - a) // 2, (1 - b) // 2] = count
-        return cls(counts)
+        if not lines or lines[0] != "x_index,y_index,a,b,count":
+            raise ValueError("counts CSV does not start with the header x_index,y_index,a,b,count")
+        try:
+            rows = np.array([line.split(",") for line in lines[1:]], dtype=np.int64)
+        except ValueError:
+            rows = None
+        if rows is None or rows.ndim != 2 or rows.shape[1] != 5:
+            raise ValueError("counts CSV needs at least one row and five integers in every row")
+        x, y, a, b, count = rows.T
+        counts = _cell_counts(x, y, a, b, x.max() + 1, y.max() + 1, weights=count)
+        return cls(counts.astype(np.int64))
 
 
 @dataclass(frozen=True)
@@ -138,7 +168,6 @@ class ChunkData:
     y_index: np.ndarray
     a: np.ndarray
     b: np.ndarray
-    rng_label: str
 
 
 def _cell_cumulatives(p: np.ndarray) -> np.ndarray:
@@ -179,22 +208,17 @@ def _generate_chunk(
             outcome[mask] = _draw_indices(cell_cums[ix, iy], uo[mask])
     a = np.where(outcome < 2, 1, -1).astype(np.int8)
     b = np.where((outcome & 1) == 0, 1, -1).astype(np.int8)
-    return ChunkData(
-        chunk_id=chunk_id,
-        start_trial=start_trial,
-        x_index=xs,
-        y_index=ys,
-        a=a,
-        b=b,
-        rng_label=stream_label(master_seed, chunk_id),
-    )
+    return ChunkData(chunk_id, start_trial, xs, ys, a, b)
 
 
-def _chunk_counts(chunk: ChunkData, n_alice: int, n_bob: int) -> np.ndarray:
-    a_idx = ((1 - chunk.a.astype(np.int64)) // 2)
-    b_idx = ((1 - chunk.b.astype(np.int64)) // 2)
-    flat = ((chunk.x_index.astype(np.int64) * n_bob + chunk.y_index) * 2 + a_idx) * 2 + b_idx
-    return np.bincount(flat, minlength=n_alice * n_bob * 4).reshape(n_alice, n_bob, 2, 2)
+def _encode_chunk(chunk: ChunkData) -> Iterator[str]:
+    """The chunk's log lines, one template fill per _ENCODE_ROWS trials."""
+    for offset in range(0, len(chunk.x_index), _ENCODE_ROWS):
+        columns = [column[offset:offset + _ENCODE_ROWS]
+                   for column in (chunk.x_index, chunk.y_index, chunk.a, chunk.b)]
+        first, n = chunk.start_trial + offset, len(columns[0])
+        rows = np.column_stack([np.arange(first, first + n), *columns, np.full(n, chunk.chunk_id)])
+        yield (_EVENT_LINE * n) % tuple(rows.ravel().tolist())
 
 
 @dataclass(frozen=True)
@@ -209,58 +233,52 @@ class ExperimentResult:
     model_hash: str
     settings: SettingsSpec
 
-    def iter_records(self) -> Iterator[TrialRecord]:
-        for chunk in self.chunks:
-            for offset in range(len(chunk.x_index)):
-                yield TrialRecord(
-                    trial_id=chunk.start_trial + offset,
-                    x_index=int(chunk.x_index[offset]),
-                    y_index=int(chunk.y_index[offset]),
-                    a=int(chunk.a[offset]),
-                    b=int(chunk.b[offset]),
-                    chunk_id=chunk.chunk_id,
-                    rng_label=chunk.rng_label,
-                )
-
-    def event_log_lines(self) -> Iterator[str]:
+    def write_event_log(self, path) -> None:
         """Line-delimited JSON: one header line, then one line per trial."""
-        yield json.dumps({
+        header = json.dumps({
             "schema_version": EVENT_LOG_SCHEMA_VERSION,
             "master_seed": self.master_seed,
             "model_hash": self.model_hash,
         })
-        for chunk in self.chunks:
-            start = chunk.start_trial
-            cid = chunk.chunk_id
-            for offset in range(len(chunk.x_index)):
-                yield (f'{{"trial_id":{start + offset},'
-                       f'"x_index":{chunk.x_index[offset]},'
-                       f'"y_index":{chunk.y_index[offset]},'
-                       f'"a":{chunk.a[offset]},"b":{chunk.b[offset]},'
-                       f'"chunk_id":{cid}}}')
 
-    def write_event_log(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            for line in self.event_log_lines():
-                fh.write(line)
-                fh.write("\n")
+        def pieces() -> Iterator[str]:
+            yield header + "\n"
+            for chunk in self.chunks:
+                yield from _encode_chunk(chunk)
+
+        atomic_write(path, pieces())
 
 
-def read_event_log(path) -> tuple[dict, list[TrialRecord]]:
-    """Parse an event log back into its header and trial records."""
-    with open(path, encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        records = []
-        for line in fh:
-            data = json.loads(line)
-            records.append(TrialRecord(
-                trial_id=data["trial_id"],
-                x_index=data["x_index"],
-                y_index=data["y_index"],
-                a=data["a"],
-                b=data["b"],
-                chunk_id=data["chunk_id"],
-            ))
+def read_event_log(path) -> tuple[dict, np.ndarray]:
+    """Parse an event log into its header and a read-only int64 array.
+
+    The array has one row per trial and its columns in ``EVENT_FIELDS``
+    order. A header of another schema version, or a line that is not
+    exactly what the writer writes (outcomes +/-1 included), raises
+    ValueError naming the line.
+    """
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+            version = header["schema_version"]
+        except (ValueError, TypeError, KeyError):
+            raise ValueError(f"{path}: line 1 is not an event log header") from None
+        if version != EVENT_LOG_SCHEMA_VERSION:
+            raise ValueError(f"{path}: event log schema_version {version!r} is not "
+                             f"{EVENT_LOG_SCHEMA_VERSION}")
+        blocks, line_number = [], 1
+        for lines in iter(lambda: fh.readlines(_READ_BYTES), []):
+            block = b"".join(lines)
+            valid = _EVENT_LINES.match(block).end()
+            if valid < len(block):
+                bad = block.count(b"\n", 0, valid)
+                raise ValueError(f"{path}: line {line_number + bad + 1} is not an event "
+                                 f"record: {lines[bad][:200]!r}")
+            line_number += len(lines)
+            blocks.append(np.fromstring(block.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" "))
+    records = np.concatenate(blocks or [np.empty(0, dtype=np.int64)])
+    records = records.reshape(-1, len(EVENT_FIELDS))
+    records.setflags(write=False)
     return header, records
 
 
@@ -313,7 +331,8 @@ def run_experiment(
 
     total = np.zeros((settings.n_alice, settings.n_bob, 2, 2), dtype=np.int64)
     for chunk in chunks:
-        total += _chunk_counts(chunk, settings.n_alice, settings.n_bob)
+        total += _cell_counts(chunk.x_index, chunk.y_index, chunk.a, chunk.b,
+                              settings.n_alice, settings.n_bob)
     return ExperimentResult(
         counts=CountsTable(total),
         chunks=tuple(chunks),

@@ -44,15 +44,6 @@ def as_operator(entries: object) -> np.ndarray:
     return mat
 
 
-def operators_close(a: np.ndarray, b: np.ndarray, tol: float = TOL) -> bool:
-    """Entrywise equality within an absolute tolerance."""
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.shape != b.shape:
-        return False
-    return bool(np.max(np.abs(a - b)) <= tol)
-
-
 def _max_abs(mat: np.ndarray) -> float:
     return float(np.max(np.abs(mat)))
 

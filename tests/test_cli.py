@@ -34,6 +34,15 @@ def write_quick_config(tmp_path: Path, base: str = "chsh_quantum.cfg",
     return path
 
 
+def signalling_tables_file(tmp_path: Path) -> Path:
+    p = SignallingModel().behaviour()
+    tables = {f"{ix},{iy}": dict(zip(("++", "+-", "-+", "--"), p[ix, iy].ravel().tolist()))
+              for ix, iy in ((0, 0), (0, 1), (1, 0), (1, 1))}
+    path = tmp_path / "tables.json"
+    path.write_text(json.dumps(tables))
+    return path
+
+
 class TestSimulate:
     def test_quantum_run_writes_all_artifacts(self, tmp_path, capsys):
         config = write_quick_config(tmp_path, trials=200_000,
@@ -177,13 +186,19 @@ class TestLhvBound:
         assert "nonlocal: violates CHSH, S = 2.8284" in capsys.readouterr().out
 
     def test_signalling_tables_distinct_diagnosis(self, tmp_path, capsys):
-        p = SignallingModel().behaviour()
-        tables = {f"{ix},{iy}": dict(zip(("++", "+-", "-+", "--"), p[ix, iy].ravel().tolist()))
-                  for ix, iy in ((0, 0), (0, 1), (1, 0), (1, 1))}
-        path = tmp_path / "tables.json"
-        path.write_text(json.dumps(tables))
+        path = signalling_tables_file(tmp_path)
         assert main(["lhv-bound", str(path)]) == 0
         assert "ill-posed: signalling" in capsys.readouterr().out
+
+    def test_signalling_tables_json_format_is_json(self, tmp_path, capsys):
+        path = signalling_tables_file(tmp_path)
+        assert main(["lhv-bound", str(path), "--format", "json"]) == 0
+        verdict = json.loads(capsys.readouterr().out)
+        assert verdict["ill_posed"] == "signalling" and verdict["reason"]
+
+    def test_missing_tables_file_exits_4(self, tmp_path, capsys):
+        assert main(["lhv-bound", str(tmp_path / "absent.json")]) == 4
+        assert capsys.readouterr().err.startswith("io error")
 
     def test_bad_tables_file_exits_2(self, tmp_path):
         path = tmp_path / "tables.json"

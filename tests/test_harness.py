@@ -2,15 +2,21 @@
 
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from bellctx import harness
 
 from bellctx.chsh import CELLS, DEFAULT_COMBINATION, all_combinations
+from bellctx.config import load_experiment
 from bellctx.harness import (
+    EVENT_FIELDS,
+    EVENT_LOG_SCHEMA_VERSION,
     CountsTable,
     MarginalAudit,
-    TrialRecord,
     chsh_estimate,
     estimate_correlations,
     estimate_report,
@@ -38,6 +44,8 @@ from bellctx.models import (
 from bellctx.quantum import photon_pair_state
 
 RT2 = math.sqrt(2.0)
+CONFIGS = Path(__file__).parent.parent / "src" / "bellctx" / "configs"
+SHIPPED = sorted(path.name for path in CONFIGS.glob("*.cfg"))
 
 
 def quantum_pair_model() -> QuantumModel:
@@ -64,7 +72,7 @@ class TestCountsTable:
         counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
         counts[0, 1, 0, 1] = 7  # (x=0, y=1, a=+1, b=-1)
         table = CountsTable(counts)
-        assert table.cell(0, 1, 1, -1) == 7
+        assert "0,1,1,-1,7" in table.to_csv().splitlines()
         assert table.context_total(0, 1) == 7
         assert table.n_total == 7
 
@@ -77,27 +85,41 @@ class TestCountsTable:
         table = CountsTable(rng.integers(0, 50, size=(2, 2, 2, 2)))
         assert CountsTable.from_csv(table.to_csv()) == table
 
-    def test_addition_is_cellwise(self):
-        rng = np.random.default_rng(1)
-        a = CountsTable(rng.integers(0, 9, size=(2, 2, 2, 2)))
-        b = CountsTable(rng.integers(0, 9, size=(2, 2, 2, 2)))
-        assert a.add(b).n_total == a.n_total + b.n_total
+    @pytest.mark.parametrize("text, message", [
+        ("", "does not start with the header"),
+        ("x,y,a,b,n\n0,0,1,1,5\n", "does not start with the header"),
+        ("x_index,y_index,a,b,count\n", "at least one row"),
+        ("x_index,y_index,a,b,count\n0,0,1,1\n", "five integers in every row"),
+        ("x_index,y_index,a,b,count\n0,0,1,1,5\n0,1,1,1\n", "five integers in every row"),
+        ("x_index,y_index,a,b,count\n0,0,1,1,x\n", "five integers in every row"),
+        ("x_index,y_index,a,b,count\n0,0,2,1,5\n", "outcomes must be"),
+        ("x_index,y_index,a,b,count\n-1,0,1,1,5\n", "outside the"),
+    ], ids=["empty", "bad-header", "header-only", "short-row", "ragged-rows", "non-integer",
+            "outcome-2", "negative-setting"])
+    def test_malformed_csv_rejected(self, text, message):
+        with pytest.raises(ValueError, match=message):
+            CountsTable.from_csv(text)
+
+    def test_from_records_rejects_settings_off_the_grid(self):
+        records = np.array([[0, 0, 2, 1, 1, 0]])
+        with pytest.raises(ValueError, match="outside the 2x2 settings grid"):
+            CountsTable.from_records(records, 2, 2)
 
 
 class TestRunExperiment:
     def test_deterministic_strategy_records(self):
         strategy = DeterministicStrategy((1, -1), (-1, 1))
         result = run_experiment(strategy, 100, optimal_settings(), master_seed=3)
-        for record in result.iter_records():
-            assert record.a == strategy.a_of_x[record.x_index]
-            assert record.b == strategy.b_of_y[record.y_index]
+        for chunk in result.chunks:
+            assert np.array_equal(chunk.a, np.take(strategy.a_of_x, chunk.x_index))
+            assert np.array_equal(chunk.b, np.take(strategy.b_of_y, chunk.y_index))
 
-    def test_same_seed_identical_logs(self):
+    def test_same_seed_identical_logs(self, tmp_path):
         model = quantum_pair_model()
         spec = optimal_settings()
-        lines1 = list(run_experiment(model, 5000, spec, master_seed=4).event_log_lines())
-        lines2 = list(run_experiment(model, 5000, spec, master_seed=4).event_log_lines())
-        assert lines1 == lines2
+        logs = [log_bytes(run_experiment(model, 5000, spec, master_seed=4), tmp_path / name)
+                for name in ("first.jsonl", "second.jsonl")]
+        assert logs[0] == logs[1]
 
     def test_different_seed_differs(self):
         model = quantum_pair_model()
@@ -106,21 +128,23 @@ class TestRunExperiment:
         r2 = run_experiment(model, 5000, spec, master_seed=6)
         assert r1.counts != r2.counts
 
-    def test_worker_count_does_not_change_output(self):
+    def test_worker_count_does_not_change_output(self, tmp_path):
         model = quantum_pair_model()
         spec = optimal_settings()
         serial = run_experiment(model, 100_000, spec, master_seed=7, chunk_size=8192)
         threaded = run_experiment(model, 100_000, spec, master_seed=7, chunk_size=8192,
                                   n_workers=8)
         assert serial.counts == threaded.counts
-        assert list(serial.event_log_lines()) == list(threaded.event_log_lines())
+        assert (log_bytes(serial, tmp_path / "serial.jsonl")
+                == log_bytes(threaded, tmp_path / "threaded.jsonl"))
 
-    def test_counts_match_record_stream_exactly(self):
+    def test_counts_match_record_stream_exactly(self, tmp_path):
         model = quantum_pair_model()
         spec = optimal_settings()
         result = run_experiment(model, 7777, spec, master_seed=8, chunk_size=1000)
-        rebuilt = CountsTable.from_records(result.iter_records(), 2, 2)
-        assert rebuilt == result.counts
+        result.write_event_log(tmp_path / "events.jsonl")
+        _, records = read_event_log(tmp_path / "events.jsonl")
+        assert CountsTable.from_records(records, 2, 2) == result.counts
 
     def test_context_counts_within_five_sigma_of_quarter(self):
         result = run_experiment(quantum_pair_model(), 1_000_000, optimal_settings(),
@@ -140,12 +164,13 @@ class TestRunExperiment:
             observed = result.counts.counts[index] / n
             assert abs(observed - p_joint) <= 5 * sigma
 
-    def test_trial_ids_are_contiguous(self):
+    def test_trial_ids_are_contiguous(self, tmp_path):
         result = run_experiment(quantum_pair_model(), 2500, optimal_settings(),
                                 master_seed=11, chunk_size=1000)
-        ids = [r.trial_id for r in result.iter_records()]
-        assert ids == list(range(2500))
-        assert {r.chunk_id for r in result.iter_records()} == {0, 1, 2}
+        result.write_event_log(tmp_path / "events.jsonl")
+        _, records = read_event_log(tmp_path / "events.jsonl")
+        assert records[:, 0].tolist() == list(range(2500))
+        assert set(records[:, 5].tolist()) == {0, 1, 2}
 
     def test_settings_shape_mismatch_rejected(self):
         model = QuantumModel(photon_pair_state(), (0.0,), (0.0,))
@@ -155,6 +180,30 @@ class TestRunExperiment:
     def test_invalid_trial_count_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
             run_experiment(quantum_pair_model(), 0, optimal_settings(), master_seed=0)
+
+
+def log_bytes(result, path: Path) -> bytes:
+    result.write_event_log(path)
+    return path.read_bytes()
+
+
+def reference_log(result) -> bytes:
+    """The event log with one json.dumps per trial: the oracle for the writer."""
+    header = {"schema_version": EVENT_LOG_SCHEMA_VERSION, "master_seed": result.master_seed,
+              "model_hash": result.model_hash}
+    lines = [json.dumps(header)]
+    for chunk in result.chunks:
+        for offset in range(len(chunk.x_index)):
+            values = (chunk.start_trial + offset, int(chunk.x_index[offset]),
+                      int(chunk.y_index[offset]), int(chunk.a[offset]), int(chunk.b[offset]),
+                      chunk.chunk_id)
+            lines.append(json.dumps(dict(zip(EVENT_FIELDS, values)), separators=(",", ":")))
+    return ("\n".join(lines) + "\n").encode()
+
+
+# A valid one-trial log, edited by the malformed-log cases below.
+HEADER = '{"schema_version": 1, "master_seed": 0, "model_hash": "h"}\n'
+RECORD = '{"trial_id":0,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n'
 
 
 class TestEventLog:
@@ -167,14 +216,76 @@ class TestEventLog:
         assert header["schema_version"] == 1
         assert header["master_seed"] == 12
         assert header["model_hash"] == result.model_hash
-        assert len(records) == 1234
+        assert records.shape == (1234, 6) and records.dtype == np.int64
+        assert not records.flags.writeable
         assert CountsTable.from_records(records, 2, 2) == result.counts
 
-    def test_record_lines_have_exact_field_set(self):
+    def test_record_lines_have_exact_field_set(self, tmp_path):
         result = run_experiment(quantum_pair_model(), 3, optimal_settings(), master_seed=13)
-        lines = list(result.event_log_lines())
+        lines = log_bytes(result, tmp_path / "events.jsonl").decode().splitlines()
         record = json.loads(lines[1])
-        assert set(record) == {"trial_id", "x_index", "y_index", "a", "b", "chunk_id"}
+        assert list(record) == list(EVENT_FIELDS)
+
+    def test_valid_hand_written_log_parses(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(HEADER + RECORD + RECORD.replace('"trial_id":0', '"trial_id":1'))
+        _, records = read_event_log(path)
+        assert records.tolist() == [[0, 1, 0, -1, 1, 0], [1, 1, 0, -1, 1, 0]]
+
+    @pytest.mark.parametrize("text, message", [
+        (HEADER + RECORD.replace('"a":-1', '"a":2'), "line 2 is not an event record"),
+        (HEADER + RECORD.replace('"b":1', '"b":0'), "line 2 is not an event record"),
+        (HEADER + RECORD + RECORD.replace(",", ", "), "line 3 is not an event record"),
+        (HEADER + RECORD + RECORD.replace('"chunk_id"', '"chunk"'), "line 3 is not"),
+        (HEADER + RECORD + "\n", "line 3 is not an event record"),
+        (HEADER + RECORD + RECORD.rstrip("\n"), "line 3 is not an event record"),
+        (HEADER + RECORD.replace('"trial_id":0', '"trial_id":-5'), "line 2 is not"),
+        (HEADER.replace('"schema_version": 1', '"schema_version": 2') + RECORD,
+         "schema_version 2 is not 1"),
+        ("[1]\n" + RECORD, "line 1 is not an event log header"),
+        ("not json\n", "line 1 is not an event log header"),
+        ("", "line 1 is not an event log header"),
+    ], ids=["outcome-a-2", "outcome-b-0", "spaced", "renamed-field", "blank-line", "truncated",
+            "negative-trial-id", "schema-2", "header-list", "header-not-json", "empty"])
+    def test_malformed_log_rejected(self, tmp_path, text, message):
+        path = tmp_path / "events.jsonl"
+        path.write_text(text)
+        with pytest.raises(ValueError, match=message):
+            read_event_log(path)
+
+    def test_failed_write_leaves_no_log_and_no_temp_file(self, tmp_path, monkeypatch):
+        result = run_experiment(quantum_pair_model(), 3000, optimal_settings(),
+                                master_seed=27, chunk_size=1000)
+        encode = harness._encode_chunk
+        encoded = []
+
+        def fail_after_first_chunk(chunk):
+            if encoded:
+                raise RuntimeError("encoder failed")
+            encoded.append(chunk.chunk_id)
+            return encode(chunk)
+
+        monkeypatch.setattr(harness, "_encode_chunk", fail_after_first_chunk)
+        with pytest.raises(RuntimeError, match="encoder failed"):
+            result.write_event_log(tmp_path / "events.jsonl")
+        assert encoded == [0]
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_trials=st.integers(1, 5000), chunk_size=st.integers(1, 700),
+           config=st.sampled_from(SHIPPED), workers=st.sampled_from([1, 2]))
+    def test_round_trip_matches_counts_and_reference_encoder(self, tmp_path, n_trials,
+                                                              chunk_size, config, workers):
+        cfg = load_experiment(CONFIGS / config)
+        result = run_experiment(cfg.model, n_trials, cfg.settings, cfg.master_seed,
+                                chunk_size, workers)
+        path = tmp_path / "events.jsonl"
+        assert log_bytes(result, path) == reference_log(result)
+        header, records = read_event_log(path)
+        assert header["master_seed"] == cfg.master_seed
+        assert CountsTable.from_records(records, cfg.settings.n_alice,
+                                        cfg.settings.n_bob) == result.counts
 
 
 class TestEstimators:
@@ -257,7 +368,7 @@ class TestGlobalNormalization:
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            global_normalized_chsh(CountsTable.zeros(2, 2))
+            global_normalized_chsh(CountsTable(np.zeros((2, 2, 2, 2))))
 
 
 class TestNoSignallingAudit:
@@ -312,7 +423,3 @@ class TestConsistencyAcrossModules:
         assert loaded["s_best_over_patterns"]["pattern"] in {
             c.to_string() for c in all_combinations()}
 
-
-def test_trial_record_validates_outcomes():
-    with pytest.raises(ValueError):
-        TrialRecord(0, 0, 0, a=2, b=1, chunk_id=0)
