@@ -20,12 +20,8 @@ from .harness import (
     CountsTable,
     EstimateReport,
     ExperimentResult,
-    chsh_estimate,
-    estimate_correlations,
     estimate_report,
     exact_estimates,
-    global_normalized_chsh,
-    no_signalling_audit,
     read_event_log,
     run_experiment,
 )

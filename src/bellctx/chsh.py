@@ -34,10 +34,6 @@ class ChshCombination:
     def sign(self, x_index: int, y_index: int) -> int:
         return self.signs[CELLS.index((x_index, y_index))]
 
-    @property
-    def negative_cells(self) -> tuple[tuple[int, int], ...]:
-        return tuple(c for c, s in zip(CELLS, self.signs) if s == -1)
-
     @classmethod
     def from_string(cls, text: str) -> "ChshCombination":
         """Parse e.g. '+-++' (row-major cell order)."""
@@ -67,6 +63,12 @@ def all_combinations() -> tuple[ChshCombination, ...]:
 def correlations(p: np.ndarray) -> np.ndarray:
     """E[x, y] = p(++) + p(--) - p(+-) - p(-+) of a behaviour or counts array."""
     return p[..., 0, 0] + p[..., 1, 1] - p[..., 0, 1] - p[..., 1, 0]
+
+
+def is_two_by_two(p: np.ndarray) -> bool:
+    """True when the first two axes (the settings x, y) of a behaviour,
+    counts or correlation array have two settings each: the CHSH scenario."""
+    return np.shape(p)[:2] == (2, 2)
 
 
 def chsh_value(e: np.ndarray, combination: ChshCombination = DEFAULT_COMBINATION):

@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .chsh import DEFAULT_COMBINATION, chsh_value, correlations
+from .chsh import DEFAULT_COMBINATION, chsh_value, correlations, is_two_by_two
 from .config import (
     ConfigError,
     ExperimentConfig,
@@ -47,7 +47,7 @@ from .gleason import (
     random_density,
     random_rank_one,
 )
-from .harness import atomic_write, estimate_report, exact_estimates, run_experiment
+from .harness import atomic_write, by_context, estimate_report, exact_estimates, run_experiment
 from .kolmogorov import (
     ClassicalProbabilitySpace,
     build_mixed_context_space_from_tables,
@@ -108,9 +108,13 @@ def _report_json(report: dict, meta: dict) -> str:
     return json.dumps({"report": report, "meta": meta}, sort_keys=True, indent=2) + "\n"
 
 
+def _audit_ok(report: dict) -> bool:
+    return report["positivity_ok"] and report["normalization_ok"] and report["additivity_ok"]
+
+
 def _kc_summary(cfg: ExperimentConfig) -> dict | None:
-    """Audit the mixed-context space implied by the config's model."""
-    if cfg.model.n_alice != 2 or cfg.model.n_bob != 2:
+    """Audit the mixed-context space implied by the config's model (2x2 only)."""
+    if not is_two_by_two(cfg.model.behaviour()):
         return None
     space = build_mixed_context_space_from_tables(cfg.model.behaviour(), cfg.settings)
     audit = verify_kolmogorov(space, exhaustive_limit=cfg.kc_exhaustive_limit)
@@ -128,8 +132,8 @@ def cmd_simulate(args) -> int:
     result = run_experiment(cfg.model, cfg.n_trials, cfg.settings, cfg.master_seed,
                             cfg.chunk_size, cfg.n_workers)
     estimates = estimate_report(result.counts, cfg.combination)
-    is_chsh = cfg.model.n_alice == 2 and cfg.model.n_bob == 2
-    exact = exact_estimates(cfg.model, cfg.settings, cfg.combination) if is_chsh else None
+    exact = (exact_estimates(cfg.model, cfg.settings, cfg.combination)
+             if is_two_by_two(cfg.model.behaviour()) else None)
     kc = _kc_summary(cfg)
     wall_clock = time.perf_counter() - started
 
@@ -139,15 +143,12 @@ def cmd_simulate(args) -> int:
         "config": cfg.raw,
         "model_hash": result.model_hash,
         "counts": {
-            "n_total": result.counts.n_total,
-            "n_per_context": {f"{ix},{iy}": result.counts.context_total(ix, iy)
-                              for ix in range(result.counts.n_alice)
-                              for iy in range(result.counts.n_bob)},
+            "n_total": estimates.n_total,
+            "n_per_context": by_context(estimates.n),
         },
         "estimates": estimates.to_json_dict(),
         "exact": None if exact is None else {
-            "correlations": {f"{ix},{iy}": float(e) for (ix, iy), e in
-                             np.ndenumerate(exact.correlations)},
+            "correlations": by_context(exact.correlations),
             "s": exact.s,
             "s_global": exact.s_global,
         },
@@ -172,7 +173,7 @@ def cmd_simulate(args) -> int:
                        + (f"   (exact {exact.s:+.4f})" if exact else ""))
             _say(args, f"S_global = {estimates.s_global:+.4f} +/- {estimates.s_global_se:.4f}"
                        + (f"   (exact {exact.s_global:+.4f})" if exact else ""))
-        flagged = [a for a in estimates.audits if a.flagged]
+        flagged = [a for a in estimates.audits if a["flagged"]]
         _say(args, f"no-signalling audit: {len(flagged)} flag(s)")
         _say(args, f"wrote {event_path}, {out_dir / cfg.out_counts}, "
                    f"{out_dir / cfg.out_report}")
@@ -183,7 +184,8 @@ def cmd_kc_verify(args) -> int:
     started = time.perf_counter()
     cfg = load_experiment(args.config, args.seed)
     out_dir = _out_dir(args)
-    if cfg.model.n_alice != 2 or cfg.model.n_bob != 2:
+    kc = _kc_summary(cfg)
+    if kc is None:
         raise ConfigError("kc-verify needs a model with two settings per side")
     p = cfg.model.behaviour()
 
@@ -197,20 +199,15 @@ def cmd_kc_verify(args) -> int:
             "report": json.loads(audit.to_json()),
         }
 
-    mixed = build_mixed_context_space_from_tables(p, cfg.settings)
-    mixed_audit = verify_kolmogorov(mixed, exhaustive_limit=cfg.kc_exhaustive_limit)
     exact = exact_estimates(cfg.model, cfg.settings, cfg.combination)
-    s_prime = szabo_chsh(mixed, cfg.combination)
+    s_prime = kc["s_prime"]
 
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
         "reproducibility_hash": reproducibility_hash(cfg.raw, cfg.master_seed),
         "config": cfg.raw,
         "contexts": contexts,
-        "mixed_space": {
-            "n_atoms": len(mixed),
-            "report": json.loads(mixed_audit.to_json()),
-        },
+        "mixed_space": {"n_atoms": kc["n_atoms"], "report": kc["report"]},
         "s": exact.s,
         "s_global": s_prime,
         "s_global_times_4": 4 * s_prime,
@@ -226,14 +223,13 @@ def cmd_kc_verify(args) -> int:
         _say(args, json.dumps(report, sort_keys=True))
     else:
         for key, entry in contexts.items():
-            ok = entry["report"]["additivity_ok"] and entry["report"]["positivity_ok"] \
-                and entry["report"]["normalization_ok"]
             _say(args, f"context ({key}): {entry['n_atoms']} atoms, "
-                       f"{'OK' if ok else 'FAILED'}")
-        mixed_ok = mixed_audit.all_ok
-        _say(args, f"mixed space: {len(mixed)} atoms, {'OK' if mixed_ok else 'FAILED'} "
-                   f"({mixed_audit.additivity_mode}, "
-                   f"{mixed_audit.n_additivity_checks} additivity checks)")
+                       f"{'OK' if _audit_ok(entry['report']) else 'FAILED'}")
+        mixed = kc["report"]
+        _say(args, f"mixed space: {kc['n_atoms']} atoms, "
+                   f"{'OK' if _audit_ok(mixed) else 'FAILED'} "
+                   f"({mixed['additivity_mode']}, "
+                   f"{mixed['n_additivity_checks']} additivity checks)")
         _say(args, f"analytic S        = {exact.s:+.10f}")
         _say(args, f"analytic S_global = {s_prime:+.10f}   (x4 = {4 * s_prime:+.10f})")
         _say(args, f"wrote {path}")
@@ -376,7 +372,7 @@ def _at_angles(cfg: ExperimentConfig, alice_angles, bob_angles) -> OutcomeModel:
 
 def cmd_plot(args) -> int:
     cfg = load_experiment(args.config, args.seed)
-    if cfg.model.n_alice != 2 or cfg.model.n_bob != 2:
+    if not is_two_by_two(cfg.model.behaviour()):
         raise ConfigError("plot needs a model with two settings per side")
     if args.sweep_points < 2 or not (args.sweep_stop > args.sweep_start):
         raise ConfigError(

@@ -7,8 +7,9 @@ matter how many workers generate chunks or in which order they finish.
 Aggregation is a cellwise sum of counts (a commutative monoid), and the
 event-log sink writes chunks in chunk order.
 
-Estimators are the plug-in ones: E(x,y) from the per-context counts with
-a binomial standard error, the CHSH S under a declared sign pattern, the
+Estimators are the plug-in ones, all array expressions over the counts
+in :func:`estimate_report`: E(x,y) from the per-context counts with a
+binomial standard error, the CHSH S under a declared sign pattern, the
 globally normalized S' where correlations are divided by the total count
 over all settings, and a no-signalling audit comparing each wing's
 outcome marginal across the remote setting with a pooled z-score.
@@ -27,7 +28,6 @@ written through :func:`atomic_write`.
 
 from __future__ import annotations
 
-import itertools
 import json
 import os
 import re
@@ -35,12 +35,12 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, chsh_value, correlations, \
-    max_abs_chsh
+    is_two_by_two, max_abs_chsh
 from .kolmogorov import SettingsSpec
 from .models import OutcomeModel, marginals, model_description_hash
 from .rng import chunk_generator
@@ -65,9 +65,10 @@ _EVENT_LINES = re.compile(b"(?:" + _EVENT_LINE_TEXT[0] + b"".join(
 _NUMBERS_ONLY = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(256))
 
 # Trials per template fill and bytes per parsed block: memory does not grow
-# with chunk_size or with the log.
+# with chunk_size or with the log. Matching a block keeps a backtracking
+# stack of about eight times the block, so blocks stay small.
 _ENCODE_ROWS = 8192
-_READ_BYTES = 1 << 20
+_READ_BYTES = 1 << 18
 
 
 def atomic_write(path, pieces: Iterable[str]) -> None:
@@ -121,17 +122,6 @@ class CountsTable:
     @property
     def n_total(self) -> int:
         return int(self.counts.sum())
-
-    @property
-    def n_alice(self) -> int:
-        return self.counts.shape[0]
-
-    @property
-    def n_bob(self) -> int:
-        return self.counts.shape[1]
-
-    def context_total(self, x_index: int, y_index: int) -> int:
-        return int(self.counts[x_index, y_index].sum())
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CountsTable) and bool(np.array_equal(self.counts, other.counts))
@@ -266,18 +256,23 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
         if version != EVENT_LOG_SCHEMA_VERSION:
             raise ValueError(f"{path}: event log schema_version {version!r} is not "
                              f"{EVENT_LOG_SCHEMA_VERSION}")
-        blocks, line_number = [], 1
+        # Count the trial lines first, so the result is allocated once and
+        # each block is parsed into its own rows.
+        start = fh.tell()
+        n_lines = sum(part.count(b"\n") for part in iter(lambda: fh.read(_READ_BYTES), b""))
+        fh.seek(start)
+        records = np.empty((n_lines, len(EVENT_FIELDS)), dtype=np.int64)
+        row = 0
         for lines in iter(lambda: fh.readlines(_READ_BYTES), []):
             block = b"".join(lines)
             valid = _EVENT_LINES.match(block).end()
             if valid < len(block):
                 bad = block.count(b"\n", 0, valid)
-                raise ValueError(f"{path}: line {line_number + bad + 1} is not an event "
+                raise ValueError(f"{path}: line {row + bad + 2} is not an event "
                                  f"record: {lines[bad][:200]!r}")
-            line_number += len(lines)
-            blocks.append(np.fromstring(block.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" "))
-    records = np.concatenate(blocks or [np.empty(0, dtype=np.int64)])
-    records = records.reshape(-1, len(EVENT_FIELDS))
+            numbers = np.fromstring(block.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
+            records[row:row + len(lines)] = numbers.reshape(-1, len(EVENT_FIELDS))
+            row += len(lines)
     records.setflags(write=False)
     return header, records
 
@@ -344,115 +339,33 @@ def run_experiment(
     )
 
 
-@dataclass(frozen=True)
-class CorrelationEstimate:
-    """Sample correlation of one context with its binomial standard error."""
-
-    e: float
-    se: float
-    n: int
-
-
-def estimate_correlations(counts: CountsTable) -> dict[tuple[int, int], CorrelationEstimate]:
-    """E(x,y) = (n++ + n-- - n+- - n-+)/n per context; empty contexts absent."""
-    n = counts.counts.sum(axis=(2, 3))
-    signed = correlations(counts.counts)
-    estimates = {}
-    for ix, iy in zip(*np.nonzero(n)):
-        e = signed[ix, iy] / n[ix, iy]
-        se = float(np.sqrt(max(0.0, 1.0 - e * e) / n[ix, iy]))
-        estimates[(int(ix), int(iy))] = CorrelationEstimate(e=float(e), se=se, n=int(n[ix, iy]))
-    return estimates
+def by_context(values, keep=None) -> dict:
+    """The reports' ``{"x,y": value}`` object of an (nx, ny) array, in
+    row-major order with Python scalars; contexts where ``keep`` is False
+    are left out."""
+    rows = np.asarray(values).tolist()
+    return {f"{ix},{iy}": value
+            for ix, row in enumerate(rows) for iy, value in enumerate(row)
+            if keep is None or keep[ix][iy]}
 
 
-def _estimate_array(estimates: Mapping[tuple[int, int], CorrelationEstimate]) -> np.ndarray:
-    return np.array([[estimates[(ix, iy)].e for iy in (0, 1)] for ix in (0, 1)])
-
-
-def chsh_estimate(
-    estimates: Mapping[tuple[int, int], CorrelationEstimate],
-    combination: ChshCombination = DEFAULT_COMBINATION,
-) -> tuple[float, float]:
-    """(S, SE) from per-context estimates; refuses on a missing context."""
-    missing = [cell for cell in CELLS if cell not in estimates]
-    if missing:
-        raise ValueError(f"cannot form S: no trials observed for contexts {missing}")
-    s = chsh_value(_estimate_array(estimates), combination)
-    se = float(np.sqrt(sum(estimates[cell].se ** 2 for cell in CELLS)))
-    return float(s), se
-
-
-def global_normalized_chsh(
-    counts: CountsTable,
-    combination: ChshCombination = DEFAULT_COMBINATION,
-) -> tuple[float, float]:
-    """(S', SE) with correlations normalized by the total count.
-
-    E'(x,y) = sum_ab ab n(x,y,a,b) / n_total, so each context's
-    correlation is scaled by its selection frequency; with uniform
-    binary settings S' sits at one quarter of the conditional S.
-    """
-    n_total = counts.n_total
-    if n_total < 1:
-        raise ValueError("counts table is empty")
-    e_prime = correlations(counts.counts) / n_total
-    context_share = counts.counts.sum(axis=(2, 3)) / n_total
-    variance = sum((np.maximum(0.0, context_share - e_prime * e_prime) / n_total).ravel().tolist())
-    s_global = chsh_value(e_prime, combination)
-    return float(s_global), float(np.sqrt(variance))
-
-
-@dataclass(frozen=True)
-class MarginalAudit:
-    """One wing's +1 marginal compared across two remote settings."""
-
-    side: str
-    setting_index: int
-    remote_pair: tuple[int, int]
-    delta: float
-    z: float
-    flagged: bool
-
-
-def no_signalling_audit(counts: CountsTable, z_threshold: float = 5.0) -> list[MarginalAudit]:
-    """Pooled-binomial z test of parameter independence on the counts.
-
-    For each side and local setting, the empirical P(outcome = +1) is
-    compared across every pair of remote settings.
-    """
-
-    alice, bob = marginals(counts.counts)
-    # Per side: [local setting, remote setting, outcome] counts.
-    sides = (("alice", alice), ("bob", bob.transpose(1, 0, 2)))
-
-    audits = []
-    for side, wing in sides:
-        for local in range(wing.shape[0]):
-            for r1, r2 in itertools.combinations(range(wing.shape[1]), 2):
-                k1, n1 = int(wing[local, r1, 0]), int(wing[local, r1].sum())
-                k2, n2 = int(wing[local, r2, 0]), int(wing[local, r2].sum())
-                if n1 == 0 or n2 == 0:
-                    continue
-                p1, p2 = k1 / n1, k2 / n2
-                delta = p1 - p2
-                pooled = (k1 + k2) / (n1 + n2)
-                denom = np.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
-                if denom == 0.0:
-                    z = 0.0 if delta == 0.0 else float("inf")
-                else:
-                    z = float(delta / denom)
-                audits.append(MarginalAudit(
-                    side=side, setting_index=local, remote_pair=(r1, r2),
-                    delta=float(delta), z=z, flagged=abs(z) > z_threshold))
-    return audits
+# One report entry per context from its E, SE and trial count.
+_correlation_entry = np.frompyfunc(lambda e, se, n: {"e": e, "se": se, "n": n}, 3, 1)
 
 
 @dataclass(frozen=True)
 class EstimateReport:
-    """All estimators of one run under a declared sign pattern."""
+    """All estimators of one run under a declared sign pattern.
 
-    correlations: dict[tuple[int, int], CorrelationEstimate]
-    missing_cells: tuple[tuple[int, int], ...]
+    ``n``, ``e`` and ``se`` are (nx, ny) arrays over the contexts: trials,
+    sample correlation and its binomial standard error; ``e`` and ``se``
+    are NaN where a context saw no trials. The CHSH scalars are None off
+    the 2x2 scenario, and S and the best pattern also need every context.
+    """
+
+    n: np.ndarray
+    e: np.ndarray
+    se: np.ndarray
     combination: ChshCombination
     s: float | None
     s_se: float | None
@@ -460,17 +373,22 @@ class EstimateReport:
     s_global_se: float | None
     s_best_value: float | None
     s_best_pattern: str | None
-    audits: tuple[MarginalAudit, ...]
-    n_per_context: dict[tuple[int, int], int]
-    n_total: int
+    audits: tuple[dict, ...]
+
+    @property
+    def n_total(self) -> int:
+        return int(self.n.sum())
+
+    @property
+    def missing_cells(self) -> tuple[tuple[int, int], ...]:
+        """The contexts of a 2x2 run that saw no trials."""
+        return tuple(cell for cell in CELLS if self.n[cell] == 0) if is_two_by_two(self.n) else ()
 
     def to_json_dict(self) -> dict:
         return {
             "combination": self.combination.to_string(),
-            "correlations": {
-                f"{ix},{iy}": {"e": est.e, "se": est.se, "n": est.n}
-                for (ix, iy), est in sorted(self.correlations.items())
-            },
+            "correlations": by_context(_correlation_entry(self.e, self.se, self.n),
+                                       keep=self.n > 0),
             "missing_cells": [list(c) for c in self.missing_cells],
             "s": self.s,
             "s_se": self.s_se,
@@ -482,15 +400,8 @@ class EstimateReport:
                 "note": "max |S| over all 8 sign patterns, reported separately "
                         "from the declared combination",
             },
-            "no_signalling": [
-                {"side": audit.side, "setting_index": audit.setting_index,
-                 "remote_pair": list(audit.remote_pair), "delta": audit.delta,
-                 "z": audit.z, "flagged": audit.flagged}
-                for audit in self.audits
-            ],
-            "n_per_context": {
-                f"{ix},{iy}": n for (ix, iy), n in sorted(self.n_per_context.items())
-            },
+            "no_signalling": list(self.audits),
+            "n_per_context": by_context(self.n),
             "n_total": self.n_total,
         }
 
@@ -500,38 +411,63 @@ def estimate_report(
     combination: ChshCombination = DEFAULT_COMBINATION,
     z_threshold: float = 5.0,
 ) -> EstimateReport:
-    """Assemble every estimator; S is absent if any context is empty."""
-    estimates = estimate_correlations(counts)
-    is_two_by_two = counts.n_alice == 2 and counts.n_bob == 2
-    missing = tuple(cell for cell in CELLS if cell not in estimates) if is_two_by_two else ()
-    s = s_se = None
-    s_best_value = None
-    s_best_pattern = None
-    s_global = s_global_se = None
-    if is_two_by_two:
-        s_global, s_global_se = global_normalized_chsh(counts, combination)
-        if not missing:
-            s, s_se = chsh_estimate(estimates, combination)
-            s_best_value, best = max_abs_chsh(_estimate_array(estimates))
+    """Every estimator of the counts, as array expressions over n[x, y, a, b].
+
+    E(x,y) = (n++ + n-- - n+- - n-+)/n(x,y) with SE sqrt((1 - E^2)/n(x,y)).
+    S' divides the same signed counts by the total over all settings, so
+    each context is weighted by its selection frequency; with uniform
+    binary settings S' sits at one quarter of S. The no-signalling rows
+    compare each wing's +1 marginal across every pair of remote settings
+    with a pooled-binomial z-score.
+    """
+    table = counts.counts
+    n = table.sum(axis=(2, 3))
+    signed = correlations(table)
+    with np.errstate(invalid="ignore"):
+        e = signed / n
+        se = np.sqrt(np.maximum(0.0, 1.0 - e * e) / n)
+    for array in (n, e, se):
+        array.setflags(write=False)
+
+    s = s_se = s_global = s_global_se = s_best_value = s_best_pattern = None
+    if is_two_by_two(table):
+        n_total = int(n.sum())
+        if n_total < 1:
+            raise ValueError("counts table is empty")
+        e_prime = signed / n_total
+        variance_terms = np.maximum(0.0, n / n_total - e_prime * e_prime) / n_total
+        s_global = chsh_value(e_prime, combination)
+        s_global_se = float(np.sqrt(sum(variance_terms.ravel().tolist())))
+        if n.all():
+            s = chsh_value(e, combination)
+            s_se = float(np.sqrt(sum(v ** 2 for v in se.ravel().tolist())))
+            s_best_value, best = max_abs_chsh(e)
             s_best_pattern = best.to_string()
-    n_per_context = {
-        (ix, iy): counts.context_total(ix, iy)
-        for ix in range(counts.n_alice) for iy in range(counts.n_bob)
-    }
+
+    audits = []
+    alice, bob = marginals(table)
+    # Per wing: [local setting, remote setting, outcome] counts.
+    for side, wing in (("alice", alice), ("bob", bob.transpose(1, 0, 2))):
+        r1, r2 = np.triu_indices(wing.shape[1], 1)
+        plus, total = wing[..., 0], wing.sum(axis=2)
+        k1, k2, n1, n2 = plus[:, r1], plus[:, r2], total[:, r1], total[:, r2]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = k1 / n1 - k2 / n2
+            pooled = (k1 + k2) / (n1 + n2)
+            denom = np.sqrt(pooled * (1.0 - pooled) * (1.0 / n1 + 1.0 / n2))
+            # A zero pooled variance means both marginals are 0 or both 1.
+            z = np.where(denom == 0.0, 0.0, delta / denom)
+        for local, pair in zip(*np.nonzero((n1 > 0) & (n2 > 0))):
+            audits.append({
+                "side": side, "setting_index": int(local),
+                "remote_pair": [int(r1[pair]), int(r2[pair])],
+                "delta": float(delta[local, pair]), "z": float(z[local, pair]),
+                "flagged": bool(abs(z[local, pair]) > z_threshold)})
+
     return EstimateReport(
-        correlations=estimates,
-        missing_cells=missing,
-        combination=combination,
-        s=s,
-        s_se=s_se,
-        s_global=s_global,
-        s_global_se=s_global_se,
-        s_best_value=s_best_value,
-        s_best_pattern=s_best_pattern,
-        audits=tuple(no_signalling_audit(counts, z_threshold)),
-        n_per_context=n_per_context,
-        n_total=counts.n_total,
-    )
+        n=n, e=e, se=se, combination=combination, s=s, s_se=s_se,
+        s_global=s_global, s_global_se=s_global_se, s_best_value=s_best_value,
+        s_best_pattern=s_best_pattern, audits=tuple(audits))
 
 
 @dataclass(frozen=True)

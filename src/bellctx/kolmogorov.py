@@ -88,21 +88,6 @@ class ClassicalProbabilitySpace:
     def __len__(self) -> int:
         return len(self.atoms)
 
-    def event_probability(self, atom_indices) -> float:
-        """P(A) for the event A given by a collection of atom indices."""
-        return float(self.probs[np.asarray(list(atom_indices), dtype=int)].sum())
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"atoms": list(self.atoms), "probs": [float(p) for p in self.probs]},
-            sort_keys=True,
-        )
-
-    def to_table(self) -> str:
-        """Two-column text table: atom label, probability."""
-        width = max(len(a) for a in self.atoms)
-        return "\n".join(f"{a:<{width}}  {p:.17g}" for a, p in zip(self.atoms, self.probs))
-
 
 @dataclass(frozen=True)
 class SettingsSpec:

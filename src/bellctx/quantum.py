@@ -122,11 +122,6 @@ class Context:
     def dim(self) -> int:
         return self.projectors[0].dim
 
-    @property
-    def is_maximal(self) -> bool:
-        """True when every projector is rank one (finest possible context)."""
-        return all(p.rank == 1 for p in self.projectors)
-
     def __len__(self) -> int:
         return len(self.projectors)
 

@@ -26,13 +26,7 @@ from bellctx.gleason import (
     random_rank_one,
     random_rank_profile,
 )
-from bellctx.harness import (
-    chsh_estimate,
-    estimate_correlations,
-    exact_estimates,
-    no_signalling_audit,
-    run_experiment,
-)
+from bellctx.harness import estimate_report, exact_estimates, run_experiment
 from bellctx.kolmogorov import (
     SettingsSpec,
     build_mixed_context_space_from_tables,
@@ -78,7 +72,8 @@ def test_criterion_1_quantum_chsh_landmark():
 
     started = time.perf_counter()
     result = run_experiment(quantum_pair_model(), 1_000_000, spec, master_seed=1001)
-    s_mc, se = chsh_estimate(estimate_correlations(result.counts))
+    report = estimate_report(result.counts)
+    s_mc, se = report.s, report.s_se
     elapsed = time.perf_counter() - started
 
     mc_ok = abs(s_mc - 2 * RT2) <= 5 * se
@@ -198,18 +193,20 @@ def test_criterion_7_model_taxonomy():
     n = 1_000_000
 
     pr = run_experiment(PrBoxModel(), n, spec, master_seed=1007)
-    s_pr, se_pr = chsh_estimate(estimate_correlations(pr.counts))
+    pr_report = estimate_report(pr.counts)
+    s_pr, se_pr = pr_report.s, pr_report.s_se
     pr_ok = abs(s_pr - 4.0) <= 5 * max(se_pr, 1e-12)
 
     sd = run_experiment(superdeterministic_s4_example(), n, spec, master_seed=1008)
-    s_sd, se_sd = chsh_estimate(estimate_correlations(sd.counts))
+    sd_report = estimate_report(sd.counts)
+    s_sd, se_sd = sd_report.s, sd_report.s_se
     sd_ok = abs(s_sd - 4.0) <= 5 * max(se_sd, 1e-12)
 
     quantum = run_experiment(quantum_pair_model(), n, spec, master_seed=1009)
-    quantum_flags = [a for a in no_signalling_audit(quantum.counts, 5.0) if a.flagged]
+    quantum_flags = [a for a in estimate_report(quantum.counts).audits if a["flagged"]]
 
     control = run_experiment(SignallingModel(), n, spec, master_seed=1010)
-    control_flags = [a for a in no_signalling_audit(control.counts, 5.0) if a.flagged]
+    control_flags = [a for a in estimate_report(control.counts).audits if a["flagged"]]
 
     check(7, "taxonomy: S=4 boxes, clean quantum audit, flagged control",
           pr_ok and sd_ok and not quantum_flags and bool(control_flags),

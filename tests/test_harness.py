@@ -2,6 +2,7 @@
 
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,13 +17,8 @@ from bellctx.harness import (
     EVENT_FIELDS,
     EVENT_LOG_SCHEMA_VERSION,
     CountsTable,
-    MarginalAudit,
-    chsh_estimate,
-    estimate_correlations,
     estimate_report,
     exact_estimates,
-    global_normalized_chsh,
-    no_signalling_audit,
     read_event_log,
     run_experiment,
 )
@@ -73,7 +69,7 @@ class TestCountsTable:
         counts[0, 1, 0, 1] = 7  # (x=0, y=1, a=+1, b=-1)
         table = CountsTable(counts)
         assert "0,1,1,-1,7" in table.to_csv().splitlines()
-        assert table.context_total(0, 1) == 7
+        assert estimate_report(table).n.tolist() == [[0, 7], [0, 0]]
         assert table.n_total == 7
 
     def test_rejects_negative(self):
@@ -150,8 +146,8 @@ class TestRunExperiment:
         result = run_experiment(quantum_pair_model(), 1_000_000, optimal_settings(),
                                 master_seed=9)
         sigma = math.sqrt(1_000_000 * 0.25 * 0.75)
-        for cell in CELLS:
-            assert abs(result.counts.context_total(*cell) - 250_000) <= 5 * sigma
+        context_totals = result.counts.counts.sum(axis=(2, 3))
+        assert np.all(np.abs(context_totals - 250_000) <= 5 * sigma)
 
     def test_cell_frequencies_within_five_sigma_of_exact(self):
         model = quantum_pair_model()
@@ -271,6 +267,21 @@ class TestEventLog:
         assert encoded == [0]
         assert list(tmp_path.iterdir()) == []
 
+    def test_reading_holds_the_result_about_once(self, tmp_path):
+        cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
+        result = run_experiment(cfg.model, 300_000, cfg.settings, cfg.master_seed)
+        path = tmp_path / "events.jsonl"
+        result.write_event_log(path)
+        del result
+        tracemalloc.start()
+        try:
+            _, records = read_event_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records.shape == (300_000, 6)
+        assert peak < 1.5 * records.nbytes
+
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n_trials=st.integers(1, 5000), chunk_size=st.integers(1, 700),
@@ -294,103 +305,137 @@ class TestEstimators:
         for cell in CELLS:
             counts[cell][0, 0] = 50
             counts[cell][1, 1] = 50
-        estimates = estimate_correlations(CountsTable(counts))
-        assert estimates[(0, 0)].e == 1.0
-        assert estimates[(0, 0)].se == 0.0
+        report = estimate_report(CountsTable(counts))
+        assert report.e[0, 0] == 1.0
+        assert report.se[0, 0] == 0.0
 
     def test_flat_cells_give_zero_correlation(self):
         counts = np.full((2, 2, 2, 2), 25, dtype=np.int64)
-        estimates = estimate_correlations(CountsTable(counts))
-        assert estimates[(1, 1)].e == 0.0
-        assert estimates[(1, 1)].se == pytest.approx(1 / math.sqrt(100))
+        report = estimate_report(CountsTable(counts))
+        assert report.e[1, 1] == 0.0
+        assert report.se[1, 1] == pytest.approx(1 / math.sqrt(100))
 
     def test_empty_context_is_absent_and_s_refuses(self):
         counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
         counts[0, 0, 0, 0] = 10
-        estimates = estimate_correlations(CountsTable(counts))
-        assert (1, 1) not in estimates
-        with pytest.raises(ValueError, match="no trials"):
-            chsh_estimate(estimates)
+        report = estimate_report(CountsTable(counts))
+        assert math.isnan(report.e[1, 1]) and math.isnan(report.se[1, 1])
+        assert "1,1" not in report.to_json_dict()["correlations"]
+        assert report.missing_cells == ((0, 1), (1, 0), (1, 1))
+        assert report.s is None and report.s_se is None and report.s_best_value is None
 
     def test_quantum_correlation_near_exact(self):
         model = QuantumModel(photon_pair_state(), (0.0,), (math.pi / 8,))
         spec = SettingsSpec.uniform((0.0,), (math.pi / 8,))
         result = run_experiment(model, 1_000_000, spec, master_seed=14)
-        est = estimate_correlations(result.counts)[(0, 0)]
-        assert abs(est.e - RT2 / 2) <= 5 * est.se
+        report = estimate_report(result.counts)
+        assert abs(report.e[0, 0] - RT2 / 2) <= 5 * report.se[0, 0]
 
     def test_chsh_estimate_near_two_root_two(self):
         result = run_experiment(quantum_pair_model(), 1_000_000, optimal_settings(),
                                 master_seed=15)
-        s, se = chsh_estimate(estimate_correlations(result.counts))
-        assert abs(s - 2 * RT2) <= 5 * se
+        report = estimate_report(result.counts)
+        assert abs(report.s - 2 * RT2) <= 5 * report.s_se
 
     def test_lhv_mixture_within_local_bound(self):
         rng = np.random.default_rng(16)
         model = MixedLhvModel(tuple(enumerate_deterministic_strategies()),
                               tuple(rng.dirichlet(np.ones(16))))
         result = run_experiment(model, 1_000_000, optimal_settings(), master_seed=17)
-        s, se = chsh_estimate(estimate_correlations(result.counts))
+        report = estimate_report(result.counts)
         exact = exact_estimates(model, optimal_settings()).s
-        assert abs(s - exact) <= 5 * se
+        assert abs(report.s - exact) <= 5 * report.s_se
         assert abs(exact) <= 2.0
 
     def test_pr_box_estimate_near_four(self):
         result = run_experiment(PrBoxModel(), 200_000, optimal_settings(), master_seed=18)
-        s, se = chsh_estimate(estimate_correlations(result.counts))
-        assert abs(s - 4.0) <= 5 * max(se, 1e-9)
+        report = estimate_report(result.counts)
+        assert abs(report.s - 4.0) <= 5 * max(report.s_se, 1e-9)
 
 
 class TestGlobalNormalization:
     def test_identity_with_per_context_estimator(self):
         result = run_experiment(quantum_pair_model(), 200_000, optimal_settings(),
                                 master_seed=19)
-        counts = result.counts
-        estimates = estimate_correlations(counts)
-        s_global, _ = global_normalized_chsh(counts)
+        report = estimate_report(result.counts)
         expected = sum(
-            DEFAULT_COMBINATION.sign(*cell) * estimates[cell].e
-            * counts.context_total(*cell) / counts.n_total
+            DEFAULT_COMBINATION.sign(*cell) * report.e[cell] * report.n[cell] / report.n_total
             for cell in CELLS)
-        assert s_global == pytest.approx(expected, abs=1e-12)
+        assert report.s_global == pytest.approx(expected, abs=1e-12)
 
     def test_all_plus_strategy_lands_on_half(self):
         strategy = DeterministicStrategy((1, 1), (1, 1))
         result = run_experiment(strategy, 1_000_000, optimal_settings(), master_seed=20)
-        s_global, se = global_normalized_chsh(result.counts)
-        assert abs(s_global - 0.5) <= 5 * se
+        report = estimate_report(result.counts)
+        assert abs(report.s_global - 0.5) <= 5 * report.s_global_se
 
     def test_quantum_global_near_quarter_of_s(self):
         result = run_experiment(quantum_pair_model(), 1_000_000, optimal_settings(),
                                 master_seed=21)
-        s_global, se = global_normalized_chsh(result.counts)
-        assert abs(s_global - RT2 / 2) <= 5 * se
+        report = estimate_report(result.counts)
+        assert abs(report.s_global - RT2 / 2) <= 5 * report.s_global_se
 
     def test_empty_counts_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            global_normalized_chsh(CountsTable(np.zeros((2, 2, 2, 2))))
+            estimate_report(CountsTable(np.zeros((2, 2, 2, 2))))
 
 
 class TestNoSignallingAudit:
     def test_quantum_model_unflagged_at_one_million(self):
         result = run_experiment(quantum_pair_model(), 1_000_000, optimal_settings(),
                                 master_seed=22)
-        audits = no_signalling_audit(result.counts, z_threshold=5.0)
-        assert audits and not any(a.flagged for a in audits)
+        audits = estimate_report(result.counts, z_threshold=5.0).audits
+        assert audits and not any(a["flagged"] for a in audits)
 
     def test_signalling_control_is_flagged(self):
         result = run_experiment(SignallingModel(), 100_000, optimal_settings(),
                                 master_seed=23)
-        audits = no_signalling_audit(result.counts, z_threshold=5.0)
-        flagged = [a for a in audits if a.flagged]
+        audits = estimate_report(result.counts, z_threshold=5.0).audits
+        flagged = [a for a in audits if a["flagged"]]
         assert flagged
-        assert max(abs(a.delta) for a in flagged) > 0.9
+        assert max(abs(a["delta"]) for a in flagged) > 0.9
 
     def test_superdeterministic_example_unflagged(self):
         result = run_experiment(superdeterministic_s4_example(), 1_000_000,
                                 optimal_settings(), master_seed=24)
-        audits = no_signalling_audit(result.counts, z_threshold=5.0)
-        assert not any(a.flagged for a in audits)
+        audits = estimate_report(result.counts, z_threshold=5.0).audits
+        assert not any(a["flagged"] for a in audits)
+
+
+# Counts tables the shipped configs never produce. estimate_report_pins.json
+# holds json.dumps(estimate_report(table).to_json_dict(), sort_keys=True) for
+# each, recorded before the estimators became array expressions.
+PINNED_TABLES = {
+    # 3x2 settings: estimates and audits over three remote pairs, no S.
+    "three_by_two": [[[[31, 7], [12, 25]], [[9, 40], [33, 14]]],
+                     [[[22, 18], [5, 47]], [[16, 16], [29, 3]]],
+                     [[[11, 36], [27, 8]], [[44, 2], [6, 19]]]],
+    # 3x2 with context (2, 1) empty: left out of "correlations", no missing_cells.
+    "three_by_two_one_empty": [[[[31, 7], [12, 25]], [[9, 40], [33, 14]]],
+                               [[[22, 18], [5, 47]], [[16, 16], [29, 3]]],
+                               [[[11, 36], [27, 8]], [[0, 0], [0, 0]]]],
+    # 2x2 with context (1, 1) empty: S refused, S' still formed.
+    "one_empty_context": [[[[9, 1], [2, 8]], [[5, 5], [5, 5]]],
+                          [[[5, 5], [5, 5]], [[0, 0], [0, 0]]]],
+    # Alice always +1: her pooled marginal is 1, so her z is 0.
+    "alice_always_plus": [[[[30, 10], [0, 0]], [[12, 28], [0, 0]]],
+                          [[[7, 33], [0, 0]], [[40, 5], [0, 0]]]],
+    "one_trial": [[[[0, 0], [0, 0]], [[0, 0], [0, 0]]],
+                  [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]],
+}
+PINNED_REPORTS = json.loads((Path(__file__).parent / "estimate_report_pins.json").read_text())
+
+REPORT_KEYS = ["combination", "correlations", "missing_cells", "s", "s_se", "s_global",
+               "s_global_se", "s_best_over_patterns", "no_signalling", "n_per_context",
+               "n_total"]
+
+
+class TestPinnedReports:
+    @pytest.mark.parametrize("name", sorted(PINNED_TABLES))
+    def test_report_json_is_unchanged(self, name):
+        report = estimate_report(CountsTable(np.array(PINNED_TABLES[name]))).to_json_dict()
+        assert json.dumps(report, sort_keys=True) == PINNED_REPORTS[name]
+        assert list(report) == REPORT_KEYS
 
 
 class TestConsistencyAcrossModules:

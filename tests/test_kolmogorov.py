@@ -68,15 +68,6 @@ class TestClassicalSpace:
         space = ClassicalProbabilitySpace.unchecked(("a", "b"), (0.5, 0.6))
         assert space.probs.sum() == pytest.approx(1.1)
 
-    def test_event_probability(self):
-        space = ClassicalProbabilitySpace(("a", "b", "c"), (0.2, 0.3, 0.5))
-        assert space.event_probability([0, 2]) == pytest.approx(0.7)
-
-    def test_table_and_json(self):
-        space = ClassicalProbabilitySpace(("a", "b"), (0.25, 0.75))
-        assert "0.75" in space.to_table()
-        assert '"atoms"' in space.to_json()
-
     @given(st.lists(st.floats(1e-6, 1.0), min_size=1, max_size=12))
     def test_random_weights_always_yield_valid_space(self, weights):
         probs = np.array(weights) / np.sum(weights)

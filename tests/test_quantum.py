@@ -74,12 +74,6 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="incomplete"):
             Context((p, q))
 
-    def test_context_maximality_flag(self):
-        assert computational_context(3).is_maximal
-        coarse = Context((Projector(np.diag([1.0, 1.0, 0.0])),
-                          Projector(np.diag([0.0, 0.0, 1.0]))))
-        assert not coarse.is_maximal
-
     def test_dichotomic_observable_checks_completeness(self):
         p = Projector(np.diag([1.0, 0.0]))
         with pytest.raises(ValueError):
