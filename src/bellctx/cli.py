@@ -23,6 +23,7 @@ import os
 import platform
 import sys
 import time
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -120,7 +121,7 @@ def _kc_summary(cfg: ExperimentConfig) -> dict | None:
     audit = verify_kolmogorov(space, exhaustive_limit=cfg.kc_exhaustive_limit)
     return {
         "n_atoms": len(space),
-        "report": json.loads(audit.to_json()),
+        "report": asdict(audit),
         "s_prime": szabo_chsh(space, cfg.combination),
     }
 
@@ -196,7 +197,7 @@ def cmd_kc_verify(args) -> int:
         audit = verify_kolmogorov(space, exhaustive_limit=cfg.kc_exhaustive_limit)
         contexts[f"{ix},{iy}"] = {
             "n_atoms": len(space),
-            "report": json.loads(audit.to_json()),
+            "report": asdict(audit),
         }
 
     exact = exact_estimates(cfg.model, cfg.settings, cfg.combination)
@@ -240,6 +241,8 @@ def cmd_gleason_check(args) -> int:
     started = time.perf_counter()
     if args.dim < 2:
         raise ConfigError(f"dimension must be at least 2, got {args.dim}")
+    if args.n_contexts < 1:
+        raise ConfigError(f"n-contexts must be at least 1, got {args.n_contexts}")
     out_dir = _out_dir(args)
     seed = 0 if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
@@ -265,7 +268,7 @@ def cmd_gleason_check(args) -> int:
         "schema_version": REPORT_SCHEMA_VERSION,
         "dim": args.dim,
         "seed": seed,
-        "additivity": json.loads(additivity.to_json()),
+        "additivity": asdict(additivity),
         "trace_form_fit": {
             "residual": fit.residual,
             "recovery_max_error": recovery_error,
@@ -285,7 +288,7 @@ def cmd_gleason_check(args) -> int:
         ce_samples = [(p, ce(p)) for p in (random_rank_one(2, rng) for _ in range(100))]
         ce_fit = fit_trace_form(ce_samples, 2)
         report["counterexample"] = {
-            "additivity": json.loads(ce_additivity.to_json()),
+            "additivity": asdict(ce_additivity),
             "fit_residual": ce_fit.residual,
             "note": (
                 "trace-form representation is guaranteed only for dimension >= 3; "
@@ -322,6 +325,9 @@ def cmd_lhv_bound(args) -> int:
             p = tables_from_json(Path(args.tables).read_text())
         except ValueError as exc:
             raise ConfigError(f"tables file {args.tables}: {exc}") from exc
+        if not is_two_by_two(p):
+            raise ConfigError(f"tables file {args.tables}: CHSH needs two settings per side, "
+                              f"got {p.shape[0]}x{p.shape[1]}")
         try:
             verdict = local_polytope_membership(p)
         except SignallingTablesError as exc:

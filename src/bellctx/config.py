@@ -150,9 +150,9 @@ def normalize_raw(raw: dict) -> dict:
             canon[key] = _as_int_list(value, key)
         else:
             canon[key] = str(value)
-    for angles_key in ("alice.angles", "bob.angles"):
-        if not all(math.isfinite(a) for a in canon[angles_key]):
-            raise ConfigError(f"{angles_key}: angles must be finite")
+    for key in ("alice.angles", "alice.probs", "bob.angles", "bob.probs"):
+        if not all(math.isfinite(v) for v in canon.get(key, ())):
+            raise ConfigError(f"{key}: values must be finite")
     if canon["trials"] < 1:
         raise ConfigError("trials must be at least 1")
     if canon.get("chunk_size", 65536) < 1:

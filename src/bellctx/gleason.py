@@ -19,7 +19,6 @@ standard phase fix.
 from __future__ import annotations
 
 import itertools
-import json
 from dataclasses import dataclass
 from typing import Callable
 
@@ -161,24 +160,12 @@ class AdditivityReport:
     passed: bool
     dim: int
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "n_contexts_tested": self.n_contexts_tested,
-                "worst_violation": self.worst_violation,
-                "passed": self.passed,
-                "dim": self.dim,
-            },
-            sort_keys=True,
-        )
-
 
 def check_orthogonal_additivity(
     m: FrameFunction,
     n_contexts: int,
     dim: int,
     seed,
-    tol: float = ADDITIVITY_TOL,
 ) -> AdditivityReport:
     """Check m(sum of subset) = sum of m over random contexts.
 
@@ -200,7 +187,7 @@ def check_orthogonal_additivity(
     return AdditivityReport(
         n_contexts_tested=n_contexts,
         worst_violation=worst,
-        passed=worst <= tol,
+        passed=worst <= ADDITIVITY_TOL,
         dim=dim,
     )
 
@@ -322,7 +309,6 @@ def extravalence_check(
     p: Projector,
     n_contexts: int,
     seed,
-    tol: float = ADDITIVITY_TOL,
 ) -> ExtravalenceReport:
     """Verify the value of ``p`` is embedding-independent.
 
@@ -331,7 +317,7 @@ def extravalence_check(
     For each sampled embedding the residual mass sum(m(q), q != p) must
     land on 1 - m(p): ``spread`` is its variation across embeddings and
     ``target_deviation`` its worst distance from the target. Both must
-    stay within tol to pass.
+    stay within ADDITIVITY_TOL to pass.
     """
     value = m(p)
     target = 1.0 - value
@@ -341,6 +327,7 @@ def extravalence_check(
     ]
     spread = max(residuals) - min(residuals)
     target_deviation = max(abs(r - target) for r in residuals)
-    return ExtravalenceReport(passed=spread <= tol and target_deviation <= tol,
+    return ExtravalenceReport(passed=spread <= ADDITIVITY_TOL
+                              and target_deviation <= ADDITIVITY_TOL,
                               spread=spread, target_deviation=target_deviation,
                               n_contexts=n_contexts, value=value)

@@ -70,6 +70,9 @@ _NUMBERS_ONLY = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(
 _ENCODE_ROWS = 8192
 _READ_BYTES = 1 << 18
 
+# |z| above which a no-signalling row is flagged.
+Z_THRESHOLD = 5.0
+
 
 def atomic_write(path, pieces: Iterable[str]) -> None:
     """Write the text pieces to a temp file, then rename it to ``path``;
@@ -304,25 +307,15 @@ def run_experiment(
     bob_cum = np.cumsum(settings.bob_probs)
     bob_cum /= bob_cum[-1]
 
-    jobs = []
-    start = 0
-    chunk_id = 0
-    while start < n_trials:
-        size = min(chunk_size, n_trials - start)
-        jobs.append((chunk_id, start, size))
-        start += size
-        chunk_id += 1
+    starts = range(0, n_trials, chunk_size)
 
-    def generate(job):
-        cid, start_trial, size = job
-        return _generate_chunk(cell_cums, alice_cum, bob_cum,
-                               master_seed, cid, start_trial, size)
+    def generate(chunk_id: int, start: int) -> ChunkData:
+        return _generate_chunk(cell_cums, alice_cum, bob_cum, master_seed, chunk_id,
+                               start, min(chunk_size, n_trials - start))
 
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            chunks = list(pool.map(generate, jobs))
-    else:
-        chunks = [generate(job) for job in jobs]
+    # Never more threads than chunks, whatever the configured worker count.
+    with ThreadPoolExecutor(max_workers=min(n_workers, len(starts))) as pool:
+        chunks = list(pool.map(generate, range(len(starts)), starts))
 
     total = np.zeros((settings.n_alice, settings.n_bob, 2, 2), dtype=np.int64)
     for chunk in chunks:
@@ -409,7 +402,6 @@ class EstimateReport:
 def estimate_report(
     counts: CountsTable,
     combination: ChshCombination = DEFAULT_COMBINATION,
-    z_threshold: float = 5.0,
 ) -> EstimateReport:
     """Every estimator of the counts, as array expressions over n[x, y, a, b].
 
@@ -418,7 +410,7 @@ def estimate_report(
     each context is weighted by its selection frequency; with uniform
     binary settings S' sits at one quarter of S. The no-signalling rows
     compare each wing's +1 marginal across every pair of remote settings
-    with a pooled-binomial z-score.
+    with a pooled-binomial z-score, flagged above Z_THRESHOLD.
     """
     table = counts.counts
     n = table.sum(axis=(2, 3))
@@ -462,7 +454,7 @@ def estimate_report(
                 "side": side, "setting_index": int(local),
                 "remote_pair": [int(r1[pair]), int(r2[pair])],
                 "delta": float(delta[local, pair]), "z": float(z[local, pair]),
-                "flagged": bool(abs(z[local, pair]) > z_threshold)})
+                "flagged": bool(abs(z[local, pair]) > Z_THRESHOLD)})
 
     return EstimateReport(
         n=n, e=e, se=se, combination=combination, s=s, s_se=s_se,

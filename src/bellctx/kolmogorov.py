@@ -14,9 +14,11 @@ here are finite, so countable additivity coincides with the finite
 additivity that is actually checked; the report says so explicitly.
 
 The mixed space is built from a behaviour p[x, y, a, b] (see
-:mod:`bellctx.models`). ``szabo_chsh`` reads the globally normalized S'
-back from its atoms, via the unconditioned correlations E'(x,y); the
-per-context S comes from the conditional correlations E(x,y) of p. For
+:mod:`bellctx.models`); its atoms are labelled by index alone,
+``x{x}:a{+-1}|y{y}:b{+-1}``, in (x, a, y, b) order. ``szabo_chsh`` reads
+the globally normalized S' off its probability vector reshaped to
+[x, a, y, b], via the unconditioned correlations E'(x,y); the per-context
+S comes from the conditional correlations E(x,y) of p. For
 uniform binary settings S' = S/4 identically, which moves the quantum
 2*sqrt(2) down to sqrt(2)/2 without changing the physics -- only the
 normalization.
@@ -25,8 +27,6 @@ normalization.
 from __future__ import annotations
 
 import itertools
-import json
-import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,13 +36,13 @@ from .quantum import Context, DensityOperator, context_distribution
 
 SPACE_TOL = 1e-12
 
+# The sampled additivity audit's pair count and generator seed.
+SAMPLED_PAIRS = 10_000
+SAMPLED_SEED = 0
+
 ADDITIVITY_NOTE = (
     "finite additivity checked; on a finite sample space this coincides "
     "with countable additivity"
-)
-
-_ATOM_RE = re.compile(
-    r"^x(?P<ix>\d+)@(?P<ax>[^:]+):a(?P<a>[+-]1)\|y(?P<iy>\d+)@(?P<by>[^:]+):b(?P<b>[+-]1)$"
 )
 
 
@@ -104,6 +104,8 @@ class SettingsSpec:
             probs = np.asarray(getattr(self, f"{name}_probs"), dtype=float)
             if len(angles) != len(probs) or len(angles) == 0:
                 raise ValueError(f"{name}: angles and probabilities must align and be non-empty")
+            if not np.isfinite(probs).all():
+                raise ValueError(f"{name}: setting probabilities must be finite")
             if float(probs.min()) < 0.0:
                 raise ValueError(f"{name}: negative setting probability")
             total = float(probs.sum())
@@ -158,21 +160,6 @@ class KolmogorovReport:
     def all_ok(self) -> bool:
         return self.positivity_ok and self.normalization_ok and self.additivity_ok
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "positivity_ok": self.positivity_ok,
-                "normalization_ok": self.normalization_ok,
-                "additivity_ok": self.additivity_ok,
-                "worst_violation": self.worst_violation,
-                "n_additivity_checks": self.n_additivity_checks,
-                "n_atoms": self.n_atoms,
-                "additivity_mode": self.additivity_mode,
-                "note": self.note,
-            },
-            sort_keys=True,
-        )
-
 
 def build_single_context_space(rho: DensityOperator, c: Context) -> ClassicalProbabilitySpace:
     """One atom per projector of the context; trace-rule probabilities."""
@@ -181,18 +168,11 @@ def build_single_context_space(rho: DensityOperator, c: Context) -> ClassicalPro
     return ClassicalProbabilitySpace(atoms, probs)
 
 
-def atom_label(ix: int, alice_angle: float, a: int, iy: int, bob_angle: float, b: int) -> str:
-    """Mixed-space atom label; encodes setting indices and angles so event
-    logs (which carry x_index/y_index) stay joinable."""
-    return f"x{ix}@{alice_angle:.12g}:a{a:+d}|y{iy}@{bob_angle:.12g}:b{b:+d}"
-
-
-def parse_atom_label(label: str) -> tuple[int, int, int, int]:
-    """(x_index, a, y_index, b) from a mixed-space atom label."""
-    m = _ATOM_RE.match(label)
-    if m is None:
-        raise ValueError(f"malformed mixed-space atom label {label!r}")
-    return int(m["ix"]), int(m["a"]), int(m["iy"]), int(m["b"])
+def _mixed_atoms(n_alice: int, n_bob: int) -> tuple[str, ...]:
+    """Mixed-space atom labels, in the [x, a, y, b] order of its probabilities."""
+    return tuple(f"x{ix}:a{a:+d}|y{iy}:b{b:+d}"
+                 for ix, a, iy, b in itertools.product(range(n_alice), (1, -1),
+                                                       range(n_bob), (1, -1)))
 
 
 def build_mixed_context_space_from_tables(
@@ -203,12 +183,9 @@ def build_mixed_context_space_from_tables(
     Atoms are (x, a, y, b) tuples with prob = P(x) P(y) p(ab|xy); for a
     2x2 uniform-setting experiment that is 16 atoms at p(ab|xy)/4.
     """
-    atoms = tuple(
-        atom_label(ix, spec.alice_angles[ix], a, iy, spec.bob_angles[iy], b)
-        for ix, a, iy, b in itertools.product(range(spec.n_alice), (1, -1),
-                                              range(spec.n_bob), (1, -1)))
     weighted = spec.joint_probs[:, :, None, None] * p
-    return ClassicalProbabilitySpace(atoms, weighted.transpose(0, 2, 1, 3).ravel())
+    return ClassicalProbabilitySpace(_mixed_atoms(spec.n_alice, spec.n_bob),
+                                     weighted.transpose(0, 2, 1, 3).ravel())
 
 
 def _subset_probabilities(probs: np.ndarray) -> np.ndarray:
@@ -256,31 +233,27 @@ def _exhaustive_additivity(probs: np.ndarray) -> tuple[float, int]:
     return worst, 3 ** n
 
 
-def _sampled_additivity(probs: np.ndarray, n_pairs: int, seed: int) -> tuple[float, int]:
-    """Worst violation over a seeded random sample of disjoint pairs."""
-    n = len(probs)
-    rng = np.random.default_rng(seed)
-    digits = rng.integers(0, 3, size=(n_pairs, n))
+def _sampled_additivity(probs: np.ndarray) -> tuple[float, int]:
+    """Worst violation over a fixed random sample of disjoint pairs."""
+    rng = np.random.default_rng(SAMPLED_SEED)
+    digits = rng.integers(0, 3, size=(SAMPLED_PAIRS, len(probs)))
     in_a = digits == 1
     in_b = digits == 2
     p_a = in_a @ probs
     p_b = in_b @ probs
     p_union = (in_a | in_b) @ probs
     worst = float(np.max(np.abs(p_union - p_a - p_b), initial=0.0))
-    return worst, n_pairs
+    return worst, SAMPLED_PAIRS
 
 
 def verify_kolmogorov(
-    space: ClassicalProbabilitySpace,
-    exhaustive_limit: int = 16,
-    n_sampled_pairs: int = 10_000,
-    seed: int = 0,
+    space: ClassicalProbabilitySpace, exhaustive_limit: int = 16,
 ) -> KolmogorovReport:
     """Audit positivity, normalization, and disjoint-event additivity.
 
     Additivity is checked exhaustively (all 3^n ordered disjoint pairs,
     via subset coding) while the space has at most ``exhaustive_limit``
-    atoms, else on a seeded random sample of ``n_sampled_pairs`` pairs.
+    atoms, else on SAMPLED_PAIRS random pairs drawn from SAMPLED_SEED.
     """
     probs = space.probs
     positivity_deficit = max(0.0, -float(probs.min()))
@@ -289,7 +262,7 @@ def verify_kolmogorov(
         additivity_worst, n_checks = _exhaustive_additivity(probs)
         mode = "exhaustive"
     else:
-        additivity_worst, n_checks = _sampled_additivity(probs, n_sampled_pairs, seed)
+        additivity_worst, n_checks = _sampled_additivity(probs)
         mode = "sampled"
     return KolmogorovReport(
         positivity_ok=positivity_deficit == 0.0,
@@ -308,19 +281,13 @@ def szabo_chsh(
 ) -> float:
     """S' from unconditioned correlations E'(x,y) = sum_ab ab * P(x,a,y,b).
 
-    The space must have the 16-atom (x, a, y, b) structure produced by
-    build_mixed_context_space_from_tables with two settings per side.
+    The space must be the 16-atom (x, a, y, b) space that
+    build_mixed_context_space_from_tables makes with two settings per
+    side, atoms in its order.
     """
-    if len(space) != 16:
-        raise ValueError(f"expected the 16-atom mixed-context structure, got {len(space)} atoms")
-    e_prime = np.zeros((2, 2))
-    seen: set[tuple[int, int, int, int]] = set()
-    for label, prob in zip(space.atoms, space.probs):
-        ix, a, iy, b = parse_atom_label(label)
-        if ix > 1 or iy > 1:
-            raise ValueError(f"atom {label!r} indexes settings outside the 2x2 layout")
-        seen.add((ix, a, iy, b))
-        e_prime[ix, iy] += a * b * float(prob)
-    if len(seen) != 16:
-        raise ValueError("mixed-space atoms do not cover all 16 (x,a,y,b) combinations")
+    if space.atoms != _mixed_atoms(2, 2):
+        raise ValueError(f"expected the 16-atom mixed-context structure in "
+                         f"[x, a, y, b] order, got {len(space)} atoms")
+    w = space.probs.reshape(2, 2, 2, 2)
+    e_prime = w[:, 0, :, 0] - w[:, 0, :, 1] - w[:, 1, :, 0] + w[:, 1, :, 1]
     return float(chsh_value(e_prime, combination))

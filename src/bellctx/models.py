@@ -53,6 +53,10 @@ from .quantum import (
 
 TABLE_TOL = 1e-12
 BEHAVIOUR_TOL = 1e-9
+# Slack on the no-signalling shift and on |S| <= 2 in the polytope test.
+POLYTOPE_TOL = 1e-9
+# Accelerated projected-gradient steps of nearest_lhv_mixture.
+LHV_FIT_ITERATIONS = 4000
 
 # Keys of the four outcome pairs in a tables file, in p[x, y].ravel() order.
 PAIR_KEYS = ("++", "+-", "-+", "--")
@@ -158,16 +162,12 @@ class DeterministicStrategy(OutcomeModel):
         return {"kind": self.kind, "a_of_x": list(self.a_of_x), "b_of_y": list(self.b_of_y)}
 
 
-def enumerate_deterministic_strategies(n_alice: int = 2, n_bob: int = 2):
+def enumerate_deterministic_strategies():
     """All 16 deterministic strategies of the two-setting scenario.
 
     Ordered lexicographically by (a(x), a(x'), b(y), b(y')) with +1
     before -1, so witnesses and reports are reproducible.
     """
-    if n_alice != 2 or n_bob != 2:
-        raise ValueError(
-            f"strategy enumeration is defined for two settings per side, "
-            f"got {n_alice}x{n_bob}")
     return [
         DeterministicStrategy((a0, a1), (b0, b1))
         for a0, a1, b0, b1 in itertools.product((1, -1), repeat=4)
@@ -420,7 +420,7 @@ class PolytopeResult:
                 f"at pattern {self.witness_combination.to_string()}")
 
 
-def local_polytope_membership(p: np.ndarray, tol: float = 1e-9) -> PolytopeResult:
+def local_polytope_membership(p: np.ndarray) -> PolytopeResult:
     """Decide whether one strategy mixture reproduces the behaviour p[x, y, a, b].
 
     For no-signalling tables in the two-setting/two-outcome scenario the
@@ -431,12 +431,12 @@ def local_polytope_membership(p: np.ndarray, tol: float = 1e-9) -> PolytopeResul
     variable behind them is ill-posed.
     """
     delta = no_signalling_deltas(p)
-    if delta > tol:
+    if delta > POLYTOPE_TOL:
         raise SignallingTablesError(
             f"tables are signalling (worst marginal shift {delta:.3g}); "
             "local-model membership is ill-posed")
     worst_s, worst_combination = max_abs_chsh(correlations(p))
-    if abs(worst_s) <= 2.0 + tol:
+    if abs(worst_s) <= 2.0 + POLYTOPE_TOL:
         return PolytopeResult(True, abs(worst_s), None, None)
     return PolytopeResult(False, abs(worst_s), worst_combination, worst_s)
 
@@ -452,7 +452,7 @@ def _project_to_simplex(v: np.ndarray) -> np.ndarray:
     return np.clip(v - theta, 0.0, None)
 
 
-def nearest_lhv_mixture(p: np.ndarray, n_iterations: int = 4000) -> tuple[np.ndarray, float]:
+def nearest_lhv_mixture(p: np.ndarray) -> tuple[np.ndarray, float]:
     """Approximate least-squares projection onto the strategy mixtures.
 
     Accelerated projected gradient on the simplex of weights over the 16
@@ -471,7 +471,7 @@ def nearest_lhv_mixture(p: np.ndarray, n_iterations: int = 4000) -> tuple[np.nda
     weights = np.full(len(strategies), 1.0 / len(strategies))
     momentum = weights.copy()
     t_prev = 1.0
-    for _ in range(n_iterations):
+    for _ in range(LHV_FIT_ITERATIONS):
         gradient = design.T @ (design @ momentum - target)
         new_weights = _project_to_simplex(momentum - step * gradient)
         t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0

@@ -32,7 +32,6 @@ from bellctx.kolmogorov import (
     build_mixed_context_space_from_tables,
     build_single_context_space,
     optimal_settings,
-    parse_atom_label,
     szabo_chsh,
     verify_kolmogorov,
 )
@@ -124,8 +123,9 @@ def test_criterion_4_mixed_space_structure():
     atoms_ok = len(space) == 16
 
     worst = 0.0
-    for label, prob in zip(space.atoms, space.probs):
-        ix, a, iy, b = parse_atom_label(label)
+    w = space.probs.reshape(2, 2, 2, 2)  # [x, a, y, b], outcome index 0 is +1
+    for (ix, ia, iy, ib), prob in np.ndenumerate(w):
+        a, b = 1 - 2 * ia, 1 - 2 * ib
         # Independent of the behaviour array: the trace rule on Pa (x) Pb.
         pa = polarization_observable(spec.alice_angles[ix]).projector(a)
         pb = polarization_observable(spec.bob_angles[iy]).projector(b)

@@ -76,6 +76,14 @@ class TestSimulate:
         assert not list(tmp_path.glob("*.jsonl"))
         assert not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize("probs", ["nan, 0.5", "inf, 0.5", "0.5, -inf"])
+    def test_non_finite_setting_probs_exit_2(self, tmp_path, capsys, probs):
+        config = write_quick_config(tmp_path, trials=2000, **{"alice.probs": probs})
+        assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: alice.probs") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.json*"))
+
     def test_invalid_model_exits_3(self, tmp_path):
         config = write_quick_config(tmp_path, **{"model.state": "bogus"})
         assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 3
@@ -165,6 +173,15 @@ class TestGleasonCheck:
     def test_dim1_is_an_error(self, tmp_path):
         assert main(["gleason-check", "--dim", "1", "--out-dir", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize("dim", (2, 3))
+    @pytest.mark.parametrize("n_contexts", ("0", "-3"))
+    def test_no_contexts_is_an_error(self, tmp_path, capsys, dim, n_contexts):
+        assert main(["gleason-check", "--dim", str(dim), "--n-contexts", n_contexts,
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: n-contexts") and err.count("\n") == 1
+        assert not list(tmp_path.glob("*.json"))
+
     def test_state_file_round_trip(self, tmp_path):
         from bellctx.quantum import maximally_mixed, operator_to_json
         state_path = tmp_path / "state.json"
@@ -204,6 +221,17 @@ class TestLhvBound:
         path = tmp_path / "tables.json"
         path.write_text("{not json")
         assert main(["lhv-bound", str(path)]) == 2
+
+    @pytest.mark.parametrize("fmt", ("text", "json"))
+    def test_tables_off_two_by_two_exit_2(self, tmp_path, capsys, fmt):
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps({"0,0": CELL, "0,1": CELL, "0,2": CELL}))
+        assert main(["lhv-bound", str(path), "--format", fmt]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("config error: tables file")
+        assert "two settings per side, got 1x3" in captured.err
+        assert captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("tables, message", [
         ({"0,0": {"++": 0.5, "+-": 0.0, "-+": 0.0}, "0,1": CELL, "1,0": CELL, "1,1": CELL},

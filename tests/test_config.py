@@ -119,6 +119,12 @@ def test_angles_must_be_finite():
         normalize_raw(parse_config_text(MINIMAL.replace("0.0,", "nan,")))
 
 
+@pytest.mark.parametrize("probs", ["nan, 0.5", "0.5, inf"])
+def test_probs_must_be_finite(probs):
+    with pytest.raises(ConfigError, match="bob.probs: values must be finite"):
+        normalize_raw(parse_config_text(MINIMAL + f"bob.probs = {probs}\n"))
+
+
 def test_missing_file_is_config_error():
     with pytest.raises(ConfigError, match="cannot read"):
         load_raw_config("/nonexistent/path.cfg")

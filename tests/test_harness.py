@@ -134,6 +134,31 @@ class TestRunExperiment:
         assert (log_bytes(serial, tmp_path / "serial.jsonl")
                 == log_bytes(threaded, tmp_path / "threaded.jsonl"))
 
+    def test_thread_count_is_capped_at_the_chunk_count(self, monkeypatch):
+        requested = []
+
+        class RecordingExecutor:
+            """Records the requested pool size and maps inline: no threads start."""
+
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
+        result = run_experiment(quantum_pair_model(), 300, optimal_settings(), master_seed=7,
+                                chunk_size=100, n_workers=10**6)
+        assert requested == [3]
+        assert [chunk.start_trial for chunk in result.chunks] == [0, 100, 200]
+        assert result.counts.n_total == 300
+
     def test_counts_match_record_stream_exactly(self, tmp_path):
         model = quantum_pair_model()
         spec = optimal_settings()
@@ -384,13 +409,13 @@ class TestNoSignallingAudit:
     def test_quantum_model_unflagged_at_one_million(self):
         result = run_experiment(quantum_pair_model(), 1_000_000, optimal_settings(),
                                 master_seed=22)
-        audits = estimate_report(result.counts, z_threshold=5.0).audits
+        audits = estimate_report(result.counts).audits
         assert audits and not any(a["flagged"] for a in audits)
 
     def test_signalling_control_is_flagged(self):
         result = run_experiment(SignallingModel(), 100_000, optimal_settings(),
                                 master_seed=23)
-        audits = estimate_report(result.counts, z_threshold=5.0).audits
+        audits = estimate_report(result.counts).audits
         flagged = [a for a in audits if a["flagged"]]
         assert flagged
         assert max(abs(a["delta"]) for a in flagged) > 0.9
@@ -398,7 +423,7 @@ class TestNoSignallingAudit:
     def test_superdeterministic_example_unflagged(self):
         result = run_experiment(superdeterministic_s4_example(), 1_000_000,
                                 optimal_settings(), master_seed=24)
-        audits = estimate_report(result.counts, z_threshold=5.0).audits
+        audits = estimate_report(result.counts).audits
         assert not any(a["flagged"] for a in audits)
 
 

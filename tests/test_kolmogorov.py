@@ -15,7 +15,6 @@ from bellctx.kolmogorov import (
     build_mixed_context_space_from_tables,
     build_single_context_space,
     optimal_settings,
-    parse_atom_label,
     szabo_chsh,
     verify_kolmogorov,
 )
@@ -87,6 +86,11 @@ class TestSettingsSpec:
         with pytest.raises(ValueError, match="sum"):
             SettingsSpec((0.0,), (0.5,), (0.0,), (1.0,))
 
+    @pytest.mark.parametrize("bad", (math.nan, math.inf))
+    def test_rejects_non_finite_probabilities(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            SettingsSpec((0.0, 1.0), (bad, 0.5), (0.0,), (1.0,))
+
 
 class TestSingleContextSpace:
     def test_mixed_qubit_in_computational_basis(self):
@@ -137,27 +141,26 @@ class TestMixedContextSpace:
         spec = optimal_settings()
         space = mixed_space(rho, spec)
         p = behaviour(rho, spec)
-        for label, prob in zip(space.atoms, space.probs):
-            ix, a, iy, b = parse_atom_label(label)
-            assert prob == pytest.approx(p[ix, iy, (1 - a) // 2, (1 - b) // 2] / 4, abs=1e-12)
+        w = space.probs.reshape(2, 2, 2, 2)  # [x, a, y, b]
+        assert w.transpose(0, 2, 1, 3) == pytest.approx(p / 4, abs=1e-12)
+
+    def test_index_only_labels_in_array_order(self):
+        space = mixed_space(photon_pair_state(), optimal_settings())
+        assert space.atoms[:4] == ("x0:a+1|y0:b+1", "x0:a+1|y0:b-1",
+                                   "x0:a+1|y1:b+1", "x0:a+1|y1:b-1")
+        assert space.atoms[-1] == "x1:a-1|y1:b-1"
 
     def test_named_atom_probability(self):
         spec = optimal_settings()
         space = mixed_space(photon_pair_state(), spec)
-        index = space.atoms.index(
-            f"x0@{0.0:.12g}:a+1|y0@{math.pi / 8:.12g}:b+1")
+        index = space.atoms.index("x0:a+1|y0:b+1")
         assert space.probs[index] == pytest.approx((2 + RT2) / 8 / 4, abs=1e-12)
 
     def test_marginal_consistency(self):
         spec = SettingsSpec((0.0, 0.5), (0.3, 0.7), (0.1, 0.9), (0.25, 0.75))
         space = mixed_space(photon_pair_state(), spec)
-        marginals = {}
-        for label, prob in zip(space.atoms, space.probs):
-            ix, _, iy, _ = parse_atom_label(label)
-            marginals[(ix, iy)] = marginals.get((ix, iy), 0.0) + prob
-        for (ix, iy), total in marginals.items():
-            assert total == pytest.approx(
-                spec.alice_probs[ix] * spec.bob_probs[iy], abs=1e-12)
+        marginals = space.probs.reshape(2, 2, 2, 2).sum(axis=(1, 3))
+        assert marginals == pytest.approx(spec.joint_probs, abs=1e-12)
 
     def test_weighted_table_list_is_mixed(self):
         # A hidden variable with two values is the strategy mixture itself.
@@ -166,7 +169,7 @@ class TestMixedContextSpace:
         all_down = DeterministicStrategy((-1, -1), (-1, -1))
         model = MixedLhvModel((all_up, all_down), (0.25, 0.75))
         space = build_mixed_context_space_from_tables(model.behaviour(), spec)
-        ix_up = space.atoms.index(f"x0@{0.0:.12g}:a+1|y0@{math.pi / 8:.12g}:b+1")
+        ix_up = space.atoms.index("x0:a+1|y0:b+1")
         assert space.probs[ix_up] == pytest.approx(0.25 / 4)
 
 
@@ -199,7 +202,7 @@ class TestVerifier:
 
     def test_sampled_mode_above_limit(self):
         space = mixed_space(photon_pair_state(), optimal_settings())
-        report = verify_kolmogorov(space, exhaustive_limit=8, seed=5)
+        report = verify_kolmogorov(space, exhaustive_limit=8)
         assert report.additivity_mode == "sampled"
         assert report.n_additivity_checks == 10_000
         assert report.all_ok
@@ -208,8 +211,8 @@ class TestVerifier:
         space = ClassicalProbabilitySpace.unchecked(
             tuple(f"a{i}" for i in range(20)),
             np.full(20, 1 / 20) + np.linspace(-1e-9, 1e-9, 20))
-        first = verify_kolmogorov(space, exhaustive_limit=4, seed=9)
-        second = verify_kolmogorov(space, exhaustive_limit=4, seed=9)
+        first = verify_kolmogorov(space, exhaustive_limit=4)
+        second = verify_kolmogorov(space, exhaustive_limit=4)
         assert first.worst_violation == second.worst_violation
 
     def test_thousand_random_state_context_pairs(self):
@@ -300,15 +303,10 @@ class TestSzaboChsh:
         space = mixed_space(rho, spec)
 
         def flipped(space):
-            atoms, probs = [], []
-            for label, prob in zip(space.atoms, space.probs):
-                ix, a, iy, b = parse_atom_label(label)
-                a = -a if ix == 0 else a
-                atoms.append(f"x{ix}@0:a{a:+d}|y{iy}@0:b{b:+d}")
-                probs.append(prob)
-            order = np.argsort(atoms)
-            return ClassicalProbabilitySpace(
-                tuple(np.array(atoms)[order]), np.array(probs)[order])
+            # Swap the a = +1 and a = -1 atoms of Alice's first setting.
+            w = space.probs.reshape(2, 2, 2, 2).copy()  # [x, a, y, b]
+            w[0] = w[0, ::-1].copy()
+            return ClassicalProbabilitySpace(space.atoms, w.ravel())
 
         original = max(abs(szabo_chsh(space, c)) for c in all_combinations())
         relabeled = max(abs(szabo_chsh(flipped(space), c)) for c in all_combinations())
@@ -317,5 +315,16 @@ class TestSzaboChsh:
     def test_malformed_atom_label_rejected(self):
         space = ClassicalProbabilitySpace(
             tuple(f"atom{i}" for i in range(16)), np.full(16, 1 / 16))
-        with pytest.raises(ValueError, match="malformed"):
+        with pytest.raises(ValueError, match="16-atom"):
             szabo_chsh(space)
+
+    def test_permuted_atoms_rejected(self):
+        space = mixed_space(photon_pair_state(), optimal_settings())
+        permuted = ClassicalProbabilitySpace(space.atoms[::-1], space.probs[::-1])
+        with pytest.raises(ValueError, match="16-atom"):
+            szabo_chsh(permuted)
+
+    def test_three_settings_rejected(self):
+        spec = SettingsSpec.uniform((0.0, 0.5, 1.0), (0.1, 0.9))
+        with pytest.raises(ValueError, match="16-atom"):
+            szabo_chsh(mixed_space(photon_pair_state(), spec))

@@ -65,10 +65,6 @@ class TestDeterministicStrategies:
         assert strategies[0] == DeterministicStrategy((1, 1), (1, 1))
         assert strategies[-1] == DeterministicStrategy((-1, -1), (-1, -1))
 
-    def test_wrong_setting_count_rejected(self):
-        with pytest.raises(ValueError, match="two settings"):
-            enumerate_deterministic_strategies(3, 2)
-
     def test_point_table(self):
         strategy = DeterministicStrategy((1, 1), (-1, -1))
         cell = strategy.behaviour()[0, 1]
