@@ -105,8 +105,8 @@ def _meta(wall_clock: float, n_workers: int | None = None) -> dict:
     return meta
 
 
-def _report_json(report: dict, meta: dict) -> str:
-    return json.dumps({"report": report, "meta": meta}, sort_keys=True, indent=2) + "\n"
+def _report_json(report: dict, meta: dict) -> bytes:
+    return (json.dumps({"report": report, "meta": meta}, sort_keys=True, indent=2) + "\n").encode()
 
 
 def _audit_ok(report: dict) -> bool:
@@ -158,7 +158,7 @@ def cmd_simulate(args) -> int:
 
     event_path = out_dir / cfg.out_event_log
     result.write_event_log(event_path)
-    atomic_write(out_dir / cfg.out_counts, (result.counts.to_csv(),))
+    atomic_write(out_dir / cfg.out_counts, (result.counts.to_csv().encode(),))
     atomic_write(out_dir / cfg.out_report,
                  (_report_json(report, _meta(wall_clock, cfg.n_workers)),))
 
@@ -433,7 +433,7 @@ def cmd_plot(args) -> int:
 
     svg = render_panels([correlation_panel, sweep_panel])
     path = out_dir / args.output
-    atomic_write(path, (svg,))
+    atomic_write(path, (svg.encode(),))
     _say(args, f"wrote {path} (peak |S| over sweep: {max(abs(s) for s in s_curve):.4f})")
     return EXIT_OK
 

@@ -20,14 +20,16 @@ them by design, which is its point).
 
 A trial is a row of the chunk columns, and one event log line on disk:
 ``EVENT_FIELDS`` names the columns and one line template fixes the line.
-The writer fills it a slice of a chunk at a time; the reader matches its
-pattern a block of lines at a time into an ``(n_trials, 6)`` int64 array.
+The writer lays a slice of a chunk out as rows of a byte matrix cut from
+that template; the reader matches its pattern a block of lines at a time
+into an ``(n_trials, 6)`` int64 array.
 One ``bincount`` helper counts trials into cells; every artifact is
 written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import os
 import re
@@ -41,7 +43,7 @@ import numpy as np
 
 from .chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, chsh_value, correlations, \
     is_two_by_two, max_abs_chsh
-from .kolmogorov import SettingsSpec
+from .kolmogorov import SettingsSpec, build_mixed_context_space_from_tables, szabo_chsh
 from .models import OutcomeModel, marginals, model_description_hash
 from .rng import chunk_generator
 
@@ -61,12 +63,17 @@ _EVENT_LINES = re.compile(b"(?:" + _EVENT_LINE_TEXT[0] + b"".join(
     (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]*)") + text
     for name, text in zip(EVENT_FIELDS, _EVENT_LINE_TEXT[1:])) + b")*")
 
+# The line around its first and last field, trial_id and chunk_id, which
+# the writer fills per trial and per chunk; the middle depends on the cell.
+_LINE_HEAD, _LINE_MIDDLE, _LINE_TAIL = re.fullmatch(
+    r"(.*?)%d(.*)(%d.*)", _EVENT_LINE, re.DOTALL).groups()
+
 # Blanks every byte of a matched block except its numbers.
 _NUMBERS_ONLY = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(256))
 
-# Trials per template fill and bytes per parsed block: memory does not grow
-# with chunk_size or with the log. Matching a block keeps a backtracking
-# stack of about eight times the block, so blocks stay small.
+# Trials per encoded byte matrix and bytes per parsed block: memory does
+# not grow with chunk_size or with the log. Matching a block keeps a
+# backtracking stack of about eight times the block, so blocks stay small.
 _ENCODE_ROWS = 8192
 _READ_BYTES = 1 << 18
 
@@ -74,13 +81,13 @@ _READ_BYTES = 1 << 18
 Z_THRESHOLD = 5.0
 
 
-def atomic_write(path, pieces: Iterable[str]) -> None:
-    """Write the text pieces to a temp file, then rename it to ``path``;
+def atomic_write(path, pieces: Iterable[bytes]) -> None:
+    """Write the byte pieces to a temp file, then rename it to ``path``;
     a failure part way removes the temp file and leaves ``path`` as it was."""
     path = Path(path)
     handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
-        with os.fdopen(handle, "w", encoding="utf-8", newline="\n") as fh:
+        with os.fdopen(handle, "wb") as fh:
             fh.writelines(pieces)
         os.replace(tmp_name, path)
     except BaseException:
@@ -204,14 +211,53 @@ def _generate_chunk(
     return ChunkData(chunk_id, start_trial, xs, ys, a, b)
 
 
-def _encode_chunk(chunk: ChunkData) -> Iterator[str]:
-    """The chunk's log lines, one template fill per _ENCODE_ROWS trials."""
-    for offset in range(0, len(chunk.x_index), _ENCODE_ROWS):
-        columns = [column[offset:offset + _ENCODE_ROWS]
-                   for column in (chunk.x_index, chunk.y_index, chunk.a, chunk.b)]
-        first, n = chunk.start_trial + offset, len(columns[0])
-        rows = np.column_stack([np.arange(first, first + n), *columns, np.full(n, chunk.chunk_id)])
-        yield (_EVENT_LINE * n) % tuple(rows.ravel().tolist())
+def _event_middles(n_alice: int, n_bob: int) -> tuple[np.ndarray, np.ndarray]:
+    """The log line between its trial_id and chunk_id numbers, per cell.
+
+    Bytes and keep masks, each indexed [x, y, a index, b index, byte], with
+    every middle left-aligned and padded to the longest.
+    """
+    texts = [(_LINE_MIDDLE % cell).encode() for cell in itertools.product(
+        range(n_alice), range(n_bob), (1, -1), (1, -1))]
+    width = max(map(len, texts))
+    middles = np.frombuffer(b"".join(text.ljust(width) for text in texts), dtype=np.uint8)
+    keep = np.arange(width) < np.array([len(text) for text in texts])[:, None]
+    shape = (n_alice, n_bob, 2, 2, width)
+    return middles.reshape(shape), keep.reshape(shape)
+
+
+def _encode_chunk(chunk: ChunkData, middles: np.ndarray, keep_middles: np.ndarray,
+                  ) -> Iterator[bytes]:
+    """The chunk's log lines, one byte matrix per _ENCODE_ROWS trials.
+
+    A matrix row holds one line in fixed columns: the line's head, the
+    trial_id right-aligned in as many digits as the chunk's last one, the
+    cell's middle from :func:`_event_middles` and the chunk_id tail. A
+    keep mask drops the leading zeros and the middle's padding.
+    """
+    n = len(chunk.x_index)
+    head = np.frombuffer(_LINE_HEAD.encode(), dtype=np.uint8)
+    tail = np.frombuffer((_LINE_TAIL % chunk.chunk_id).encode(), dtype=np.uint8)
+    digits = range(len(head), len(head) + len(str(chunk.start_trial + n - 1)))
+    middle = slice(digits.stop, digits.stop + middles.shape[-1])
+    lines = np.empty((min(n, _ENCODE_ROWS), middle.stop + len(tail)), dtype=np.uint8)
+    keep = np.ones(lines.shape, dtype=bool)
+    lines[:, :digits.start] = head
+    lines[:, middle.stop:] = tail
+    for offset in range(0, n, _ENCODE_ROWS):
+        trials = slice(offset, min(offset + _ENCODE_ROWS, n))
+        m, k = lines[:trials.stop - offset], keep[:trials.stop - offset]
+        ids = np.arange(chunk.start_trial + trials.start, chunk.start_trial + trials.stop)
+        for column in digits:
+            place = 10 ** (digits.stop - 1 - column)
+            m[:, column] = ids // place % 10 + ord("0")
+            if column != digits[-1]:
+                k[:, column] = ids >= place
+        cell = (chunk.x_index[trials], chunk.y_index[trials],
+                (1 - chunk.a[trials]) // 2, (1 - chunk.b[trials]) // 2)
+        m[:, middle] = middles[cell]
+        k[:, middle] = keep_middles[cell]
+        yield m[k].tobytes()
 
 
 @dataclass(frozen=True)
@@ -234,10 +280,12 @@ class ExperimentResult:
             "model_hash": self.model_hash,
         })
 
-        def pieces() -> Iterator[str]:
-            yield header + "\n"
+        middles = _event_middles(self.settings.n_alice, self.settings.n_bob)
+
+        def pieces() -> Iterator[bytes]:
+            yield (header + "\n").encode()
             for chunk in self.chunks:
-                yield from _encode_chunk(chunk)
+                yield from _encode_chunk(chunk, *middles)
 
         atomic_write(path, pieces())
 
@@ -476,8 +524,9 @@ def exact_estimates(
     settings: SettingsSpec,
     combination: ChshCombination = DEFAULT_COMBINATION,
 ) -> ExactEstimates:
-    """E, S, and S' (E of P(x) P(y) p) a run would converge to, from the behaviour."""
+    """E, S, and S' a run would converge to, from the behaviour; S' is
+    :func:`szabo_chsh` of the mixed space, as in the kc audit."""
     p = model.behaviour()
     e = correlations(p)
-    s_global = chsh_value(correlations(settings.joint_probs[:, :, None, None] * p), combination)
+    s_global = szabo_chsh(build_mixed_context_space_from_tables(p, settings), combination)
     return ExactEstimates(correlations=e, s=chsh_value(e, combination), s_global=s_global)

@@ -1,5 +1,6 @@
 """Tests for the chunked Monte Carlo harness and its estimators."""
 
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -280,17 +281,41 @@ class TestEventLog:
         encode = harness._encode_chunk
         encoded = []
 
-        def fail_after_first_chunk(chunk):
+        def fail_after_first_chunk(chunk, *args):
             if encoded:
                 raise RuntimeError("encoder failed")
             encoded.append(chunk.chunk_id)
-            return encode(chunk)
+            return encode(chunk, *args)
 
         monkeypatch.setattr(harness, "_encode_chunk", fail_after_first_chunk)
         with pytest.raises(RuntimeError, match="encoder failed"):
             result.write_event_log(tmp_path / "events.jsonl")
         assert encoded == [0]
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("chunk_id,start_trial,n_trials", [
+        (3, 10**6 - 5000, 9000),
+        (12345, 40, 300),
+        (0, 0, 1),
+        (9, 999_999, 1),
+    ], ids=["slice-crosses-1e6", "five-digit-chunk-id", "trial-0-alone", "one-trial"])
+    def test_hand_built_chunk_matches_reference_encoder(self, tmp_path, chunk_id,
+                                                        start_trial, n_trials):
+        rng = np.random.default_rng(chunk_id)
+        indices, outcomes = rng.integers(0, 2, (2, n_trials)), rng.choice([1, -1], (2, n_trials))
+        chunk = harness.ChunkData(chunk_id, start_trial, *indices.astype(np.int8),
+                                  *outcomes.astype(np.int8))
+        result = dataclasses.replace(
+            run_experiment(quantum_pair_model(), 1, optimal_settings(), master_seed=5),
+            chunks=(chunk,))
+        assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
+
+    def test_two_digit_setting_index_matches_reference_encoder(self, tmp_path):
+        spec = SettingsSpec.uniform(np.linspace(0.0, np.pi, 12), (0.1, 0.7, 1.3))
+        model = QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles)
+        result = run_experiment(model, 5000, spec, master_seed=28, chunk_size=1500)
+        assert result.counts.counts[10:].sum() > 0
+        assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
 
     def test_reading_holds_the_result_about_once(self, tmp_path):
         cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
@@ -471,16 +496,22 @@ class TestConsistencyAcrossModules:
             trace_rule_s(photon_pair_state(), optimal_settings()), abs=1e-12)
 
     def test_exact_global_matches_mixed_space_route(self):
+        """exact.s_global and kc.s_prime of a report are one number, to the
+        last bit, for non-uniform setting probabilities and every pattern."""
         rng = np.random.default_rng(25)
         from bellctx.gleason import random_density
-        for _ in range(20):
+        for _ in range(200):
             rho = random_density(4, rng)
             angles = rng.uniform(0, np.pi, 4)
-            spec = SettingsSpec.uniform(angles[:2], angles[2:])
+            p_alice, p_bob = rng.uniform(0.05, 0.95, 2)
+            spec = SettingsSpec(tuple(angles[:2]), (p_alice, 1.0 - p_alice),
+                                tuple(angles[2:]), (p_bob, 1.0 - p_bob))
             model = QuantumModel(rho, spec.alice_angles, spec.bob_angles)
-            exact = exact_estimates(model, spec)
             space = build_mixed_context_space_from_tables(model.behaviour(), spec)
-            assert exact.s_global == pytest.approx(szabo_chsh(space), abs=1e-12)
+            for combination in all_combinations():
+                assert (exact_estimates(model, spec, combination).s_global
+                        == szabo_chsh(space, combination))
+            exact = exact_estimates(model, spec)
             assert exact.s == pytest.approx(trace_rule_s(rho, spec), abs=1e-12)
 
     def test_estimate_report_json_is_serializable(self):

@@ -3,7 +3,8 @@
 The shipped configs only ever give S' in {0, 1, sqrt(2)/2}; these pins
 cover S' of random two-qubit states at random angles and non-uniform
 setting probabilities under all eight sign patterns (as ``float.hex``),
-the Kolmogorov audit of random spaces in exhaustive and sampled mode,
+the Kolmogorov audit of random spaces in exhaustive and sampled mode
+(exhaustively up to 16 atoms) and of each shipped config's mixed space,
 and the additivity and extravalence reports of frame functions at
 dims 2-4. Audit reports are compared as ``json.dumps(asdict(report),
 sort_keys=True)`` strings, so every float must match to the last bit.
@@ -15,12 +16,14 @@ intended and explained) with ``PYTHONPATH=src python tests/test_kolmogorov_pins.
 import json
 import sys
 from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bellctx.chsh import all_combinations
+from bellctx.config import load_experiment
 from bellctx.gleason import (
     FrameFunction,
     check_orthogonal_additivity,
@@ -39,6 +42,7 @@ from bellctx.kolmogorov import (
 from bellctx.models import QuantumModel
 
 PINS = Path(__file__).parent / "kolmogorov_pins.json"
+CONFIGS = Path(__file__).parent.parent / "src" / "bellctx" / "configs"
 N_SZABO_CASES = 50
 
 
@@ -68,22 +72,33 @@ def _random_space(n_atoms: int, seed: int, perturb: float = 0.0) -> ClassicalPro
     return ClassicalProbabilitySpace(tuple(range(n_atoms)), probs)
 
 
-# name -> (space arguments, exhaustive_limit): exhaustive_limit 0 forces
+def _config_space(path: Path) -> ClassicalProbabilitySpace:
+    cfg = load_experiment(path)
+    return build_mixed_context_space_from_tables(cfg.model.behaviour(), cfg.settings)
+
+
+# name -> (space factory, exhaustive_limit): exhaustive_limit 0 forces
 # the sampled mode.
 AUDIT_CASES = {
-    "dirichlet5-exhaustive": ((5, 1), 16),
-    "dirichlet5-sampled": ((5, 1), 0),
-    "dirichlet12-exhaustive": ((12, 2), 16),
-    "dirichlet12-sampled": ((12, 2), 0),
-    "dirichlet24-sampled": ((24, 3), 16),
-    "perturbed8-exhaustive": ((8, 4, 1e-6), 16),
-    "perturbed8-sampled": ((8, 4, 1e-6), 0),
+    "dirichlet5-exhaustive": (partial(_random_space, 5, 1), 16),
+    "dirichlet5-sampled": (partial(_random_space, 5, 1), 0),
+    "dirichlet9-exhaustive": (partial(_random_space, 9, 5), 16),
+    "dirichlet12-exhaustive": (partial(_random_space, 12, 2), 16),
+    "dirichlet12-sampled": (partial(_random_space, 12, 2), 0),
+    "dirichlet13-exhaustive": (partial(_random_space, 13, 6), 16),
+    "dirichlet16-exhaustive": (partial(_random_space, 16, 7), 16),
+    "dirichlet24-sampled": (partial(_random_space, 24, 3), 16),
+    "perturbed8-exhaustive": (partial(_random_space, 8, 4, 1e-6), 16),
+    "perturbed8-sampled": (partial(_random_space, 8, 4, 1e-6), 0),
+    "perturbed16-exhaustive": (partial(_random_space, 16, 8, 1e-6), 16),
+    **{f"{path.stem}-exhaustive": (partial(_config_space, path), 16)
+       for path in sorted(CONFIGS.glob("*.cfg"))},
 }
 
 
 def audit_case(name: str) -> str:
-    space_args, exhaustive_limit = AUDIT_CASES[name]
-    return _dump(verify_kolmogorov(_random_space(*space_args), exhaustive_limit))
+    make_space, exhaustive_limit = AUDIT_CASES[name]
+    return _dump(verify_kolmogorov(make_space(), exhaustive_limit))
 
 
 FRAME_FUNCTIONS = ("trace_form", "squared_trace_form", "counterexample")
