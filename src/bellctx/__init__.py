@@ -47,7 +47,6 @@ from .models import (
     enumerate_deterministic_strategies,
     lhv_max_chsh,
     local_polytope_membership,
-    nearest_lhv_mixture,
     no_signalling_deltas,
     superdeterministic_s4_example,
     tables_from_json,

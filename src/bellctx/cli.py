@@ -248,9 +248,10 @@ def cmd_gleason_check(args) -> int:
     rng = np.random.default_rng(seed)
     if args.state:
         try:
+            # An unreadable file is an OSError and exits as an I/O error.
             rho = DensityOperator(operator_from_json(
                 json.loads(Path(args.state).read_text())))
-        except (OSError, json.JSONDecodeError, ValueError) as exc:
+        except ValueError as exc:
             raise ModelBuildError(f"state file {args.state}: {exc}") from exc
         if rho.dim != args.dim:
             raise ModelBuildError(f"state has dim {rho.dim}, expected {args.dim}")

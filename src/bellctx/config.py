@@ -219,7 +219,8 @@ def _build_model(canon: dict, settings: SettingsSpec,
             return SignallingModel(tuple(b_of_x))
     except ModelBuildError:
         raise
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except ValueError as exc:
+        # An unreadable state file is an OSError and exits as an I/O error.
         raise ModelBuildError(f"model.kind={kind}: {exc}") from exc
     raise ModelBuildError(f"unknown model.kind {kind!r}")
 

@@ -55,8 +55,6 @@ TABLE_TOL = 1e-12
 BEHAVIOUR_TOL = 1e-9
 # Slack on the no-signalling shift and on |S| <= 2 in the polytope test.
 POLYTOPE_TOL = 1e-9
-# Accelerated projected-gradient steps of nearest_lhv_mixture.
-LHV_FIT_ITERATIONS = 4000
 
 # Keys of the four outcome pairs in a tables file, in p[x, y].ravel() order.
 PAIR_KEYS = ("++", "+-", "-+", "--")
@@ -439,46 +437,6 @@ def local_polytope_membership(p: np.ndarray) -> PolytopeResult:
     if abs(worst_s) <= 2.0 + POLYTOPE_TOL:
         return PolytopeResult(True, abs(worst_s), None, None)
     return PolytopeResult(False, abs(worst_s), worst_combination, worst_s)
-
-
-def _project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    cumulative = np.cumsum(u) - 1.0
-    indices = np.arange(1, len(v) + 1)
-    feasible = u - cumulative / indices > 0
-    rho = int(indices[feasible][-1])
-    theta = cumulative[rho - 1] / rho
-    return np.clip(v - theta, 0.0, None)
-
-
-def nearest_lhv_mixture(p: np.ndarray) -> tuple[np.ndarray, float]:
-    """Approximate least-squares projection onto the strategy mixtures.
-
-    Accelerated projected gradient on the simplex of weights over the 16
-    deterministic strategies. Returns (weights, residual) where residual
-    is the Euclidean distance between the flattened target behaviour and the
-    best mixture found. This is a coarse independent cross-check of
-    local_polytope_membership, not a boundary-precision decision: for
-    clearly local tables the residual is tiny, for boxes beyond the
-    bound it stays bounded away from zero.
-    """
-    strategies = enumerate_deterministic_strategies()
-    design = np.column_stack([strategy.behaviour().ravel() for strategy in strategies])
-    target = np.asarray(p).ravel()
-    gram = design.T @ design
-    step = 1.0 / float(np.linalg.eigvalsh(gram).max())
-    weights = np.full(len(strategies), 1.0 / len(strategies))
-    momentum = weights.copy()
-    t_prev = 1.0
-    for _ in range(LHV_FIT_ITERATIONS):
-        gradient = design.T @ (design @ momentum - target)
-        new_weights = _project_to_simplex(momentum - step * gradient)
-        t_next = (1.0 + np.sqrt(1.0 + 4.0 * t_prev * t_prev)) / 2.0
-        momentum = new_weights + ((t_prev - 1.0) / t_next) * (new_weights - weights)
-        weights, t_prev = new_weights, t_next
-    residual = float(np.linalg.norm(design @ weights - target))
-    return weights, residual
 
 
 def model_description_hash(model: OutcomeModel) -> str:

@@ -71,6 +71,33 @@ class DensityOperator:
         return self.matrix.shape[0]
 
 
+def projector_ranks(stack: np.ndarray) -> np.ndarray:
+    """Ranks of a stack ``(..., d, d)`` of projectors; ValueError unless every
+    matrix is Hermitian, idempotent and of integer trace within TOL."""
+    if _max_abs(stack - stack.conj().swapaxes(-1, -2)) > TOL:
+        raise ValueError("projector is not Hermitian")
+    if _max_abs(stack @ stack - stack) > TOL:
+        raise ValueError("projector is not idempotent")
+    traces = np.trace(stack, axis1=-2, axis2=-1).real
+    ranks = np.round(traces)
+    off = np.abs(traces - ranks) > TOL
+    if off.any():
+        raise ValueError(f"projector trace {traces[off][0]} is not near an integer")
+    return ranks.astype(int)
+
+
+def check_contexts(stack: np.ndarray) -> None:
+    """Raise ValueError unless each context of a stack ``(..., k, d, d)``
+    of projectors is pairwise orthogonal and sums to the identity within TOL."""
+    parts = [stack[..., i, :, :] for i in range(stack.shape[-3])]
+    for i in range(len(parts)):
+        for j in range(i + 1, len(parts)):
+            if _max_abs(parts[i] @ parts[j]) > TOL:
+                raise ValueError(f"projectors {i} and {j} are not orthogonal")
+    if _max_abs(sum(parts) - np.eye(stack.shape[-1])) > TOL:
+        raise ValueError("context is incomplete: projectors do not sum to identity")
+
+
 @dataclass(frozen=True)
 class Projector:
     """Orthogonal projector: Hermitian, idempotent, integer trace = rank."""
@@ -81,15 +108,7 @@ class Projector:
     def __post_init__(self) -> None:
         mat = as_operator(self.matrix)
         object.__setattr__(self, "matrix", mat)
-        if _max_abs(mat - mat.conj().T) > TOL:
-            raise ValueError("projector is not Hermitian")
-        if _max_abs(mat @ mat - mat) > TOL:
-            raise ValueError("projector is not idempotent")
-        trace = float(np.trace(mat).real)
-        rank = round(trace)
-        if abs(trace - rank) > TOL:
-            raise ValueError(f"projector trace {trace} is not near an integer")
-        object.__setattr__(self, "rank", rank)
+        object.__setattr__(self, "rank", int(projector_ranks(mat[None])[0]))
 
     @property
     def dim(self) -> int:
@@ -107,16 +126,9 @@ class Context:
         object.__setattr__(self, "projectors", projs)
         if not projs:
             raise ValueError("context needs at least one projector")
-        dim = projs[0].dim
-        if any(p.dim != dim for p in projs):
+        if any(p.dim != projs[0].dim for p in projs):
             raise ValueError("context projectors have mixed dimensions")
-        for i in range(len(projs)):
-            for j in range(i + 1, len(projs)):
-                if _max_abs(projs[i].matrix @ projs[j].matrix) > TOL:
-                    raise ValueError(f"projectors {i} and {j} are not orthogonal")
-        total = sum(p.matrix for p in projs)
-        if _max_abs(total - np.eye(dim)) > TOL:
-            raise ValueError("context is incomplete: projectors do not sum to identity")
+        check_contexts(np.stack([p.matrix for p in projs]))
 
     @property
     def dim(self) -> int:
@@ -136,10 +148,7 @@ class DichotomicObservable:
     def __post_init__(self) -> None:
         if self.plus.dim != self.minus.dim:
             raise ValueError("plus/minus projectors have different dimensions")
-        if _max_abs(self.plus.matrix + self.minus.matrix - np.eye(self.plus.dim)) > TOL:
-            raise ValueError("outcome projectors do not sum to identity")
-        if _max_abs(self.plus.matrix @ self.minus.matrix) > TOL:
-            raise ValueError("outcome projectors are not orthogonal")
+        check_contexts(np.stack([self.plus.matrix, self.minus.matrix]))
 
     @property
     def dim(self) -> int:
@@ -153,15 +162,25 @@ class DichotomicObservable:
         raise ValueError(f"outcome must be +1 or -1, got {outcome}")
 
 
+def born_probabilities(rho: DensityOperator, stack: np.ndarray) -> np.ndarray:
+    """Trace-rule values Re Tr(rho P) of a stack ``(m, d, d)`` of projectors,
+    clamped to [0, 1] within TOL."""
+    values = np.trace(rho.matrix @ stack, axis1=-2, axis2=-1).real
+    outside = (values < -TOL) | (values > 1.0 + TOL)
+    if outside.any():
+        raise ValueError(f"trace-rule value {values[outside][0]} outside [0, 1] tolerance "
+                         "band; an upstream invariant is broken")
+    # Python's min(max(v, 0.0), 1.0), signed zeros included.
+    values[values < 0.0] = 0.0
+    values[values > 1.0] = 1.0
+    return values
+
+
 def born_probability(rho: DensityOperator, p: Projector) -> float:
     """Trace-rule probability Re Tr(rho p), clamped to [0, 1] within TOL."""
     if rho.dim != p.dim:
         raise ValueError(f"dimension mismatch: state {rho.dim}, projector {p.dim}")
-    value = float(np.trace(rho.matrix @ p.matrix).real)
-    if value < -TOL or value > 1.0 + TOL:
-        raise ValueError(f"trace-rule value {value} outside [0, 1] tolerance band; "
-                         "an upstream invariant is broken")
-    return min(max(value, 0.0), 1.0)
+    return float(born_probabilities(rho, p.matrix[None])[0])
 
 
 def context_distribution(rho: DensityOperator, c: Context) -> np.ndarray:
@@ -195,18 +214,6 @@ def maximally_mixed(dim: int) -> DensityOperator:
     return DensityOperator(np.eye(dim) / dim)
 
 
-def basis_projector(dim: int, index: int) -> Projector:
-    """Rank-1 projector onto computational basis vector |index>."""
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[index, index] = 1.0
-    return Projector(mat)
-
-
-def computational_context(dim: int) -> Context:
-    """Context of all computational-basis rank-1 projectors."""
-    return Context(tuple(basis_projector(dim, k) for k in range(dim)))
-
-
 def polarization_observable(theta: float) -> DichotomicObservable:
     """Analyzer at angle theta: +1 projects onto (cos theta, sin theta)."""
     if not math.isfinite(theta):
@@ -222,10 +229,6 @@ def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
-def tensor_projector(a: Projector, b: Projector) -> Projector:
-    return Projector(tensor(a.matrix, b.matrix))
-
-
 def photon_pair_state() -> DensityOperator:
     """Maximally entangled pair (|HH> + |VV>)/sqrt(2) as a density operator."""
     ket = np.zeros(4, dtype=complex)
@@ -236,7 +239,8 @@ def photon_pair_state() -> DensityOperator:
 def joint_context(a: DichotomicObservable, b: DichotomicObservable) -> Context:
     """Four-projector context {Pa (x) Pb} ordered per OUTCOME_PAIRS."""
     return Context(tuple(
-        tensor_projector(a.projector(oa), b.projector(ob)) for oa, ob in OUTCOME_PAIRS
+        Projector(tensor(a.projector(oa).matrix, b.projector(ob).matrix))
+        for oa, ob in OUTCOME_PAIRS
     ))
 
 
@@ -247,6 +251,11 @@ def operator_to_json(mat: np.ndarray) -> list[list[list[float]]]:
 
 
 def operator_from_json(data: object) -> np.ndarray:
-    """Inverse of operator_to_json."""
-    rows = [[complex(entry[0], entry[1]) for entry in row] for row in data]  # type: ignore[union-attr]
-    return as_operator(rows)
+    """Inverse of operator_to_json; anything but a square nested array of
+    finite ``[re, im]`` number pairs is a ValueError."""
+    pairs = np.array(data)  # a ragged nesting is already a ValueError
+    if (pairs.dtype.kind not in "iuf" or pairs.ndim != 3 or pairs.shape[2] != 2
+            or pairs.shape[0] != pairs.shape[1] or not np.isfinite(pairs).all()):
+        raise ValueError("operator must be a square nested array of finite [re, im] "
+                         "number pairs")
+    return as_operator(np.ascontiguousarray(pairs, dtype=float).view(complex)[..., 0])

@@ -191,6 +191,52 @@ class TestGleasonCheck:
                      "--quiet"]) == 0
 
 
+# Well-formed JSON that is not a square nested array of [re, im] number pairs.
+BAD_STATES = ("[1,2]", '{"a":1}', "[[1]]", "null", '[[["x",0]]]', "[[[1,0],[0,0]]]",
+              '[[["1",0]]]', "[[[NaN,0]]]")
+
+
+@pytest.mark.parametrize("state", BAD_STATES)
+def test_gleason_check_bad_state_file_exits_3(tmp_path, capsys, state):
+    path = tmp_path / "state.json"
+    path.write_text(state)
+    assert main(["gleason-check", "--dim", "2", "--n-contexts", "5", "--state", str(path),
+                 "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error: state file") and err.count("\n") == 1
+    assert not list(tmp_path.glob("gleason_*.json"))
+
+
+def test_gleason_check_unreadable_state_file_exits_4(tmp_path, capsys):
+    assert main(["gleason-check", "--dim", "2", "--state", str(tmp_path / "absent.json"),
+                 "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and err.count("\n") == 1
+
+
+CONFIG_COMMANDS = (("simulate",), ("kc-verify",), ("plot", "curve.svg"))
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+@pytest.mark.parametrize("state", BAD_STATES)
+def test_bad_model_state_file_exits_3(tmp_path, capsys, command, state):
+    path = tmp_path / "state.json"
+    path.write_text(state)
+    config = write_quick_config(tmp_path, trials=2000, **{"model.state_file": str(path)})
+    assert main([command[0], str(config), *command[1:], "--out-dir", str(tmp_path)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("model error: model.kind=quantum") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_unreadable_model_state_file_exits_4(tmp_path, capsys, command):
+    config = write_quick_config(tmp_path, trials=2000,
+                                **{"model.state_file": str(tmp_path / "absent.json")})
+    assert main([command[0], str(config), *command[1:], "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and err.count("\n") == 1
+
+
 class TestLhvBound:
     def test_bound_and_vertices(self, capsys):
         assert main(["lhv-bound"]) == 0

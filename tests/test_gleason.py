@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bellctx import gleason
 from bellctx.gleason import (
     FrameFunction,
     check_orthogonal_additivity,
@@ -22,6 +23,11 @@ from bellctx.gleason import (
 from bellctx.quantum import DensityOperator, Projector, born_probability, operator_to_json
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def rank_proportional(dim: int) -> FrameFunction:
+    """m(P) = rank(P)/dim; the trace form of the maximally mixed state."""
+    return FrameFunction(dim, lambda stack, ranks: ranks / dim, "rank_proportional")
 
 
 class TestRandomSampling:
@@ -71,10 +77,10 @@ class TestFrameFunction:
 
     def test_unnormalized_rule_rejected(self):
         with pytest.raises(ValueError, match="identity"):
-            FrameFunction(2, lambda p: 0.5 * p.rank / 2, "half")
+            FrameFunction(2, lambda stack, ranks: 0.5 * ranks / 2, "half")
 
     def test_dimension_mismatch_rejected(self):
-        m = FrameFunction.rank_proportional(2)
+        m = rank_proportional(2)
         with pytest.raises(ValueError, match="dimension mismatch"):
             m(Projector(np.eye(3)))
 
@@ -95,7 +101,7 @@ class TestOrthogonalAdditivity:
             assert report.passed, f"dim {dim}: {report.worst_violation}"
 
     def test_rank_proportional_passes(self):
-        report = check_orthogonal_additivity(FrameFunction.rank_proportional(3), 200, 3, seed=9)
+        report = check_orthogonal_additivity(rank_proportional(3), 200, 3, seed=9)
         assert report.passed
 
     def test_squared_trace_fails_big(self):
@@ -107,7 +113,36 @@ class TestOrthogonalAdditivity:
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            check_orthogonal_additivity(FrameFunction.rank_proportional(2), 10, 3, seed=0)
+            check_orthogonal_additivity(rank_proportional(2), 10, 3, seed=0)
+
+    def test_non_unitary_contexts_are_rejected(self, monkeypatch):
+        # The raw Gaussians in place of their unitaries: blocks B B^dagger of
+        # columns that are not orthonormal are not idempotent.
+        monkeypatch.setattr(gleason, "_haar_unitaries", lambda ginibre: ginibre)
+        m = FrameFunction.trace_form(random_density(3, np.random.default_rng(40)))
+        with pytest.raises(ValueError, match="not idempotent"):
+            check_orthogonal_additivity(m, 200, 3, seed=41)
+
+    def test_random_context_rejects_non_unitary_haar_unitary(self, monkeypatch):
+        monkeypatch.setattr(gleason, "haar_unitary", lambda dim, rng: 1.5 * np.eye(dim))
+        with pytest.raises(ValueError, match="not idempotent"):
+            random_context(3, (1, 2), seed=42)
+
+    def test_values_outside_unit_interval_are_rejected(self):
+        # Normalized on 0 and I, but rank-1 projectors get 1.5.
+        m = FrameFunction(2, lambda stack, ranks: np.where(ranks == 1, 1.5, ranks / 2), "over")
+        with pytest.raises(ValueError, match="outside"):
+            check_orthogonal_additivity(m, 10, 2, seed=43)
+
+    def test_incomplete_contexts_are_rejected(self, monkeypatch):
+        # Keep each context's first projector only: orthogonal, idempotent,
+        # integer trace, but the parts no longer sum to the identity.
+        stack = gleason._context_stack
+        monkeypatch.setattr(gleason, "_context_stack",
+                            lambda unitaries, profile: stack(unitaries, profile)[:, :1])
+        m = FrameFunction.trace_form(random_density(3, np.random.default_rng(44)))
+        with pytest.raises(ValueError, match="incomplete"):
+            check_orthogonal_additivity(m, 50, 3, seed=45)
 
 
 class TestTraceFormFit:
@@ -133,7 +168,7 @@ class TestTraceFormFit:
 
     def test_rank_proportional_recovers_maximally_mixed(self):
         rng = np.random.default_rng(13)
-        m = FrameFunction.rank_proportional(3)
+        m = rank_proportional(3)
         samples = [(p, m(p)) for p in (random_rank_one(3, rng) for _ in range(30))]
         fit = fit_trace_form(samples, 3)
         assert np.max(np.abs(fit.rho_estimate.matrix - np.eye(3) / 3)) <= 1e-8
@@ -243,19 +278,16 @@ class TestExtravalence:
     def test_rank_proportional_spread_is_zero(self):
         rng = np.random.default_rng(30)
         p = random_rank_one(3, rng)
-        report = extravalence_check(FrameFunction.rank_proportional(3), p, 50, seed=31)
+        report = extravalence_check(rank_proportional(3), p, 50, seed=31)
         assert report.spread == 0.0
 
     def test_context_dependent_rule_fails(self):
         # Negative control: value perturbed by a hash of the projector
         # entries, so each embedding's residual mass wobbles.
-        def noisy(p: Projector) -> float:
-            if p.rank == 0:
-                return 0.0
-            if p.rank == 3:
-                return 1.0
-            wobble = (hash(p.matrix.tobytes()) % 1009) / 1009.0
-            return min(1.0, max(0.0, p.rank / 3 + 0.2 * (wobble - 0.5)))
+        def noisy(stack: np.ndarray, ranks: np.ndarray) -> np.ndarray:
+            wobble = np.array([hash(p.tobytes()) % 1009 for p in stack]) / 1009.0
+            values = np.clip(ranks / 3 + 0.2 * (wobble - 0.5), 0.0, 1.0)
+            return np.where((ranks == 0) | (ranks == 3), ranks / 3, values)
 
         m = FrameFunction(3, noisy, "hash_perturbed")
         rng = np.random.default_rng(32)

@@ -3,8 +3,9 @@
 Covers every shipped config: ``simulate`` at 20 000 trials with
 ``chunk_size = 4096`` at 1 and 2 workers (event log, counts CSV and the
 report without its ``meta`` block), the ``kc-verify`` report without
-``meta``, the ``gleason-check`` report without ``meta`` at dim 2 and 3,
-the ``plot`` SVG, and the stdout of ``lhv-bound --format json`` with no
+``meta``, the ``gleason-check`` report without ``meta`` at dims 2-6 (200
+contexts, and 1000 contexts against a ``--state`` file, the way the
+benchmark runs it), the ``plot`` SVG, and the stdout of ``lhv-bound --format json`` with no
 argument and with the photon-pair tables file. The reports whose digests
 leave ``meta`` out must still time themselves there.
 
@@ -19,10 +20,13 @@ import json
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from bellctx.cli import main
 from bellctx.config import parse_config_text
+from bellctx.gleason import random_density
+from bellctx.quantum import operator_to_json
 
 HERE = Path(__file__).parent
 CONFIGS = HERE.parent / "src" / "bellctx" / "configs"
@@ -30,7 +34,7 @@ GOLDEN = HERE / "golden" / "artifact_digests.json"
 PHOTON_PAIR_TABLES = HERE / "golden" / "photon_pair_tables.json"
 SHIPPED = sorted(path.name for path in CONFIGS.glob("*.cfg"))
 PLOTTED = ("chsh_quantum.cfg", "chsh_lhv_uniform.cfg")
-GLEASON_DIMS = (2, 3)
+GLEASON_DIMS = (2, 3, 4, 5, 6)
 
 
 def sha256(data) -> str:
@@ -67,6 +71,16 @@ def kc_verify_digest(out: Path, name: str) -> str:
 
 def gleason_check_digest(out: Path, dim: int) -> str:
     assert main(["gleason-check", "--dim", str(dim), "--n-contexts", "200", "--seed", "5",
+                 "--out-dir", str(out), "--quiet"]) == 0
+    return report_digest(out / f"gleason_dim{dim}.json")
+
+
+def gleason_state_digest(out: Path, dim: int) -> str:
+    state = out / "state.json"
+    rho = random_density(dim, np.random.default_rng(600 + dim))
+    state.write_text(json.dumps(operator_to_json(rho.matrix)))
+    assert main(["gleason-check", "--dim", str(dim), "--n-contexts", "1000",
+                 "--state", str(state), "--seed", str(700 + dim),
                  "--out-dir", str(out), "--quiet"]) == 0
     return report_digest(out / f"gleason_dim{dim}.json")
 
@@ -110,6 +124,12 @@ def test_gleason_check_report_matches_golden(tmp_path, dim):
     assert wall_clock(tmp_path / f"gleason_dim{dim}.json") > 0
 
 
+@pytest.mark.parametrize("dim", GLEASON_DIMS)
+def test_gleason_check_state_file_report_matches_golden(tmp_path, dim):
+    expected = golden()["gleason_check"][f"dim{dim}-state"]
+    assert gleason_state_digest(tmp_path, dim) == expected
+
+
 @pytest.mark.parametrize("name", PLOTTED)
 def test_plot_svg_matches_golden(tmp_path, name):
     assert plot_digest(tmp_path, name) == golden()["plot"][name]
@@ -139,6 +159,9 @@ def _record(out: Path) -> dict:
         target = out / f"gleason-dim{dim}"
         target.mkdir()
         digests["gleason_check"][f"dim{dim}"] = gleason_check_digest(target, dim)
+        target = out / f"gleason-dim{dim}-state"
+        target.mkdir()
+        digests["gleason_check"][f"dim{dim}-state"] = gleason_state_digest(target, dim)
     for name in PLOTTED:
         target = out / f"{name}-plot"
         target.mkdir()

@@ -22,7 +22,6 @@ from bellctx.models import DeterministicStrategy, MixedLhvModel, QuantumModel
 from bellctx.quantum import (
     Context,
     Projector,
-    computational_context,
     maximally_mixed,
     photon_pair_state,
     polarization_observable,
@@ -30,6 +29,11 @@ from bellctx.quantum import (
 )
 
 RT2 = math.sqrt(2.0)
+
+
+def computational_context(dim: int) -> Context:
+    """Context of the computational-basis rank-1 projectors."""
+    return Context(tuple(Projector(np.diag(row)) for row in np.eye(dim)))
 
 
 def behaviour(rho, spec: SettingsSpec) -> np.ndarray:

@@ -6,7 +6,8 @@ setting probabilities under all eight sign patterns (as ``float.hex``),
 the Kolmogorov audit of random spaces in exhaustive and sampled mode
 (exhaustively up to 16 atoms) and of each shipped config's mixed space,
 and the additivity and extravalence reports of frame functions at
-dims 2-4. Audit reports are compared as ``json.dumps(asdict(report),
+dims 2-4, with additivity also at dims 2-6 over 1, 127, 129 and 1000
+contexts, either side of the check's 128-context blocks. Audit reports are compared as ``json.dumps(asdict(report),
 sort_keys=True)`` strings, so every float must match to the last bit.
 
 Regenerate ``kolmogorov_pins.json`` (only when an output change is
@@ -104,13 +105,13 @@ def audit_case(name: str) -> str:
 FRAME_FUNCTIONS = ("trace_form", "squared_trace_form", "counterexample")
 
 
-def additivity_case(dim: int, kind: str) -> str:
+def additivity_case(dim: int, kind: str, n_contexts: int = 40) -> str:
     rng = np.random.default_rng(100 + dim)
     rho = random_density(dim, rng)
     m = {"trace_form": lambda: FrameFunction.trace_form(rho),
          "squared_trace_form": lambda: FrameFunction.squared_trace_form(rho),
          "counterexample": dim2_counterexample}[kind]()
-    return _dump(check_orthogonal_additivity(m, 40, dim, 200 + dim))
+    return _dump(check_orthogonal_additivity(m, n_contexts, dim, 200 + dim))
 
 
 def extravalence_case(dim: int) -> str:
@@ -119,9 +120,13 @@ def extravalence_case(dim: int) -> str:
     return _dump(extravalence_check(m, random_rank_one(dim, rng), 30, 400 + dim))
 
 
-def additivity_keys() -> list[tuple[int, str]]:
-    return [(dim, kind) for dim in (2, 3, 4) for kind in FRAME_FUNCTIONS
+def additivity_keys(dims=(2, 3, 4)) -> list[tuple[int, str]]:
+    return [(dim, kind) for dim in dims for kind in FRAME_FUNCTIONS
             if kind != "counterexample" or dim == 2]
+
+
+BLOCK_EDGE_CASES = [(dim, kind, n) for dim, kind in additivity_keys((2, 3, 4, 5, 6))
+                    for n in (1, 127, 129, 1000)]
 
 
 def compute_pins() -> dict:
@@ -130,6 +135,8 @@ def compute_pins() -> dict:
         "verify_kolmogorov": {name: audit_case(name) for name in AUDIT_CASES},
         "check_orthogonal_additivity": {
             f"{dim}-{kind}": additivity_case(dim, kind) for dim, kind in additivity_keys()},
+        "check_orthogonal_additivity_blocks": {
+            f"{dim}-{kind}-{n}": additivity_case(dim, kind, n) for dim, kind, n in BLOCK_EDGE_CASES},
         "extravalence_check": {str(dim): extravalence_case(dim) for dim in (3, 4)},
     }
 
@@ -150,6 +157,12 @@ def test_kolmogorov_audit_is_unchanged(name):
 @pytest.mark.parametrize("dim,kind", additivity_keys())
 def test_additivity_report_is_unchanged(dim, kind):
     assert additivity_case(dim, kind) == PINNED["check_orthogonal_additivity"][f"{dim}-{kind}"]
+
+
+@pytest.mark.parametrize("dim,kind,n", BLOCK_EDGE_CASES)
+def test_additivity_report_at_block_edges_is_unchanged(dim, kind, n):
+    expected = PINNED["check_orthogonal_additivity_blocks"][f"{dim}-{kind}-{n}"]
+    assert additivity_case(dim, kind, n) == expected
 
 
 @pytest.mark.parametrize("dim", (3, 4))

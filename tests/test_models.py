@@ -23,7 +23,6 @@ from bellctx.models import (
     local_polytope_membership,
     maximizing_strategies,
     model_description_hash,
-    nearest_lhv_mixture,
     no_signalling_deltas,
     superdeterministic_s4_example,
     tables_from_json,
@@ -273,19 +272,6 @@ class TestPolytopeMembership:
         assert not result.is_local
         assert result.witness_s == pytest.approx(4.0)
         assert result.witness_combination == DEFAULT_COMBINATION
-
-    def test_cross_check_against_projection_oracle(self):
-        # Projection onto the strategy simplex as an independent check:
-        # members land at numerically zero distance, violators stay away.
-        rng = np.random.default_rng(9)
-        strategies = tuple(enumerate_deterministic_strategies())
-        for _ in range(5):
-            member = MixedLhvModel(strategies, tuple(rng.dirichlet(np.ones(16))))
-            _, residual = nearest_lhv_mixture(member.behaviour())
-            assert residual < 1e-6
-        for model in (PrBoxModel(), quantum_pair_model()):
-            _, residual = nearest_lhv_mixture(model.behaviour())
-            assert residual > 0.1
 
     def test_missing_cell_rejected(self):
         p = PrBoxModel().behaviour()[:, :1]

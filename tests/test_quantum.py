@@ -11,7 +11,6 @@ from bellctx.quantum import (
     DichotomicObservable,
     Projector,
     born_probability,
-    computational_context,
     context_distribution,
     joint_context,
     maximally_mixed,
@@ -21,10 +20,14 @@ from bellctx.quantum import (
     polarization_observable,
     pure_state,
     tensor,
-    tensor_projector,
 )
 from bellctx.chsh import correlations
 from bellctx.gleason import haar_unitary, random_context, random_density, random_rank_profile
+
+
+def computational_context(dim: int) -> Context:
+    """Context of the computational-basis rank-1 projectors."""
+    return Context(tuple(Projector(np.diag(row)) for row in np.eye(dim)))
 
 
 def trace_prob(rho_matrix, proj_matrix) -> float:
@@ -187,7 +190,7 @@ class TestTensor:
             v = haar_unitary(2, rng)[:, 0]
             p = Projector(np.outer(u, u.conj()))
             q = Projector(np.outer(v, v.conj()))
-            pq = tensor_projector(p, q)
+            pq = Projector(tensor(p.matrix, q.matrix))
             assert np.max(np.abs(pq.matrix @ pq.matrix - pq.matrix)) <= 1e-10
 
 
