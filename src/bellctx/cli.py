@@ -12,6 +12,10 @@ Exit codes: 0 success, 2 config/usage error, 3 model validation error,
 4 I/O error. Every command is deterministic given (config, seed):
 timing and version info live in a separate ``meta`` field that is
 excluded from the reproducibility hash.
+
+Each ``cmd_*`` does its work and returns an :class:`Output`; ``main``
+then creates the output directory, writes the artifacts and the report,
+and prints the summary in the chosen ``--format``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import os
 import platform
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -78,35 +82,20 @@ OUT_DIR_ENV = "BELLCTX_OUT_DIR"
 RT2 = math.sqrt(2.0)
 
 
+@dataclass
+class Output:
+    """What a command returns; ``main`` writes and prints it."""
+
+    lines: list[str]                   # the text summary
+    report: dict | None = None         # printed by --format json
+    report_path: Path | None = None    # {"report", "meta"}, written after the artifacts
+    artifacts: list = field(default_factory=list)  # (path, bytes or writer(path)), in order
+    csv: str | None = None             # printed by --format csv
+    workers: int | None = None         # meta["workers"]
+
+
 def _out_dir(args) -> Path:
-    chosen = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    path = Path(chosen)
-    path.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-def _say(args, message: str) -> None:
-    if not args.quiet:
-        print(message)
-
-
-def _meta(wall_clock: float, n_workers: int | None = None) -> dict:
-    meta = {
-        "wall_clock_seconds": wall_clock,
-        "timestamp_utc": datetime.now(timezone.utc).isoformat(),
-        "versions": {
-            "bellctx": __version__,
-            "numpy": np.__version__,
-            "python": platform.python_version(),
-        },
-    }
-    if n_workers is not None:
-        meta["workers"] = n_workers
-    return meta
-
-
-def _report_json(report: dict, meta: dict) -> bytes:
-    return (json.dumps({"report": report, "meta": meta}, sort_keys=True, indent=2) + "\n").encode()
+    return Path(args.out_dir or os.environ.get(OUT_DIR_ENV) or ".")
 
 
 def _audit_ok(report: dict) -> bool:
@@ -126,17 +115,15 @@ def _kc_summary(cfg: ExperimentConfig) -> dict | None:
     }
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> Output:
     cfg = load_experiment(args.config, args.seed)
     out_dir = _out_dir(args)
-    started = time.perf_counter()
     result = run_experiment(cfg.model, cfg.n_trials, cfg.settings, cfg.master_seed,
                             cfg.chunk_size, cfg.n_workers)
     estimates = estimate_report(result.counts, cfg.combination)
     exact = (exact_estimates(cfg.model, cfg.settings, cfg.combination)
              if is_two_by_two(cfg.model.behaviour()) else None)
     kc = _kc_summary(cfg)
-    wall_clock = time.perf_counter() - started
 
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -156,33 +143,25 @@ def cmd_simulate(args) -> int:
         "kc": kc,
     }
 
-    event_path = out_dir / cfg.out_event_log
-    result.write_event_log(event_path)
-    atomic_write(out_dir / cfg.out_counts, (result.counts.to_csv().encode(),))
-    atomic_write(out_dir / cfg.out_report,
-                 (_report_json(report, _meta(wall_clock, cfg.n_workers)),))
-
-    if args.format == "json":
-        _say(args, json.dumps(report, sort_keys=True))
-    elif args.format == "csv":
-        _say(args, result.counts.to_csv().rstrip("\n"))
-    else:
-        _say(args, f"{cfg.n_trials} trials of model '{cfg.model.kind}' "
-                   f"(seed {cfg.master_seed}, {cfg.n_workers} worker(s))")
-        if estimates.s is not None:
-            _say(args, f"S        = {estimates.s:+.4f} +/- {estimates.s_se:.4f}"
-                       + (f"   (exact {exact.s:+.4f})" if exact else ""))
-            _say(args, f"S_global = {estimates.s_global:+.4f} +/- {estimates.s_global_se:.4f}"
-                       + (f"   (exact {exact.s_global:+.4f})" if exact else ""))
-        flagged = [a for a in estimates.audits if a["flagged"]]
-        _say(args, f"no-signalling audit: {len(flagged)} flag(s)")
-        _say(args, f"wrote {event_path}, {out_dir / cfg.out_counts}, "
-                   f"{out_dir / cfg.out_report}")
-    return EXIT_OK
+    event_path, counts_path, report_path = (
+        out_dir / name for name in (cfg.out_event_log, cfg.out_counts, cfg.out_report))
+    csv = result.counts.to_csv()
+    lines = [f"{cfg.n_trials} trials of model '{cfg.model.kind}' "
+             f"(seed {cfg.master_seed}, {cfg.n_workers} worker(s))"]
+    if estimates.s is not None:
+        lines += [f"S        = {estimates.s:+.4f} +/- {estimates.s_se:.4f}"
+                  + (f"   (exact {exact.s:+.4f})" if exact else ""),
+                  f"S_global = {estimates.s_global:+.4f} +/- {estimates.s_global_se:.4f}"
+                  + (f"   (exact {exact.s_global:+.4f})" if exact else "")]
+    flagged = [a for a in estimates.audits if a["flagged"]]
+    lines += [f"no-signalling audit: {len(flagged)} flag(s)",
+              f"wrote {event_path}, {counts_path}, {report_path}"]
+    return Output(lines, report, report_path,
+                  [(event_path, result.write_event_log), (counts_path, csv.encode())],
+                  csv=csv, workers=cfg.n_workers)
 
 
-def cmd_kc_verify(args) -> int:
-    started = time.perf_counter()
+def cmd_kc_verify(args) -> Output:
     cfg = load_experiment(args.config, args.seed)
     out_dir = _out_dir(args)
     kc = _kc_summary(cfg)
@@ -218,32 +197,25 @@ def cmd_kc_verify(args) -> int:
             "conditional-normalization bound"),
     }
     path = out_dir / "kc_report.json"
-    atomic_write(path, (_report_json(report, _meta(time.perf_counter() - started)),))
-
-    if args.format == "json":
-        _say(args, json.dumps(report, sort_keys=True))
-    else:
-        for key, entry in contexts.items():
-            _say(args, f"context ({key}): {entry['n_atoms']} atoms, "
-                       f"{'OK' if _audit_ok(entry['report']) else 'FAILED'}")
-        mixed = kc["report"]
-        _say(args, f"mixed space: {kc['n_atoms']} atoms, "
-                   f"{'OK' if _audit_ok(mixed) else 'FAILED'} "
-                   f"({mixed['additivity_mode']}, "
-                   f"{mixed['n_additivity_checks']} additivity checks)")
-        _say(args, f"analytic S        = {exact.s:+.10f}")
-        _say(args, f"analytic S_global = {s_prime:+.10f}   (x4 = {4 * s_prime:+.10f})")
-        _say(args, f"wrote {path}")
-    return EXIT_OK
+    mixed = kc["report"]
+    lines = [f"context ({key}): {entry['n_atoms']} atoms, "
+             f"{'OK' if _audit_ok(entry['report']) else 'FAILED'}"
+             for key, entry in contexts.items()]
+    lines += [f"mixed space: {kc['n_atoms']} atoms, "
+              f"{'OK' if _audit_ok(mixed) else 'FAILED'} "
+              f"({mixed['additivity_mode']}, "
+              f"{mixed['n_additivity_checks']} additivity checks)",
+              f"analytic S        = {exact.s:+.10f}",
+              f"analytic S_global = {s_prime:+.10f}   (x4 = {4 * s_prime:+.10f})",
+              f"wrote {path}"]
+    return Output(lines, report, path)
 
 
-def cmd_gleason_check(args) -> int:
-    started = time.perf_counter()
+def cmd_gleason_check(args) -> Output:
     if args.dim < 2:
         raise ConfigError(f"dimension must be at least 2, got {args.dim}")
     if args.n_contexts < 1:
         raise ConfigError(f"n-contexts must be at least 1, got {args.n_contexts}")
-    out_dir = _out_dir(args)
     seed = 0 if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     if args.state:
@@ -297,29 +269,24 @@ def cmd_gleason_check(args) -> int:
                 "context yet admits no representing state"),
         }
 
-    path = out_dir / f"gleason_dim{args.dim}.json"
-    atomic_write(path, (_report_json(report, _meta(time.perf_counter() - started)),))
-
-    if args.format == "json":
-        _say(args, json.dumps(report, sort_keys=True))
-    else:
-        _say(args, f"dim {args.dim}: additivity over {args.n_contexts} random contexts: "
-                   f"{'OK' if additivity.passed else 'FAILED'} "
-                   f"(worst violation {additivity.worst_violation:.2e})")
-        _say(args, f"trace-form fit: residual {fit.residual:.2e}, "
-                   f"state recovered to {recovery_error:.2e}")
-        if args.dim == 2:
-            ce_entry = report["counterexample"]
-            _say(args, "dim-2 counterexample: additivity "
-                       f"{'OK' if ce_entry['additivity']['passed'] else 'FAILED'} "
-                       f"but fit residual {ce_entry['fit_residual']:.3f} "
-                       "(no representing state)")
-            _say(args, ce_entry["note"])
-        _say(args, f"wrote {path}")
-    return EXIT_OK
+    path = _out_dir(args) / f"gleason_dim{args.dim}.json"
+    lines = [f"dim {args.dim}: additivity over {args.n_contexts} random contexts: "
+             f"{'OK' if additivity.passed else 'FAILED'} "
+             f"(worst violation {additivity.worst_violation:.2e})",
+             f"trace-form fit: residual {fit.residual:.2e}, "
+             f"state recovered to {recovery_error:.2e}"]
+    if args.dim == 2:
+        ce_entry = report["counterexample"]
+        lines += ["dim-2 counterexample: additivity "
+                  f"{'OK' if ce_entry['additivity']['passed'] else 'FAILED'} "
+                  f"but fit residual {ce_entry['fit_residual']:.3f} "
+                  "(no representing state)",
+                  ce_entry["note"]]
+    lines.append(f"wrote {path}")
+    return Output(lines, report, path)
 
 
-def cmd_lhv_bound(args) -> int:
+def cmd_lhv_bound(args) -> Output:
     if args.tables:
         try:
             # An unreadable file is an OSError and exits as an I/O error.
@@ -332,41 +299,29 @@ def cmd_lhv_bound(args) -> int:
         try:
             verdict = local_polytope_membership(p)
         except SignallingTablesError as exc:
-            _say(args, json.dumps({"ill_posed": "signalling", "reason": str(exc)}, sort_keys=True)
-                 if args.format == "json" else f"ill-posed: signalling -- {exc}")
-            return EXIT_OK
-        if args.format == "json":
-            _say(args, json.dumps({
-                "is_local": verdict.is_local,
-                "max_abs_s": verdict.max_abs_s,
-                "witness_s": verdict.witness_s,
-                "witness_pattern": None if verdict.witness_combination is None
-                else verdict.witness_combination.to_string(),
-            }, sort_keys=True))
-        else:
-            _say(args, verdict.describe())
-        return EXIT_OK
+            return Output([f"ill-posed: signalling -- {exc}"],
+                          {"ill_posed": "signalling", "reason": str(exc)})
+        return Output([verdict.describe()], {
+            "is_local": verdict.is_local,
+            "max_abs_s": verdict.max_abs_s,
+            "witness_s": verdict.witness_s,
+            "witness_pattern": None if verdict.witness_combination is None
+            else verdict.witness_combination.to_string(),
+        })
 
     bound = lhv_max_chsh()
     winners = maximizing_strategies()
 
-    def strategy_text(s):
-        fmt = lambda vs: "(" + ",".join("+" if v == 1 else "-" for v in vs) + ")"
-        return f"a{fmt(s.a_of_x)} b{fmt(s.b_of_y)}  S={s.chsh()}"
+    def signs(vs) -> str:
+        return "(" + ",".join("+" if v == 1 else "-" for v in vs) + ")"
 
-    if args.format == "json":
-        _say(args, json.dumps({
-            "max_abs_s": bound,
-            "maximizing_strategies": [s.to_json_dict() for s in winners],
-        }, sort_keys=True))
-    else:
-        _say(args, f"exhaustive max |S| over 16 deterministic strategies and "
-                   f"8 sign patterns: {bound}")
-        _say(args, f"strategies reaching S = +{bound} at pattern "
-                   f"{DEFAULT_COMBINATION.to_string()}:")
-        for s in winners:
-            _say(args, "  " + strategy_text(s))
-    return EXIT_OK
+    lines = [f"exhaustive max |S| over 16 deterministic strategies and "
+             f"8 sign patterns: {bound}",
+             f"strategies reaching S = +{bound} at pattern "
+             f"{DEFAULT_COMBINATION.to_string()}:"]
+    lines += [f"  a{signs(s.a_of_x)} b{signs(s.b_of_y)}  S={s.chsh()}" for s in winners]
+    return Output(lines, {"max_abs_s": bound,
+                          "maximizing_strategies": [s.to_json_dict() for s in winners]})
 
 
 def _at_angles(cfg: ExperimentConfig, alice_angles, bob_angles) -> OutcomeModel:
@@ -377,7 +332,7 @@ def _at_angles(cfg: ExperimentConfig, alice_angles, bob_angles) -> OutcomeModel:
     return cfg.model
 
 
-def cmd_plot(args) -> int:
+def cmd_plot(args) -> Output:
     cfg = load_experiment(args.config, args.seed)
     if not is_two_by_two(cfg.model.behaviour()):
         raise ConfigError("plot needs a model with two settings per side")
@@ -387,7 +342,6 @@ def cmd_plot(args) -> int:
             f"with {args.sweep_points} points")
     if args.mc_trials < 100:
         raise ConfigError("mc-trials must be at least 100")
-    out_dir = _out_dir(args)
 
     base = cfg.settings.alice_angles[0]
 
@@ -433,10 +387,9 @@ def cmd_plot(args) -> int:
     sweep_panel.add_curve(offsets, s_curve, color="#2ca02c")
 
     svg = render_panels([correlation_panel, sweep_panel])
-    path = out_dir / args.output
-    atomic_write(path, (svg.encode(),))
-    _say(args, f"wrote {path} (peak |S| over sweep: {max(abs(s) for s in s_curve):.4f})")
-    return EXIT_OK
+    path = _out_dir(args) / args.output
+    return Output([f"wrote {path} (peak |S| over sweep: {max(abs(s) for s in s_curve):.4f})"],
+                  artifacts=[(path, svg.encode())])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -446,58 +399,93 @@ def build_parser() -> argparse.ArgumentParser:
                     "and frame-function checks.")
     parser.add_argument("--version", action="version", version=f"bellctx {__version__}")
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--seed", type=int, default=None,
-                        help="override the config seed")
-    common.add_argument("--out-dir", default=None,
-                        help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
-    common.add_argument("--format", choices=("json", "csv", "text"), default="text",
-                        help="stdout format")
-    common.add_argument("--quiet", action="store_true", help="suppress stdout")
-
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("simulate", parents=[common],
-                       help="run a configured experiment, write log/counts/report")
+    def command(name, func, summary, formats=("json", "text"), writes=True):
+        """A subcommand with only the output flags it reads."""
+        p = sub.add_parser(name, help=summary)
+        if writes:
+            p.add_argument("--seed", type=int, default=None,
+                           help="random seed (overrides a config's seed)")
+            p.add_argument("--out-dir", default=None,
+                           help=f"output directory (default: ${OUT_DIR_ENV} or cwd)")
+        if formats:
+            p.add_argument("--format", choices=formats, help="stdout format")
+        p.add_argument("--quiet", action="store_true", help="suppress stdout")
+        p.set_defaults(func=func, format="text")
+        return p
+
+    p = command("simulate", cmd_simulate, "run a configured experiment, write log/counts/report",
+                formats=("json", "csv", "text"))
     p.add_argument("config", help="path to .cfg or .json experiment config")
-    p.set_defaults(func=cmd_simulate)
 
-    p = sub.add_parser("kc-verify", parents=[common],
-                       help="audit per-context and mixed-context probability spaces")
+    p = command("kc-verify", cmd_kc_verify,
+                "audit per-context and mixed-context probability spaces")
     p.add_argument("config")
-    p.set_defaults(func=cmd_kc_verify)
 
-    p = sub.add_parser("gleason-check", parents=[common],
-                       help="frame-function additivity and trace-form fit checks")
+    p = command("gleason-check", cmd_gleason_check,
+                "frame-function additivity and trace-form fit checks")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--n-contexts", type=int, default=1000)
     p.add_argument("--state", default=None, help="operator JSON file for the state")
-    p.set_defaults(func=cmd_gleason_check)
 
-    p = sub.add_parser("lhv-bound", parents=[common],
-                       help="deterministic-strategy bound, or membership of tables")
+    p = command("lhv-bound", cmd_lhv_bound,
+                "deterministic-strategy bound, or membership of tables", writes=False)
     p.add_argument("tables", nargs="?", default=None,
                    help="optional JSON file of four conditional tables")
-    p.set_defaults(func=cmd_lhv_bound)
 
-    p = sub.add_parser("plot", parents=[common],
-                       help="correlation curve and S sweep as SVG")
+    p = command("plot", cmd_plot, "correlation curve and S sweep as SVG", formats=())
     p.add_argument("config")
     p.add_argument("output", help="output SVG filename")
     p.add_argument("--sweep-start", type=float, default=-math.pi / 4)
     p.add_argument("--sweep-stop", type=float, default=math.pi / 4)
     p.add_argument("--sweep-points", type=int, default=61)
     p.add_argument("--mc-trials", type=int, default=20_000)
-    p.set_defaults(func=cmd_plot)
 
     return parser
 
 
+def _run(args) -> None:
+    """Run one command, write what it returned (the report file last) and
+    print its summary."""
+    started = time.perf_counter()
+    out = args.func(args)
+    if out.artifacts or out.report_path:
+        _out_dir(args).mkdir(parents=True, exist_ok=True)
+    for path, data in out.artifacts:
+        if callable(data):
+            data(path)
+        else:
+            atomic_write(path, (data,))
+    if out.report_path:
+        meta = {
+            "wall_clock_seconds": time.perf_counter() - started,
+            "timestamp_utc": datetime.now(timezone.utc).isoformat(),
+            "versions": {
+                "bellctx": __version__,
+                "numpy": np.__version__,
+                "python": platform.python_version(),
+            },
+        }
+        if out.workers is not None:
+            meta["workers"] = out.workers
+        atomic_write(out.report_path, ((json.dumps({"report": out.report, "meta": meta},
+                                                   sort_keys=True, indent=2) + "\n").encode(),))
+    if args.quiet:
+        return
+    if args.format == "json":
+        print(json.dumps(out.report, sort_keys=True))
+    elif args.format == "csv":
+        print(out.csv.rstrip("\n"))
+    else:
+        print("\n".join(out.lines))
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        _run(args)
+        return EXIT_OK
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

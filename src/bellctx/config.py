@@ -171,9 +171,10 @@ def load_raw_config(path) -> dict:
     """Read a .cfg or .json config file into canonical flat form."""
     path = Path(path)
     try:
+        # An unreadable file is an OSError and exits as an I/O error.
         text = path.read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if path.suffix.lower() == ".json":
         try:
             data = json.loads(text)

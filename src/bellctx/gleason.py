@@ -267,11 +267,12 @@ def fit_trace_form(samples, dim: int) -> TraceFormFit:
     generators = traceless_hermitian_basis(dim)
     projectors = [p for p, _ in samples]
     values = np.array([float(v) for _, v in samples])
-    design = np.array([
-        [float(np.trace(g @ p.matrix).real) for g in generators] for p in projectors
-    ])
-    full_design = np.column_stack([
-        np.array([float(np.trace(p.matrix).real) for p in projectors]), design])
+    stack = np.array([p.matrix for p in projectors])
+    # design[i, j] = tr(G_j P_i), one stacked product per generator: a product
+    # for every pair at once would hold n * dim^6 complex numbers.
+    design = np.stack([np.trace(g @ stack, axis1=1, axis2=2).real for g in generators],
+                      axis=1)
+    full_design = np.column_stack([np.trace(stack, axis1=1, axis2=2).real, design])
     rank = np.linalg.matrix_rank(full_design, tol=1e-8)
     if rank < dim * dim:
         raise ValueError(
@@ -289,10 +290,7 @@ def fit_trace_form(samples, dim: int) -> TraceFormFit:
         clipped /= clipped.sum()
         rho = (vectors * clipped) @ vectors.conj().T
     estimate = DensityOperator(rho)
-    residual = max(
-        abs(float(np.trace(estimate.matrix @ p.matrix).real) - v)
-        for p, v in zip(projectors, values)
-    )
+    residual = np.max(np.abs(np.trace(estimate.matrix @ stack, axis1=1, axis2=2).real - values))
     return TraceFormFit(rho_estimate=estimate, residual=float(residual), n_samples=len(samples))
 
 

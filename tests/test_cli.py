@@ -229,6 +229,15 @@ def test_bad_model_state_file_exits_3(tmp_path, capsys, command, state):
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+def test_missing_config_exits_4(tmp_path, capsys, command):
+    assert main([command[0], str(tmp_path / "absent.cfg"), *command[1:],
+                 "--out-dir", str(tmp_path / "out")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error:") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", CONFIG_COMMANDS)
 def test_unreadable_model_state_file_exits_4(tmp_path, capsys, command):
     config = write_quick_config(tmp_path, trials=2000,
                                 **{"model.state_file": str(tmp_path / "absent.json")})
@@ -321,3 +330,23 @@ class TestPlot:
         assert main(["plot", str(config), "x.svg", "--out-dir", str(tmp_path),
                      "--sweep-start", "1.0", "--sweep-stop", "1.0"]) == 2
         assert not (tmp_path / "x.svg").exists()
+
+
+# Flags a command does not read are usage errors.
+REMOVED_FLAGS = (("lhv-bound", "--seed", "3"), ("lhv-bound", "--out-dir", "out"),
+                 ("lhv-bound", "--format", "csv"), ("kc-verify", "--format", "csv"),
+                 ("gleason-check", "--format", "csv"), ("plot", "--format", "json"),
+                 ("plot", "--format", "text"))
+POSITIONALS = {"kc-verify": [str(CONFIGS / "chsh_quantum.cfg")],
+               "plot": [str(CONFIGS / "chsh_quantum.cfg"), "x.svg"]}
+
+
+@pytest.mark.parametrize("command, flag, value", REMOVED_FLAGS,
+                         ids=[" ".join(case) for case in REMOVED_FLAGS])
+def test_removed_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, command, flag, value):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main([command, *POSITIONALS.get(command, []), flag, value])
+    assert exit_info.value.code == 2
+    assert flag in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []

@@ -125,6 +125,13 @@ def test_probs_must_be_finite(probs):
         normalize_raw(parse_config_text(MINIMAL + f"bob.probs = {probs}\n"))
 
 
-def test_missing_file_is_config_error():
-    with pytest.raises(ConfigError, match="cannot read"):
+def test_missing_file_raises_oserror():
+    with pytest.raises(OSError):
         load_raw_config("/nonexistent/path.cfg")
+
+
+def test_non_utf8_file_is_config_error(tmp_path):
+    path = tmp_path / "binary.cfg"
+    path.write_bytes(b"model.kind = quantum\n\xff\xfe\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_raw_config(path)

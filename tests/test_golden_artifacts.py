@@ -9,6 +9,9 @@ benchmark runs it), the ``plot`` SVG, and the stdout of ``lhv-bound --format jso
 argument and with the photon-pair tables file. The reports whose digests
 leave ``meta`` out must still time themselves there.
 
+Also pinned: the stdout of every command in each format it prints
+(``STDOUT_CASES``), with the output directory replaced by ``<out>``.
+
 Regenerate the golden file (only when an output change is intended and
 explained) with ``PYTHONPATH=src python tests/test_golden_artifacts.py``.
 """
@@ -26,6 +29,7 @@ import pytest
 from bellctx.cli import main
 from bellctx.config import parse_config_text
 from bellctx.gleason import random_density
+from bellctx.models import SignallingModel
 from bellctx.quantum import operator_to_json
 
 HERE = Path(__file__).parent
@@ -35,6 +39,19 @@ PHOTON_PAIR_TABLES = HERE / "golden" / "photon_pair_tables.json"
 SHIPPED = sorted(path.name for path in CONFIGS.glob("*.cfg"))
 PLOTTED = ("chsh_quantum.cfg", "chsh_lhv_uniform.cfg")
 GLEASON_DIMS = (2, 3, 4, 5, 6)
+# (command, subject, --format): a shipped config, a gleason dimension or a tables file.
+STDOUT_CASES = (
+    *(("simulate", name, "text") for name in SHIPPED),
+    ("simulate", "chsh_quantum.cfg", "json"),
+    ("simulate", "chsh_quantum.cfg", "csv"),
+    *(("kc-verify", name, "text") for name in SHIPPED),
+    ("kc-verify", "chsh_quantum.cfg", "json"),
+    *(("gleason-check", f"dim{dim}", "text") for dim in GLEASON_DIMS),
+    ("gleason-check", "dim3", "json"),
+    *(("lhv-bound", tables, "text")
+      for tables in ("no_tables", "photon_pair_tables", "signalling_tables")),
+    *(("plot", name, "text") for name in PLOTTED),
+)
 
 
 def sha256(data) -> str:
@@ -102,6 +119,40 @@ def lhv_bound_digest(*args) -> str:
     return sha256(stdout.getvalue())
 
 
+def signalling_tables(out: Path) -> Path:
+    p = SignallingModel().behaviour()
+    path = out / "signalling_tables.json"
+    path.write_text(json.dumps({f"{ix},{iy}": dict(zip(("++", "+-", "-+", "--"),
+                                                       p[ix, iy].ravel().tolist()))
+                                for ix, iy in np.ndindex(p.shape[:2])}))
+    return path
+
+
+def command_argv(out: Path, command: str, subject: str) -> list[str]:
+    if command == "simulate":
+        path, _ = write_config(out, subject, trials=20_000, chunk_size=4096, workers=1)
+        return ["simulate", str(path), "--out-dir", str(out)]
+    if command == "kc-verify":
+        return ["kc-verify", str(CONFIGS / subject), "--out-dir", str(out)]
+    if command == "gleason-check":
+        return ["gleason-check", "--dim", subject.removeprefix("dim"), "--n-contexts", "200",
+                "--seed", "5", "--out-dir", str(out)]
+    if command == "plot":
+        return ["plot", str(CONFIGS / subject), "curve.svg", "--out-dir", str(out),
+                "--mc-trials", "2000"]
+    tables = {"no_tables": [], "photon_pair_tables": [str(PHOTON_PAIR_TABLES)],
+              "signalling_tables": [str(signalling_tables(out))]}
+    return ["lhv-bound", *tables[subject]]
+
+
+def stdout_digest(out: Path, command: str, subject: str, fmt: str) -> str:
+    argv = command_argv(out, command, subject) + ([] if fmt == "text" else ["--format", fmt])
+    stdout = io.StringIO()
+    with contextlib.redirect_stdout(stdout):
+        assert main(argv) == 0
+    return sha256(stdout.getvalue().replace(str(out), "<out>"))
+
+
 def golden() -> dict:
     return json.loads(GOLDEN.read_text())
 
@@ -141,6 +192,11 @@ def test_lhv_bound_stdout_matches_golden():
     assert lhv_bound_digest(str(PHOTON_PAIR_TABLES)) == expected["photon_pair_tables"]
 
 
+@pytest.mark.parametrize("case", STDOUT_CASES, ids=" ".join)
+def test_stdout_matches_golden(tmp_path, case):
+    assert stdout_digest(tmp_path, *case) == golden()["stdout"][" ".join(case)]
+
+
 def _record(out: Path) -> dict:
     """Recompute every digest (used to write the golden file)."""
     digests = {"simulate": {}, "kc_verify": {}, "plot": {}, "gleason_check": {}}
@@ -170,6 +226,11 @@ def _record(out: Path) -> dict:
         "no_tables": lhv_bound_digest(),
         "photon_pair_tables": lhv_bound_digest(str(PHOTON_PAIR_TABLES)),
     }
+    digests["stdout"] = {}
+    for case in STDOUT_CASES:
+        target = out / "-".join(case)
+        target.mkdir()
+        digests["stdout"][" ".join(case)] = stdout_digest(target, *case)
     return digests
 
 
