@@ -294,13 +294,9 @@ def fit_trace_form(samples, dim: int) -> TraceFormFit:
     return TraceFormFit(rho_estimate=estimate, residual=float(residual), n_samples=len(samples))
 
 
-def intertwined_contexts(p: Projector, n: int, seed) -> list[Context]:
-    """Distinct contexts all containing ``p``, completed at random.
-
-    The complement of ``p`` is split into Haar-random rank-1 pieces.
-    Requires a complement of dimension >= 2; below that the completion
-    is unique and the request is an error.
-    """
+def _embedding_pieces(p: Projector, n: int, seed):
+    """Stacks ``(k, d, d)`` of rank-1 pieces, one per embedding of ``p``:
+    Haar-random splits of its complement, of dimension k >= 2."""
     complement_dim = p.dim - p.rank
     if complement_dim < 2:
         raise ValueError(
@@ -309,14 +305,20 @@ def intertwined_contexts(p: Projector, n: int, seed) -> list[Context]:
     rng = _as_generator(seed)
     eigenvalues, vectors = np.linalg.eigh(p.matrix)
     complement_basis = vectors[:, eigenvalues < 0.5]
-    contexts = []
     for _ in range(n):
-        rotation = haar_unitary(complement_dim, rng)
-        columns = complement_basis @ rotation
-        pieces = [Projector(np.outer(columns[:, k], columns[:, k].conj()))
-                  for k in range(complement_dim)]
-        contexts.append(Context((p, *pieces)))
-    return contexts
+        columns = (complement_basis @ haar_unitary(complement_dim, rng)).T
+        yield columns[:, :, None] * columns.conj()[:, None, :]
+
+
+def intertwined_contexts(p: Projector, n: int, seed) -> list[Context]:
+    """Distinct contexts all containing ``p``, completed at random.
+
+    The complement of ``p`` is split into Haar-random rank-1 pieces.
+    Requires a complement of dimension >= 2; below that the completion
+    is unique and the request is an error.
+    """
+    return [Context((p, *(Projector(q) for q in pieces)))
+            for pieces in _embedding_pieces(p, n, seed)]
 
 
 @dataclass(frozen=True)
@@ -347,10 +349,11 @@ def extravalence_check(
     """
     value = m(p)
     target = 1.0 - value
-    residuals = [
-        sum(m(q) for q in context.projectors[1:])
-        for context in intertwined_contexts(p, n_contexts, seed)
-    ]
+    residuals = []
+    for pieces in _embedding_pieces(p, n_contexts, seed):
+        ranks = projector_ranks(pieces)
+        check_contexts(np.concatenate([p.matrix[None], pieces]))
+        residuals.append(sum(m.values(pieces, ranks).tolist()))  # Python's left-to-right sum
     spread = max(residuals) - min(residuals)
     target_deviation = max(abs(r - target) for r in residuals)
     return ExtravalenceReport(passed=spread <= ADDITIVITY_TOL

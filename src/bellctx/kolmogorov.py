@@ -40,10 +40,6 @@ SPACE_TOL = 1e-12
 SAMPLED_PAIRS = 10_000
 SAMPLED_SEED = 0
 
-# High-mask pairs per block of the exhaustive audit: its two (8, 3^8)
-# float buffers stay in cache (blocks of 16 or 32 pairs ran slower).
-_AUDIT_BLOCK = 8
-
 ADDITIVITY_NOTE = (
     "finite additivity checked; on a finite sample space this coincides "
     "with countable additivity"
@@ -74,6 +70,8 @@ class ClassicalProbabilitySpace:
         if len(set(atoms)) != len(atoms):
             raise ValueError("atom labels must be unique")
         if self.validated:
+            if not np.isfinite(probs).all():
+                raise ValueError("probabilities must be finite")
             if float(probs.min(initial=0.0)) < 0.0:
                 raise ValueError(f"negative probability {probs.min()}")
             total = float(probs.sum())
@@ -216,32 +214,52 @@ def _ternary_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _worst_difference(diff: np.ndarray, cases) -> float:
+    """Worst |(union - a) - b| over the low pairs of each (union, a, b) case,
+    evaluated in the rows of ``diff``."""
+    block = diff[:len(cases)]
+    for row, (union, a, b) in zip(block, cases):
+        np.subtract(union, a, out=row)
+        np.subtract(row, b, out=row)
+    return float(np.abs(block, out=block).max())
+
+
+def _worst_extension(levels, diff: np.ndarray, union, a, b) -> float:
+    """Worst violation over the pairs that extend the low pairs' sums
+    (union, a, b) by one digit per high atom, depth first. ``levels`` holds
+    each high atom's probability and a (3, 3^8) buffer, in atom order.
+    Not a closure: one that calls itself is a reference cycle, and its
+    buffers would stay resident until the cyclic collector runs."""
+    (p, (union_p, a_p, b_p)), rest = levels[0], levels[1:]
+    np.add(union, p, out=union_p)
+    np.add(a, p, out=a_p)
+    np.add(b, p, out=b_p)
+    cases = (union, a, b), (union_p, a_p, b), (union_p, a, b_p)
+    if not rest:
+        return _worst_difference(diff, cases)
+    return max(_worst_extension(rest, diff, *case) for case in cases)
+
+
 def _exhaustive_additivity(probs: np.ndarray) -> tuple[float, int]:
     """Worst |P(A u B) - P(A) - P(B)| over all disjoint ordered pairs.
 
-    A mask splits into its 8 low and its high atom bits, so the subset
-    table becomes a matrix with one row per high mask. Each block of high
-    pairs gathers its rows for A u B, A and B and then their columns at
-    the low pairs, into two buffers reused by every block: fresh block
-    temporaries would fault their pages in again each time.
+    The subset table adds atoms in ascending order, so a subset's sum is
+    its low (first 8) atoms' sum plus its high atoms one by one. The low
+    pairs' sums for A u B, A and B are gathered once; a depth-first walk
+    over the high atoms' digits then adds each high atom to them, and the
+    last high atom's three digits are evaluated as one (3, 3^8) block.
+    Every sum and difference is the float the full subset table gives.
     """
     n = len(probs)
     n_low = min(n, 8)
-    table = _subset_probabilities(probs).reshape(-1, 1 << n_low)
+    table = _subset_probabilities(probs[:n_low])
     a_low, b_low = _ternary_masks(n_low)
-    a_high, b_high = _ternary_masks(n - n_low)
-    union_low, union_high = a_low | b_low, a_high | b_high
-    diff = np.empty((_AUDIT_BLOCK, len(a_low)))
-    part = np.empty_like(diff)
-    worst = 0.0
-    for start in range(0, len(a_high), _AUDIT_BLOCK):
-        rows = slice(start, min(start + _AUDIT_BLOCK, len(a_high)))
-        d, p = diff[:rows.stop - start], part[:rows.stop - start]
-        np.take(table[union_high[rows]], union_low, axis=1, out=d)
-        np.subtract(d, np.take(table[a_high[rows]], a_low, axis=1, out=p), out=d)
-        np.subtract(d, np.take(table[b_high[rows]], b_low, axis=1, out=p), out=d)
-        worst = max(worst, float(np.abs(d, out=d).max()))
-    return worst, 3 ** n
+    low = table[a_low | b_low], table[a_low], table[b_low]
+    diff = np.empty((3, len(a_low)))
+    if n == n_low:
+        return _worst_difference(diff, (low,)), 3 ** n
+    levels = tuple(zip(probs[n_low:], np.empty((n - n_low, 3, len(a_low)))))
+    return _worst_extension(levels, diff, *low), 3 ** n
 
 
 def _sampled_additivity(probs: np.ndarray) -> tuple[float, int]:
@@ -265,16 +283,17 @@ def verify_kolmogorov(
     Additivity is checked exhaustively (all 3^n ordered disjoint pairs,
     via subset coding) while the space has at most ``exhaustive_limit``
     atoms, else on SAMPLED_PAIRS random pairs drawn from SAMPLED_SEED.
+    A space with a non-finite probability fails all three checks with an
+    infinite worst violation, and no pair is checked.
     """
     probs = space.probs
+    mode = "exhaustive" if len(space) <= exhaustive_limit else "sampled"
+    if not np.isfinite(probs).all():
+        return KolmogorovReport(False, False, False, float("inf"), 0, len(space), mode)
     positivity_deficit = max(0.0, -float(probs.min()))
     normalization_dev = abs(float(probs.sum()) - 1.0)
-    if len(space) <= exhaustive_limit:
-        additivity_worst, n_checks = _exhaustive_additivity(probs)
-        mode = "exhaustive"
-    else:
-        additivity_worst, n_checks = _sampled_additivity(probs)
-        mode = "sampled"
+    audit = _exhaustive_additivity if mode == "exhaustive" else _sampled_additivity
+    additivity_worst, n_checks = audit(probs)
     return KolmogorovReport(
         positivity_ok=positivity_deficit == 0.0,
         normalization_ok=normalization_dev <= SPACE_TOL,

@@ -12,6 +12,9 @@ from bellctx.gleason import random_context, random_density, random_rank_profile
 from bellctx.kolmogorov import (
     ClassicalProbabilitySpace,
     SettingsSpec,
+    _exhaustive_additivity,
+    _subset_probabilities,
+    _ternary_masks,
     build_mixed_context_space_from_tables,
     build_single_context_space,
     optimal_settings,
@@ -66,6 +69,11 @@ class TestClassicalSpace:
     def test_rejects_duplicate_atoms(self):
         with pytest.raises(ValueError, match="unique"):
             ClassicalProbabilitySpace(("a", "a"), (0.5, 0.5))
+
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_rejects_non_finite_probabilities(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ClassicalProbabilitySpace(("a", "b"), (bad, 0.5))
 
     def test_unchecked_carries_invalid_tables(self):
         space = ClassicalProbabilitySpace.unchecked(("a", "b"), (0.5, 0.6))
@@ -197,6 +205,18 @@ class TestVerifier:
         assert not report.positivity_ok
         assert report.worst_violation >= 0.2
 
+    @pytest.mark.parametrize("limit", (16, 0))
+    @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
+    def test_non_finite_probability_fails_every_check(self, bad, limit):
+        # No arithmetic on the bad entry: under filterwarnings = error an
+        # "invalid value" RuntimeWarning would fail this test.
+        report = verify_kolmogorov(
+            ClassicalProbabilitySpace.unchecked(("a", "b", "c"), (0.25, bad, 0.5)), limit)
+        assert not (report.positivity_ok or report.normalization_ok or report.additivity_ok)
+        assert report.worst_violation == math.inf
+        assert report.n_additivity_checks == 0
+        assert report.additivity_mode == ("exhaustive" if limit else "sampled")
+
     def test_mixed_space_passes_exhaustively(self):
         space = mixed_space(photon_pair_state(), optimal_settings())
         report = verify_kolmogorov(space)
@@ -228,6 +248,33 @@ class TestVerifier:
             report = verify_kolmogorov(build_single_context_space(rho, ctx))
             assert report.all_ok
             assert report.worst_violation <= 1e-12
+
+
+def oracle_probabilities(n: int, kind: str, seed: int) -> np.ndarray:
+    """Seeded n-atom probability vectors: Dirichlet, scaled and shifted so
+    that some entries are negative, or rounded to 3 decimals."""
+    rng = np.random.default_rng(1000 * n + seed)
+    probs = rng.dirichlet(np.ones(n))
+    if kind == "shifted":
+        return 3.7 * probs - 0.5 / n
+    if kind == "rounded":
+        return np.round(probs, 3)
+    return probs
+
+
+class TestExhaustiveAdditivityOracle:
+    """The exhaustive audit equals its definition over the full subset table,
+    to the last bit."""
+
+    @pytest.mark.parametrize("kind", ("dirichlet", "shifted", "rounded"))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_full_table_definition(self, n, kind):
+        for seed in range(3):
+            probs = oracle_probabilities(n, kind, seed)
+            t = _subset_probabilities(probs)
+            a, b = _ternary_masks(n)
+            expected = float(np.abs((t[a | b] - t[a]) - t[b]).max())
+            assert _exhaustive_additivity(probs) == (expected, 3 ** n)
 
 
 def grid_search_max_s(steps: int = 24) -> float:
