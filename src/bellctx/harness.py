@@ -21,10 +21,10 @@ them by design, which is its point).
 A trial is a row of the chunk columns, and one event log line on disk:
 ``EVENT_FIELDS`` names the columns and one line template fixes the line.
 The writer lays a slice of a chunk out as rows of a byte matrix cut from
-that template; the reader matches its pattern a block of lines at a time
-into an ``(n_trials, 6)`` int64 array.
-One ``bincount`` helper counts trials into cells; every artifact is
-written through :func:`atomic_write`.
+that template; the reader matches its pattern over blocks of whole lines
+and parses their numbers as one comma-separated stream into an
+``(n_trials, 6)`` int64 array. One helper counts trials into cells by a
+linear index, exactly; every artifact is written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
@@ -68,13 +68,13 @@ _EVENT_LINES = re.compile(b"(?:" + _EVENT_LINE_TEXT[0] + b"".join(
 _LINE_HEAD, _LINE_MIDDLE, _LINE_TAIL = re.fullmatch(
     r"(.*?)%d(.*)(%d.*)", _EVENT_LINE, re.DOTALL).groups()
 
-# Blanks every byte of a matched block except its numbers.
-_NUMBERS_ONLY = bytes(c if chr(c) in "-0123456789" else ord(" ") for c in range(256))
+# Maps a matched block's line ends to commas and drops all but its numbers.
+_NUMBER_STREAM = bytes.maketrans(b"\n", b","), bytes(set(range(256)) - set(b"-0123456789,\n"))
 
-# Trials per encoded byte matrix and bytes per parsed block: memory does
-# not grow with chunk_size or with the log. Matching a block keeps a
-# backtracking stack of about eight times the block, so blocks stay small.
-_ENCODE_ROWS = 8192
+# Trials per encoded byte matrix and per counted block, and bytes per block
+# read before its last line is completed: memory does not grow with the log.
+# Matching keeps a backtracking stack of about eight times the block.
+_ENCODE_ROWS = _COUNT_ROWS = 8192
 _READ_BYTES = 1 << 18
 
 # |z| above which a no-signalling row is flagged.
@@ -97,15 +97,18 @@ def atomic_write(path, pieces: Iterable[bytes]) -> None:
 
 def _cell_counts(x, y, a, b, n_alice: int, n_bob: int, weights=None) -> np.ndarray:
     """Trials (x, y, a, b), each counted ``weights`` times (default once), in
-    an (n_alice, n_bob, 2, 2) array. Refuses a setting off the grid or an
-    outcome other than +/-1, which bincount would count into another cell."""
-    x, y, a, b = (np.asarray(v) for v in (x, y, a, b))
+    an (n_alice, n_bob, 2, 2) int64 array by the linear cell index
+    ((x * n_bob + y) * 2 + ia) * 2 + ib, with ia and ib 0 for +1 and 1 for -1.
+    Refuses a setting off the grid or an outcome other than +/-1, which the
+    index would count into another cell."""
     if x.size and (x.min() < 0 or x.max() >= n_alice or y.min() < 0 or y.max() >= n_bob):
         raise ValueError(f"setting index outside the {n_alice}x{n_bob} settings grid")
     if not (np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)):
         raise ValueError("outcomes must be +/-1")
     flat = ((x.astype(np.int64) * n_bob + y) * 2 + (1 - a) // 2) * 2 + (1 - b) // 2
-    return np.bincount(flat, weights, n_alice * n_bob * 4).reshape(n_alice, n_bob, 2, 2)
+    counts = np.zeros(n_alice * n_bob * 4, dtype=np.int64)
+    np.add.at(counts, flat, 1 if weights is None else weights)
+    return counts.reshape(n_alice, n_bob, 2, 2)
 
 
 class CountsTable:
@@ -127,11 +130,10 @@ class CountsTable:
         if records.ndim != 2 or records.shape[1] != len(EVENT_FIELDS):
             raise ValueError(f"records must have shape (n, {len(EVENT_FIELDS)}), "
                              f"got {records.shape}")
-        return cls(_cell_counts(*records.T[1:5], n_alice, n_bob))
-
-    @property
-    def n_total(self) -> int:
-        return int(self.counts.sum())
+        if records.dtype.kind not in "iu" or not np.can_cast(records.dtype, np.int64):
+            raise ValueError(f"records must be an integer array, got dtype {records.dtype}")
+        blocks = np.split(records, range(_COUNT_ROWS, len(records), _COUNT_ROWS))
+        return cls(sum(_cell_counts(*block.T[1:5], n_alice, n_bob) for block in blocks))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CountsTable) and bool(np.array_equal(self.counts, other.counts))
@@ -149,13 +151,12 @@ class CountsTable:
             raise ValueError("counts CSV does not start with the header x_index,y_index,a,b,count")
         try:
             rows = np.array([line.split(",") for line in lines[1:]], dtype=np.int64)
-        except ValueError:
+        except (ValueError, OverflowError):
             rows = None
         if rows is None or rows.ndim != 2 or rows.shape[1] != 5:
             raise ValueError("counts CSV needs at least one row and five integers in every row")
         x, y, a, b, count = rows.T
-        counts = _cell_counts(x, y, a, b, x.max() + 1, y.max() + 1, weights=count)
-        return cls(counts.astype(np.int64))
+        return cls(_cell_counts(x, y, a, b, x.max() + 1, y.max() + 1, weights=count))
 
 
 @dataclass(frozen=True)
@@ -307,23 +308,24 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
         if version != EVENT_LOG_SCHEMA_VERSION:
             raise ValueError(f"{path}: event log schema_version {version!r} is not "
                              f"{EVENT_LOG_SCHEMA_VERSION}")
-        # Count the trial lines first, so the result is allocated once and
-        # each block is parsed into its own rows.
-        start = fh.tell()
-        n_lines = sum(part.count(b"\n") for part in iter(lambda: fh.read(_READ_BYTES), b""))
-        fh.seek(start)
-        records = np.empty((n_lines, len(EVENT_FIELDS)), dtype=np.int64)
+        # No trial line is shorter than the template with one-digit numbers, so
+        # the bytes left bound the rows; the rows not read are cut off below.
+        shortest = len(_EVENT_LINE % ((0,) * len(EVENT_FIELDS)))
+        rows = (os.fstat(fh.fileno()).st_size - fh.tell()) // shortest
+        records = np.empty((rows, len(EVENT_FIELDS)), dtype=np.int64)
         row = 0
-        for lines in iter(lambda: fh.readlines(_READ_BYTES), []):
-            block = b"".join(lines)
+        for block in iter(lambda: fh.read(_READ_BYTES) + fh.readline(), b""):
             valid = _EVENT_LINES.match(block).end()
             if valid < len(block):
                 bad = block.count(b"\n", 0, valid)
+                line, newline, _ = block[valid:].partition(b"\n")
                 raise ValueError(f"{path}: line {row + bad + 2} is not an event "
-                                 f"record: {lines[bad][:200]!r}")
-            numbers = np.fromstring(block.translate(_NUMBERS_ONLY), dtype=np.int64, sep=" ")
-            records[row:row + len(lines)] = numbers.reshape(-1, len(EVENT_FIELDS))
-            row += len(lines)
+                                 f"record: {(line + newline)[:200]!r}")
+            numbers = np.fromstring(block.translate(*_NUMBER_STREAM)[:-1], dtype=np.int64,
+                                    sep=",").reshape(-1, len(EVENT_FIELDS))
+            records[row:row + len(numbers)] = numbers
+            row += len(numbers)
+    records.resize((row, len(EVENT_FIELDS)), refcheck=False)
     records.setflags(write=False)
     return header, records
 
@@ -365,10 +367,8 @@ def run_experiment(
     with ThreadPoolExecutor(max_workers=min(n_workers, len(starts))) as pool:
         chunks = list(pool.map(generate, range(len(starts)), starts))
 
-    total = np.zeros((settings.n_alice, settings.n_bob, 2, 2), dtype=np.int64)
-    for chunk in chunks:
-        total += _cell_counts(chunk.x_index, chunk.y_index, chunk.a, chunk.b,
-                              settings.n_alice, settings.n_bob)
+    total = sum(_cell_counts(chunk.x_index, chunk.y_index, chunk.a, chunk.b,
+                             settings.n_alice, settings.n_bob) for chunk in chunks)
     return ExperimentResult(
         counts=CountsTable(total),
         chunks=tuple(chunks),

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from bellctx import harness
 
@@ -71,7 +72,7 @@ class TestCountsTable:
         table = CountsTable(counts)
         assert "0,1,1,-1,7" in table.to_csv().splitlines()
         assert estimate_report(table).n.tolist() == [[0, 7], [0, 0]]
-        assert table.n_total == 7
+        assert table.counts.sum() == 7
 
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
@@ -82,6 +83,26 @@ class TestCountsTable:
         table = CountsTable(rng.integers(0, 50, size=(2, 2, 2, 2)))
         assert CountsTable.from_csv(table.to_csv()) == table
 
+    def test_csv_count_above_two_to_the_53_is_exact(self):
+        counts = np.zeros((2, 2, 2, 2), dtype=np.int64)
+        counts[1, 0, 1, 0] = 2**53 + 1  # the first integer a float64 rounds
+        table = CountsTable(counts)
+        assert "1,0,-1,1,9007199254740993" in table.to_csv().splitlines()
+        assert CountsTable.from_csv(table.to_csv()).counts[1, 0, 1, 0] == 9007199254740993
+        assert CountsTable.from_csv(table.to_csv()) == table
+
+    # Counts up to about 2**58 with random low bits, so that most above 2**53
+    # are not float64 values.
+    @settings(max_examples=100, deadline=None)
+    @given(counts=hnp.arrays(np.int64, st.tuples(st.integers(1, 3), st.integers(1, 3),
+                                                 st.just(2), st.just(2)),
+                             elements=st.builds(lambda high, low: high << 29 | low,
+                                                st.integers(0, 2**29),
+                                                st.integers(0, 2**29 - 1))))
+    def test_csv_round_trip_property(self, counts):
+        table = CountsTable(counts)
+        assert CountsTable.from_csv(table.to_csv()) == table
+
     @pytest.mark.parametrize("text, message", [
         ("", "does not start with the header"),
         ("x,y,a,b,n\n0,0,1,1,5\n", "does not start with the header"),
@@ -89,10 +110,11 @@ class TestCountsTable:
         ("x_index,y_index,a,b,count\n0,0,1,1\n", "five integers in every row"),
         ("x_index,y_index,a,b,count\n0,0,1,1,5\n0,1,1,1\n", "five integers in every row"),
         ("x_index,y_index,a,b,count\n0,0,1,1,x\n", "five integers in every row"),
+        ("x_index,y_index,a,b,count\n0,0,1,1,9223372036854775808\n", "five integers in every row"),
         ("x_index,y_index,a,b,count\n0,0,2,1,5\n", "outcomes must be"),
         ("x_index,y_index,a,b,count\n-1,0,1,1,5\n", "outside the"),
     ], ids=["empty", "bad-header", "header-only", "short-row", "ragged-rows", "non-integer",
-            "outcome-2", "negative-setting"])
+            "count-above-int64", "outcome-2", "negative-setting"])
     def test_malformed_csv_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             CountsTable.from_csv(text)
@@ -101,6 +123,30 @@ class TestCountsTable:
         records = np.array([[0, 0, 2, 1, 1, 0]])
         with pytest.raises(ValueError, match="outside the 2x2 settings grid"):
             CountsTable.from_records(records, 2, 2)
+
+    @pytest.mark.parametrize("records", [
+        np.zeros((0, 6)),
+        np.array([[0, 0, 1, 1, 1, 0]], dtype=float),
+        np.array([[0, 0, 1, 1, 1, 0]], dtype=object),
+        np.array([[0, 0, 1, 1, 1, 0]], dtype=np.uint64),
+    ], ids=["empty-float", "float", "object", "uint64"])
+    def test_from_records_rejects_non_integer_arrays(self, records):
+        with pytest.raises(ValueError, match=f"integer array, got dtype {records.dtype}"):
+            CountsTable.from_records(records, 2, 2)
+
+    def test_counts_do_not_depend_on_the_count_block(self, monkeypatch):
+        rng = np.random.default_rng(7)
+        records = np.column_stack([np.arange(5000), rng.integers(0, 3, 5000),
+                                   rng.integers(0, 4, 5000), rng.choice([1, -1], (2, 5000)).T,
+                                   np.zeros(5000, dtype=np.int64)])
+        whole = CountsTable.from_records(records, 3, 4)
+        monkeypatch.setattr(harness, "_COUNT_ROWS", 37)
+        assert CountsTable.from_records(records, 3, 4) == whole
+        assert whole.counts.sum() == 5000
+        assert whole.counts.tolist() == [[[[int(np.sum(
+            (records[:, 1] == x) & (records[:, 2] == y) & (records[:, 3] == a)
+            & (records[:, 4] == b))) for b in (1, -1)] for a in (1, -1)]
+            for y in range(4)] for x in range(3)]
 
 
 class TestRunExperiment:
@@ -158,7 +204,7 @@ class TestRunExperiment:
                                 chunk_size=100, n_workers=10**6)
         assert requested == [3]
         assert [chunk.start_trial for chunk in result.chunks] == [0, 100, 200]
-        assert result.counts.n_total == 300
+        assert result.counts.counts.sum() == 300
 
     def test_counts_match_record_stream_exactly(self, tmp_path):
         model = quantum_pair_model()
@@ -274,6 +320,42 @@ class TestEventLog:
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_event_log(path)
+
+    @pytest.mark.parametrize("piece", [16, 64, 97, 1000])
+    def test_small_pieces_read_the_same_records(self, tmp_path, monkeypatch, piece):
+        result = run_experiment(quantum_pair_model(), 700, optimal_settings(), master_seed=29,
+                                chunk_size=90)
+        path = tmp_path / "events.jsonl"
+        result.write_event_log(path)
+        header, records = read_event_log(path)
+        monkeypatch.setattr(harness, "_READ_BYTES", piece)
+        small_header, small_records = read_event_log(path)
+        assert small_header == header
+        assert np.array_equal(small_records, records)
+        assert small_records.shape == (700, 6) and not small_records.flags.writeable
+
+    @pytest.mark.parametrize("shift", [-1, 0, 1], ids=["before", "at", "after"])
+    @pytest.mark.parametrize("case", ["bad-line", "truncated", "longer-than-a-piece"])
+    def test_a_bad_line_at_a_piece_boundary_is_named(self, tmp_path, monkeypatch, case,
+                                                      shift):
+        lines = [RECORD.replace('"trial_id":0', f'"trial_id":{i}') for i in range(8)]
+        if case == "bad-line":
+            lines[5] = lines[5].replace('"b":1', '"b":2')
+        elif case == "truncated":
+            lines[5:] = [lines[5].rstrip("\n")]
+        else:
+            lines[5] = lines[5].replace('"chunk_id"', " " * 400 + '"chunk_id"')
+        path = tmp_path / "events.jsonl"
+        path.write_text(HEADER + "".join(lines))
+        # The trial lines start a new piece at line 7, the sixth record, give
+        # or take one byte; a record line is longer than 64 bytes.
+        boundary = len("".join(lines[:5])) + shift
+        expected = f"{path}: line 7 is not an event record: {lines[5].encode()[:200]!r}"
+        for piece in (boundary, 64) if case == "longer-than-a-piece" else (boundary,):
+            monkeypatch.setattr(harness, "_READ_BYTES", piece)
+            with pytest.raises(ValueError) as error:
+                read_event_log(path)
+            assert str(error.value) == expected
 
     def test_failed_write_leaves_no_log_and_no_temp_file(self, tmp_path, monkeypatch):
         result = run_experiment(quantum_pair_model(), 3000, optimal_settings(),
