@@ -75,7 +75,7 @@ def chsh_value(e: np.ndarray, combination: ChshCombination = DEFAULT_COMBINATION
     """Signed sum of the four cell correlations of a (2, 2) array E[x, y].
 
     Summed left to right in CELLS order; integer arrays stay integer so
-    exhaustive bounds can be exact.
+    bounds over all deterministic strategies can be exact.
     """
     e = np.asarray(e)
     if e.shape != (2, 2):

@@ -25,7 +25,6 @@ Keys (* = required):
     chunk_size           default 65536
     workers              default 1
     combination          CHSH sign pattern, default +-++
-    kc.exhaustive_limit  default 16
     out.event_log        default events.jsonl
     out.counts           default counts.csv
     out.report           default report.json
@@ -57,7 +56,7 @@ from .models import (
 from .quantum import DensityOperator, maximally_mixed, operator_from_json, photon_pair_state, \
     pure_state
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 
 class ConfigError(Exception):
@@ -74,7 +73,7 @@ _KNOWN_KEYS = set(_REQUIRED_KEYS) | {
     "model.state", "model.state_file", "model.mixture", "model.a", "model.b",
     "model.negative_cell", "model.b_of_x",
     "alice.probs", "bob.probs",
-    "chunk_size", "workers", "combination", "kc.exhaustive_limit",
+    "chunk_size", "workers", "combination",
     "out.event_log", "out.counts", "out.report",
 }
 
@@ -144,7 +143,7 @@ def normalize_raw(raw: dict) -> dict:
     for key, value in raw.items():
         if key in ("alice.angles", "alice.probs", "bob.angles", "bob.probs"):
             canon[key] = _as_float_list(value, key)
-        elif key in ("trials", "seed", "chunk_size", "workers", "kc.exhaustive_limit"):
+        elif key in ("trials", "seed", "chunk_size", "workers"):
             canon[key] = _as_int(value, key)
         elif key in ("model.a", "model.b", "model.negative_cell", "model.b_of_x"):
             canon[key] = _as_int_list(value, key)
@@ -238,7 +237,6 @@ class ExperimentConfig:
     chunk_size: int
     n_workers: int
     combination: ChshCombination
-    kc_exhaustive_limit: int
     out_event_log: str
     out_counts: str
     out_report: str
@@ -276,7 +274,6 @@ def build_experiment(canon: dict, seed_override: int | None = None) -> Experimen
         chunk_size=canon.get("chunk_size", 65536),
         n_workers=canon.get("workers", 1),
         combination=combination,
-        kc_exhaustive_limit=canon.get("kc.exhaustive_limit", 16),
         out_event_log=canon.get("out.event_log", "events.jsonl"),
         out_counts=canon.get("out.counts", "counts.csv"),
         out_report=canon.get("out.report", "report.json"),

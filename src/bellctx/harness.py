@@ -56,11 +56,12 @@ EVENT_FIELDS = ("trial_id", "x_index", "y_index", "a", "b", "chunk_id")
 _EVENT_LINE = "{" + ",".join(f'"{name}":%d' for name in EVENT_FIELDS) + "}\n"
 
 # The template's literal text with each %d replaced by its field's values:
-# outcomes are +/-1, every other field a non-negative integer as %d writes it.
+# outcomes are +/-1, every other field a non-negative integer as %d writes it,
+# of at most 18 digits, so below 2^63 and exact in int64.
 # A block of such lines matches _EVENT_LINES up to its first bad line.
 _EVENT_LINE_TEXT = [re.escape(part) for part in _EVENT_LINE.encode().split(b"%d")]
 _EVENT_LINES = re.compile(b"(?:" + _EVENT_LINE_TEXT[0] + b"".join(
-    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]*)") + text
+    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]{0,17})") + text
     for name, text in zip(EVENT_FIELDS, _EVENT_LINE_TEXT[1:])) + b")*")
 
 # The line around its first and last field, trial_id and chunk_id, which
@@ -156,7 +157,11 @@ class CountsTable:
         if rows is None or rows.ndim != 2 or rows.shape[1] != 5:
             raise ValueError("counts CSV needs at least one row and five integers in every row")
         x, y, a, b, count = rows.T
-        return cls(_cell_counts(x, y, a, b, x.max() + 1, y.max() + 1, weights=count))
+        n_alice, n_bob = int(x.max()) + 1, int(y.max()) + 1
+        if n_alice * n_bob * 4 > len(rows):
+            raise ValueError(f"counts CSV has {len(rows)} row(s) for a {n_alice}x{n_bob} "
+                             f"settings grid; it needs one row per cell")
+        return cls(_cell_counts(x, y, a, b, n_alice, n_bob, weights=count))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,11 @@ atoms are (x, a, y, b) tuples with
     prob(x, a, y, b) = P(x) * P(y) * P(ab|xy),
 
 which for uniform binary settings has 16 atoms each carrying a factor
-1/4. Both constructions are verified against the probability axioms
-(positivity, normalization, additivity on disjoint events). The spaces
-here are finite, so countable additivity coincides with the finite
-additivity that is actually checked; the report says so explicitly.
+1/4. Both constructions are audited against the probability axioms: each
+atom must be finite and non-negative and the atoms must sum to 1.
+Additivity on disjoint events holds by construction, since P(A) is the
+sum of A's atoms; the spaces here are finite, so it is countable
+additivity too, and the report says so explicitly.
 
 The mixed space is built from a behaviour p[x, y, a, b] (see
 :mod:`bellctx.models`); its atoms are labelled by index alone,
@@ -27,22 +28,19 @@ normalization.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .chsh import ChshCombination, DEFAULT_COMBINATION, chsh_value
-from .quantum import Context, DensityOperator, context_distribution
 
 SPACE_TOL = 1e-12
 
-# The sampled additivity audit's pair count and generator seed.
-SAMPLED_PAIRS = 10_000
-SAMPLED_SEED = 0
-
 ADDITIVITY_NOTE = (
-    "finite additivity checked; on a finite sample space this coincides "
-    "with countable additivity"
+    "finite additivity holds by construction: P(A) is the sum of A's atoms, "
+    "a measure on the atoms; on a finite sample space it coincides with "
+    "countable additivity"
 )
 
 
@@ -153,21 +151,13 @@ class KolmogorovReport:
     normalization_ok: bool
     additivity_ok: bool
     worst_violation: float
-    n_additivity_checks: int
+    n_additivity_checks: int  # 0: additivity holds by construction
     n_atoms: int
-    additivity_mode: str  # "exhaustive" | "sampled"
     note: str = ADDITIVITY_NOTE
 
     @property
     def all_ok(self) -> bool:
         return self.positivity_ok and self.normalization_ok and self.additivity_ok
-
-
-def build_single_context_space(rho: DensityOperator, c: Context) -> ClassicalProbabilitySpace:
-    """One atom per projector of the context; trace-rule probabilities."""
-    probs = context_distribution(rho, c)
-    atoms = tuple(f"P{k}" for k in range(len(c)))
-    return ClassicalProbabilitySpace(atoms, probs)
 
 
 def _mixed_atoms(n_alice: int, n_bob: int) -> tuple[str, ...]:
@@ -190,118 +180,27 @@ def build_mixed_context_space_from_tables(
                                      weighted.transpose(0, 2, 1, 3).ravel())
 
 
-def _subset_probabilities(probs: np.ndarray) -> np.ndarray:
-    """P(A) for every subset A of atoms, indexed by bitmask."""
-    n = len(probs)
-    table = np.zeros(1 << n)
-    for k in range(n):
-        size = 1 << k
-        table[size:2 * size] = table[:size] + probs[k]
-    return table
+def verify_kolmogorov(space: ClassicalProbabilitySpace) -> KolmogorovReport:
+    """Audit finiteness and positivity per atom, and normalization.
 
-
-def _ternary_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """Masks (A, B) of every disjoint ordered pair over n atoms.
-
-    Code digit per atom: 0 (in neither), 1 (in A), 2 (in B); 3^n codes.
-    """
-    a = np.zeros(1, dtype=np.uint32)
-    b = np.zeros(1, dtype=np.uint32)
-    for k in range(n):
-        bit = np.uint32(1 << k)
-        a = np.concatenate([a, a | bit, a])
-        b = np.concatenate([b, b, b | bit])
-    return a, b
-
-
-def _worst_difference(diff: np.ndarray, cases) -> float:
-    """Worst |(union - a) - b| over the low pairs of each (union, a, b) case,
-    evaluated in the rows of ``diff``."""
-    block = diff[:len(cases)]
-    for row, (union, a, b) in zip(block, cases):
-        np.subtract(union, a, out=row)
-        np.subtract(row, b, out=row)
-    return float(np.abs(block, out=block).max())
-
-
-def _worst_extension(levels, diff: np.ndarray, union, a, b) -> float:
-    """Worst violation over the pairs that extend the low pairs' sums
-    (union, a, b) by one digit per high atom, depth first. ``levels`` holds
-    each high atom's probability and a (3, 3^8) buffer, in atom order.
-    Not a closure: one that calls itself is a reference cycle, and its
-    buffers would stay resident until the cyclic collector runs."""
-    (p, (union_p, a_p, b_p)), rest = levels[0], levels[1:]
-    np.add(union, p, out=union_p)
-    np.add(a, p, out=a_p)
-    np.add(b, p, out=b_p)
-    cases = (union, a, b), (union_p, a_p, b), (union_p, a, b_p)
-    if not rest:
-        return _worst_difference(diff, cases)
-    return max(_worst_extension(rest, diff, *case) for case in cases)
-
-
-def _exhaustive_additivity(probs: np.ndarray) -> tuple[float, int]:
-    """Worst |P(A u B) - P(A) - P(B)| over all disjoint ordered pairs.
-
-    The subset table adds atoms in ascending order, so a subset's sum is
-    its low (first 8) atoms' sum plus its high atoms one by one. The low
-    pairs' sums for A u B, A and B are gathered once; a depth-first walk
-    over the high atoms' digits then adds each high atom to them, and the
-    last high atom's three digits are evaluated as one (3, 3^8) block.
-    Every sum and difference is the float the full subset table gives.
-    """
-    n = len(probs)
-    n_low = min(n, 8)
-    table = _subset_probabilities(probs[:n_low])
-    a_low, b_low = _ternary_masks(n_low)
-    low = table[a_low | b_low], table[a_low], table[b_low]
-    diff = np.empty((3, len(a_low)))
-    if n == n_low:
-        return _worst_difference(diff, (low,)), 3 ** n
-    levels = tuple(zip(probs[n_low:], np.empty((n - n_low, 3, len(a_low)))))
-    return _worst_extension(levels, diff, *low), 3 ** n
-
-
-def _sampled_additivity(probs: np.ndarray) -> tuple[float, int]:
-    """Worst violation over a fixed random sample of disjoint pairs."""
-    rng = np.random.default_rng(SAMPLED_SEED)
-    digits = rng.integers(0, 3, size=(SAMPLED_PAIRS, len(probs)))
-    in_a = digits == 1
-    in_b = digits == 2
-    p_a = in_a @ probs
-    p_b = in_b @ probs
-    p_union = (in_a | in_b) @ probs
-    worst = float(np.max(np.abs(p_union - p_a - p_b), initial=0.0))
-    return worst, SAMPLED_PAIRS
-
-
-def verify_kolmogorov(
-    space: ClassicalProbabilitySpace, exhaustive_limit: int = 16,
-) -> KolmogorovReport:
-    """Audit positivity, normalization, and disjoint-event additivity.
-
-    Additivity is checked exhaustively (all 3^n ordered disjoint pairs,
-    via subset coding) while the space has at most ``exhaustive_limit``
-    atoms, else on SAMPLED_PAIRS random pairs drawn from SAMPLED_SEED.
+    P(A) is the sum of A's atoms, so P is a measure defined on the atoms
+    and additive on disjoint events by construction; no pair of events is
+    enumerated. Normalization compares ``math.fsum`` of the atoms with 1.
     A space with a non-finite probability fails all three checks with an
-    infinite worst violation, and no pair is checked.
+    infinite worst violation.
     """
     probs = space.probs
-    mode = "exhaustive" if len(space) <= exhaustive_limit else "sampled"
     if not np.isfinite(probs).all():
-        return KolmogorovReport(False, False, False, float("inf"), 0, len(space), mode)
+        return KolmogorovReport(False, False, False, float("inf"), 0, len(space))
     positivity_deficit = max(0.0, -float(probs.min()))
-    normalization_dev = abs(float(probs.sum()) - 1.0)
-    audit = _exhaustive_additivity if mode == "exhaustive" else _sampled_additivity
-    additivity_worst, n_checks = audit(probs)
+    normalization_dev = abs(math.fsum(probs) - 1.0)
     return KolmogorovReport(
         positivity_ok=positivity_deficit == 0.0,
         normalization_ok=normalization_dev <= SPACE_TOL,
-        additivity_ok=additivity_worst <= SPACE_TOL,
-        worst_violation=max(positivity_deficit, normalization_dev, additivity_worst),
-        n_additivity_checks=n_checks,
+        additivity_ok=True,
+        worst_violation=max(positivity_deficit, normalization_dev),
+        n_additivity_checks=0,
         n_atoms=len(space),
-        additivity_mode=mode,
     )
 
 

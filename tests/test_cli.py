@@ -45,8 +45,7 @@ def signalling_tables_file(tmp_path: Path) -> Path:
 
 class TestSimulate:
     def test_quantum_run_writes_all_artifacts(self, tmp_path, capsys):
-        config = write_quick_config(tmp_path, trials=200_000,
-                                    **{"kc.exhaustive_limit": 8})
+        config = write_quick_config(tmp_path, trials=200_000)
         assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "S        = +2.8" in out
@@ -62,8 +61,7 @@ class TestSimulate:
         assert counts == CountsTable.from_records(records, 2, 2)
 
     def test_lhv_uniform_run_near_zero(self, tmp_path):
-        config = write_quick_config(tmp_path, "chsh_lhv_uniform.cfg", trials=100_000,
-                                    **{"kc.exhaustive_limit": 8})
+        config = write_quick_config(tmp_path, "chsh_lhv_uniform.cfg", trials=100_000)
         assert main(["simulate", str(config), "--out-dir", str(tmp_path), "--quiet"]) == 0
         report = json.loads((tmp_path / "chsh_lhv_report.json").read_text())
         estimates = report["report"]["estimates"]
@@ -89,8 +87,7 @@ class TestSimulate:
         assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 3
 
     def test_seed_override_and_quiet(self, tmp_path, capsys):
-        config = write_quick_config(tmp_path, trials=5000,
-                                    **{"kc.exhaustive_limit": 8})
+        config = write_quick_config(tmp_path, trials=5000)
         assert main(["simulate", str(config), "--out-dir", str(tmp_path),
                      "--seed", "7", "--quiet"]) == 0
         assert capsys.readouterr().out == ""
@@ -104,8 +101,7 @@ class TestSimulate:
             out = tmp_path / f"w{workers}"
             out.mkdir()
             config = write_quick_config(out, trials=50_000, workers=workers,
-                                        chunk_size=4096,
-                                        **{"kc.exhaustive_limit": 8})
+                                        chunk_size=4096)
             assert main(["simulate", str(config), "--out-dir", str(out), "--quiet"]) == 0
             payload = json.loads((out / "chsh_quantum_report.json").read_text())
             report_bytes[workers] = json.dumps(payload["report"], sort_keys=True)
@@ -114,8 +110,7 @@ class TestSimulate:
         assert logs[1] == logs[8]
 
     def test_json_format_prints_report(self, tmp_path, capsys):
-        config = write_quick_config(tmp_path, trials=2000,
-                                    **{"kc.exhaustive_limit": 8})
+        config = write_quick_config(tmp_path, trials=2000)
         assert main(["simulate", str(config), "--out-dir", str(tmp_path),
                      "--format", "json"]) == 0
         printed = json.loads(capsys.readouterr().out)
@@ -124,15 +119,14 @@ class TestSimulate:
     def test_out_dir_env_var_is_honored(self, tmp_path, monkeypatch):
         target = tmp_path / "from_env"
         monkeypatch.setenv("BELLCTX_OUT_DIR", str(target))
-        config = write_quick_config(tmp_path, trials=2000,
-                                    **{"kc.exhaustive_limit": 8})
+        config = write_quick_config(tmp_path, trials=2000)
         assert main(["simulate", str(config), "--quiet"]) == 0
         assert (target / "chsh_quantum_report.json").exists()
 
 
 class TestKcVerify:
     def test_quantum_config_passes_and_prints_landmarks(self, tmp_path, capsys):
-        config = write_quick_config(tmp_path, **{"kc.exhaustive_limit": 8})
+        config = write_quick_config(tmp_path)
         assert main(["kc-verify", str(config), "--out-dir", str(tmp_path)]) == 0
         out = capsys.readouterr().out
         assert "mixed space: 16 atoms, OK" in out
@@ -143,9 +137,16 @@ class TestKcVerify:
         for entry in report["report"]["contexts"].values():
             assert entry["report"]["additivity_ok"]
 
+    @pytest.mark.parametrize("command", ["simulate", "kc-verify"])
+    def test_removed_exhaustive_limit_key_exits_2(self, tmp_path, capsys, command):
+        config = write_quick_config(tmp_path, trials=2000, **{"kc.exhaustive_limit": 16})
+        assert main([command, str(config), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown config keys: ['kc.exhaustive_limit']" in err
+        assert not list(tmp_path.glob("*.json*"))
+
     def test_lhv_config_also_verifies(self, tmp_path):
-        config = write_quick_config(tmp_path, "chsh_lhv_uniform.cfg",
-                                    **{"kc.exhaustive_limit": 8})
+        config = write_quick_config(tmp_path, "chsh_lhv_uniform.cfg")
         assert main(["kc-verify", str(config), "--out-dir", str(tmp_path), "--quiet"]) == 0
         report = json.loads((tmp_path / "kc_report.json").read_text())
         assert report["report"]["mixed_space"]["report"]["additivity_ok"]

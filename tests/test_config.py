@@ -51,9 +51,10 @@ def test_minimal_config_builds():
     assert cfg.combination.to_string() == "+-++"
 
 
-def test_unknown_key_rejected():
+@pytest.mark.parametrize("key", ["bogus", "kc.exhaustive_limit"])
+def test_unknown_key_rejected(key):
     with pytest.raises(ConfigError, match="unknown config keys"):
-        normalize_raw({"model.kind": "quantum", "bogus": 1})
+        normalize_raw({"model.kind": "quantum", key: 1})
 
 
 def test_missing_required_key_rejected():

@@ -111,10 +111,14 @@ class TestCountsTable:
         ("x_index,y_index,a,b,count\n0,0,1,1,5\n0,1,1,1\n", "five integers in every row"),
         ("x_index,y_index,a,b,count\n0,0,1,1,x\n", "five integers in every row"),
         ("x_index,y_index,a,b,count\n0,0,1,1,9223372036854775808\n", "five integers in every row"),
-        ("x_index,y_index,a,b,count\n0,0,2,1,5\n", "outcomes must be"),
+        ("x_index,y_index,a,b,count\n0,0,1,1,5\n0,0,1,-1,0\n0,0,-1,1,0\n0,0,2,1,5\n",
+         "outcomes must be"),
         ("x_index,y_index,a,b,count\n-1,0,1,1,5\n", "outside the"),
+        ("x_index,y_index,a,b,count\n1000000000000000,0,1,1,5\n", "one row per cell"),
+        ("x_index,y_index,a,b,count\n0,0,1,1,5\n0,1,1,1,5\n", "one row per cell"),
     ], ids=["empty", "bad-header", "header-only", "short-row", "ragged-rows", "non-integer",
-            "count-above-int64", "outcome-2", "negative-setting"])
+            "count-above-int64", "outcome-2", "negative-setting", "grid-of-1e15-settings",
+            "missing-cells"])
     def test_malformed_csv_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             CountsTable.from_csv(text)
@@ -296,9 +300,12 @@ class TestEventLog:
 
     def test_valid_hand_written_log_parses(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        path.write_text(HEADER + RECORD + RECORD.replace('"trial_id":0', '"trial_id":1'))
+        # The longest number a field may hold has 18 digits.
+        path.write_text(HEADER + RECORD + RECORD.replace('"trial_id":0', '"trial_id":1')
+                        + RECORD.replace('"trial_id":0', '"trial_id":999999999999999999'))
         _, records = read_event_log(path)
-        assert records.tolist() == [[0, 1, 0, -1, 1, 0], [1, 1, 0, -1, 1, 0]]
+        assert records.tolist() == [[0, 1, 0, -1, 1, 0], [1, 1, 0, -1, 1, 0],
+                                    [999_999_999_999_999_999, 1, 0, -1, 1, 0]]
 
     @pytest.mark.parametrize("text, message", [
         (HEADER + RECORD.replace('"a":-1', '"a":2'), "line 2 is not an event record"),
@@ -308,13 +315,15 @@ class TestEventLog:
         (HEADER + RECORD + "\n", "line 3 is not an event record"),
         (HEADER + RECORD + RECORD.rstrip("\n"), "line 3 is not an event record"),
         (HEADER + RECORD.replace('"trial_id":0', '"trial_id":-5'), "line 2 is not"),
+        (HEADER + RECORD.replace('"trial_id":0', '"trial_id":99999999999999999999'),
+         "line 2 is not an event record"),
         (HEADER.replace('"schema_version": 1', '"schema_version": 2') + RECORD,
          "schema_version 2 is not 1"),
         ("[1]\n" + RECORD, "line 1 is not an event log header"),
         ("not json\n", "line 1 is not an event log header"),
         ("", "line 1 is not an event log header"),
     ], ids=["outcome-a-2", "outcome-b-0", "spaced", "renamed-field", "blank-line", "truncated",
-            "negative-trial-id", "schema-2", "header-list", "header-not-json", "empty"])
+            "negative-trial-id", "trial-id-20-digits", "schema-2", "header-list", "header-not-json", "empty"])
     def test_malformed_log_rejected(self, tmp_path, text, message):
         path = tmp_path / "events.jsonl"
         path.write_text(text)

@@ -12,11 +12,7 @@ from bellctx.gleason import random_context, random_density, random_rank_profile
 from bellctx.kolmogorov import (
     ClassicalProbabilitySpace,
     SettingsSpec,
-    _exhaustive_additivity,
-    _subset_probabilities,
-    _ternary_masks,
     build_mixed_context_space_from_tables,
-    build_single_context_space,
     optimal_settings,
     szabo_chsh,
     verify_kolmogorov,
@@ -25,6 +21,7 @@ from bellctx.models import DeterministicStrategy, MixedLhvModel, QuantumModel
 from bellctx.quantum import (
     Context,
     Projector,
+    context_distribution,
     maximally_mixed,
     photon_pair_state,
     polarization_observable,
@@ -37,6 +34,12 @@ RT2 = math.sqrt(2.0)
 def computational_context(dim: int) -> Context:
     """Context of the computational-basis rank-1 projectors."""
     return Context(tuple(Projector(np.diag(row)) for row in np.eye(dim)))
+
+
+def context_space(rho, ctx: Context) -> ClassicalProbabilitySpace:
+    """One atom per projector of the context; trace-rule probabilities."""
+    return ClassicalProbabilitySpace(tuple(f"P{k}" for k in range(len(ctx))),
+                                     context_distribution(rho, ctx))
 
 
 def behaviour(rho, spec: SettingsSpec) -> np.ndarray:
@@ -106,13 +109,12 @@ class TestSettingsSpec:
 
 class TestSingleContextSpace:
     def test_mixed_qubit_in_computational_basis(self):
-        space = build_single_context_space(maximally_mixed(2), computational_context(2))
+        space = context_space(maximally_mixed(2), computational_context(2))
         assert space.atoms == ("P0", "P1")
         assert space.probs == pytest.approx([0.5, 0.5])
 
     def test_trivial_single_projector_context(self):
-        space = build_single_context_space(
-            maximally_mixed(3), Context((Projector(np.eye(3)),)))
+        space = context_space(maximally_mixed(3), Context((Projector(np.eye(3)),)))
         assert len(space) == 1
         assert space.probs[0] == pytest.approx(1.0)
 
@@ -129,7 +131,7 @@ class TestSingleContextSpace:
         joint = Context(tuple(
             Projector(np.kron(pa.matrix, pb.matrix))
             for pa in (a.plus, a.minus) for pb in (b.plus, b.minus)))
-        space = build_single_context_space(rho, joint)
+        space = context_space(rho, joint)
         assert space.probs == pytest.approx(expected, abs=1e-12)
         assert space.probs == pytest.approx(
             [(2 + RT2) / 8, (2 - RT2) / 8, (2 - RT2) / 8, (2 + RT2) / 8], abs=1e-12)
@@ -187,57 +189,50 @@ class TestMixedContextSpace:
 
 class TestVerifier:
     def test_single_context_spaces_pass(self):
-        report = verify_kolmogorov(
-            build_single_context_space(maximally_mixed(2), computational_context(2)))
+        report = verify_kolmogorov(context_space(maximally_mixed(2), computational_context(2)))
         assert report.all_ok
         assert report.worst_violation <= 1e-12
-        assert report.additivity_mode == "exhaustive"
+        assert report.n_additivity_checks == 0
 
-    def test_hand_built_space_fails_normalization(self):
+    @pytest.mark.parametrize("probs", [(0.5, 0.6), (0.25, 0.25, 0.5 + 2e-12)])
+    def test_hand_built_space_fails_normalization(self, probs):
         report = verify_kolmogorov(
-            ClassicalProbabilitySpace.unchecked(("a", "b"), (0.5, 0.6)))
+            ClassicalProbabilitySpace.unchecked(tuple(range(len(probs))), probs))
         assert not report.normalization_ok
         assert report.positivity_ok
+
+    def test_normalization_uses_the_correctly_rounded_sum(self):
+        # Added left to right the two 1e-16 atoms vanish into 1.0; their
+        # exact sum rounds to the next float above 1.
+        report = verify_kolmogorov(
+            ClassicalProbabilitySpace.unchecked(tuple(range(4)), (0.5, 0.5, 1e-16, 1e-16)))
+        assert report.normalization_ok
+        assert report.worst_violation == 2.0 ** -52
 
     def test_negative_probability_fails_positivity(self):
         report = verify_kolmogorov(
             ClassicalProbabilitySpace.unchecked(("a", "b"), (1.2, -0.2)))
         assert not report.positivity_ok
+        assert report.additivity_ok
         assert report.worst_violation >= 0.2
 
-    @pytest.mark.parametrize("limit", (16, 0))
     @pytest.mark.parametrize("bad", (math.nan, math.inf, -math.inf))
-    def test_non_finite_probability_fails_every_check(self, bad, limit):
+    def test_non_finite_probability_fails_every_check(self, bad):
         # No arithmetic on the bad entry: under filterwarnings = error an
         # "invalid value" RuntimeWarning would fail this test.
         report = verify_kolmogorov(
-            ClassicalProbabilitySpace.unchecked(("a", "b", "c"), (0.25, bad, 0.5)), limit)
+            ClassicalProbabilitySpace.unchecked(("a", "b", "c"), (0.25, bad, 0.5)))
         assert not (report.positivity_ok or report.normalization_ok or report.additivity_ok)
         assert report.worst_violation == math.inf
         assert report.n_additivity_checks == 0
-        assert report.additivity_mode == ("exhaustive" if limit else "sampled")
 
-    def test_mixed_space_passes_exhaustively(self):
+    def test_mixed_space_passes(self):
         space = mixed_space(photon_pair_state(), optimal_settings())
         report = verify_kolmogorov(space)
         assert report.all_ok
-        assert report.additivity_mode == "exhaustive"
-        assert report.n_additivity_checks == 3 ** 16
-
-    def test_sampled_mode_above_limit(self):
-        space = mixed_space(photon_pair_state(), optimal_settings())
-        report = verify_kolmogorov(space, exhaustive_limit=8)
-        assert report.additivity_mode == "sampled"
-        assert report.n_additivity_checks == 10_000
-        assert report.all_ok
-
-    def test_sampled_mode_is_seed_deterministic(self):
-        space = ClassicalProbabilitySpace.unchecked(
-            tuple(f"a{i}" for i in range(20)),
-            np.full(20, 1 / 20) + np.linspace(-1e-9, 1e-9, 20))
-        first = verify_kolmogorov(space, exhaustive_limit=4)
-        second = verify_kolmogorov(space, exhaustive_limit=4)
-        assert first.worst_violation == second.worst_violation
+        assert report.n_atoms == 16
+        assert report.n_additivity_checks == 0
+        assert "by construction" in report.note
 
     def test_thousand_random_state_context_pairs(self):
         rng = np.random.default_rng(2024)
@@ -245,36 +240,9 @@ class TestVerifier:
             dim = int(rng.integers(2, 5))
             rho = random_density(dim, rng)
             ctx = random_context(dim, random_rank_profile(dim, rng), rng)
-            report = verify_kolmogorov(build_single_context_space(rho, ctx))
+            report = verify_kolmogorov(context_space(rho, ctx))
             assert report.all_ok
             assert report.worst_violation <= 1e-12
-
-
-def oracle_probabilities(n: int, kind: str, seed: int) -> np.ndarray:
-    """Seeded n-atom probability vectors: Dirichlet, scaled and shifted so
-    that some entries are negative, or rounded to 3 decimals."""
-    rng = np.random.default_rng(1000 * n + seed)
-    probs = rng.dirichlet(np.ones(n))
-    if kind == "shifted":
-        return 3.7 * probs - 0.5 / n
-    if kind == "rounded":
-        return np.round(probs, 3)
-    return probs
-
-
-class TestExhaustiveAdditivityOracle:
-    """The exhaustive audit equals its definition over the full subset table,
-    to the last bit."""
-
-    @pytest.mark.parametrize("kind", ("dirichlet", "shifted", "rounded"))
-    @pytest.mark.parametrize("n", range(1, 13))
-    def test_matches_full_table_definition(self, n, kind):
-        for seed in range(3):
-            probs = oracle_probabilities(n, kind, seed)
-            t = _subset_probabilities(probs)
-            a, b = _ternary_masks(n)
-            expected = float(np.abs((t[a | b] - t[a]) - t[b]).max())
-            assert _exhaustive_additivity(probs) == (expected, 3 ** n)
 
 
 def grid_search_max_s(steps: int = 24) -> float:
@@ -341,7 +309,7 @@ class TestSzaboChsh:
         assert szabo_chsh(space) == pytest.approx(0.0, abs=1e-12)
 
     def test_rejects_non_mixed_structure(self):
-        space = build_single_context_space(maximally_mixed(2), computational_context(2))
+        space = context_space(maximally_mixed(2), computational_context(2))
         with pytest.raises(ValueError, match="16-atom"):
             szabo_chsh(space)
 

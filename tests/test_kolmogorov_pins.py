@@ -3,8 +3,8 @@
 The shipped configs only ever give S' in {0, 1, sqrt(2)/2}; these pins
 cover S' of random two-qubit states at random angles and non-uniform
 setting probabilities under all eight sign patterns (as ``float.hex``),
-the Kolmogorov audit of random spaces in exhaustive and sampled mode
-(exhaustively up to 16 atoms) and of each shipped config's mixed space,
+the Kolmogorov audit of random spaces of 5 to 24 atoms and of each
+shipped config's mixed space,
 and the additivity and extravalence reports of frame functions at
 dims 2-4, with additivity also at dims 2-6 over 1, 127, 129 and 1000
 contexts, either side of the check's 128-context blocks. Audit reports are compared as ``json.dumps(asdict(report),
@@ -78,28 +78,22 @@ def _config_space(path: Path) -> ClassicalProbabilitySpace:
     return build_mixed_context_space_from_tables(cfg.model.behaviour(), cfg.settings)
 
 
-# name -> (space factory, exhaustive_limit): exhaustive_limit 0 forces
-# the sampled mode.
+# name -> space factory
 AUDIT_CASES = {
-    "dirichlet5-exhaustive": (partial(_random_space, 5, 1), 16),
-    "dirichlet5-sampled": (partial(_random_space, 5, 1), 0),
-    "dirichlet9-exhaustive": (partial(_random_space, 9, 5), 16),
-    "dirichlet12-exhaustive": (partial(_random_space, 12, 2), 16),
-    "dirichlet12-sampled": (partial(_random_space, 12, 2), 0),
-    "dirichlet13-exhaustive": (partial(_random_space, 13, 6), 16),
-    "dirichlet16-exhaustive": (partial(_random_space, 16, 7), 16),
-    "dirichlet24-sampled": (partial(_random_space, 24, 3), 16),
-    "perturbed8-exhaustive": (partial(_random_space, 8, 4, 1e-6), 16),
-    "perturbed8-sampled": (partial(_random_space, 8, 4, 1e-6), 0),
-    "perturbed16-exhaustive": (partial(_random_space, 16, 8, 1e-6), 16),
-    **{f"{path.stem}-exhaustive": (partial(_config_space, path), 16)
-       for path in sorted(CONFIGS.glob("*.cfg"))},
+    "dirichlet5": partial(_random_space, 5, 1),
+    "dirichlet9": partial(_random_space, 9, 5),
+    "dirichlet12": partial(_random_space, 12, 2),
+    "dirichlet13": partial(_random_space, 13, 6),
+    "dirichlet16": partial(_random_space, 16, 7),
+    "dirichlet24": partial(_random_space, 24, 3),
+    "perturbed8": partial(_random_space, 8, 4, 1e-6),
+    "perturbed16": partial(_random_space, 16, 8, 1e-6),
+    **{path.stem: partial(_config_space, path) for path in sorted(CONFIGS.glob("*.cfg"))},
 }
 
 
 def audit_case(name: str) -> str:
-    make_space, exhaustive_limit = AUDIT_CASES[name]
-    return _dump(verify_kolmogorov(make_space(), exhaustive_limit))
+    return _dump(verify_kolmogorov(AUDIT_CASES[name]()))
 
 
 FRAME_FUNCTIONS = ("trace_form", "squared_trace_form", "counterexample")
