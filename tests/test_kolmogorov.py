@@ -2,6 +2,7 @@
 CHSH normalizations."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import given, strategies as st
 from bellctx.chsh import DEFAULT_COMBINATION, all_combinations, chsh_value, correlations
 from bellctx.gleason import random_context, random_density, random_rank_profile
 from bellctx.kolmogorov import (
+    SPACE_TOL,
     ClassicalProbabilitySpace,
+    KolmogorovReport,
     SettingsSpec,
     build_mixed_context_space_from_tables,
     optimal_settings,
@@ -243,6 +246,43 @@ class TestVerifier:
             report = verify_kolmogorov(context_space(rho, ctx))
             assert report.all_ok
             assert report.worst_violation <= 1e-12
+
+
+def oracle_probabilities(n: int, kind: str, seed: int) -> np.ndarray:
+    """Seeded n-atom probability vectors: Dirichlet, scaled and shifted so
+    that some entries are negative, or rounded to 3 decimals."""
+    rng = np.random.default_rng(1000 * n + seed)
+    probs = rng.dirichlet(np.ones(n))
+    if kind == "shifted":
+        return 3.7 * probs - 0.5 / n
+    if kind == "rounded":
+        return np.round(probs, 3)
+    return probs
+
+
+class TestAuditOracle:
+    """The audit equals its definition in exact rational arithmetic, to the
+    last bit: the deficit of the most negative atom, and the distance from 1
+    of the correctly rounded sum of the atoms."""
+
+    @pytest.mark.parametrize("kind", ("dirichlet", "shifted", "rounded"))
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_matches_exact_definition(self, n, kind):
+        for seed in range(3):
+            probs = oracle_probabilities(n, kind, seed)
+            exact = [Fraction(float(p)) for p in probs]
+            deficit = float(max(Fraction(0), -min(exact)))
+            deviation = abs(float(sum(exact)) - 1.0)
+            expected = KolmogorovReport(
+                positivity_ok=deficit == 0.0,
+                normalization_ok=deviation <= SPACE_TOL,
+                additivity_ok=True,
+                worst_violation=max(deficit, deviation),
+                n_additivity_checks=0,
+                n_atoms=n,
+            )
+            space = ClassicalProbabilitySpace.unchecked(tuple(range(n)), probs)
+            assert verify_kolmogorov(space) == expected
 
 
 def grid_search_max_s(steps: int = 24) -> float:

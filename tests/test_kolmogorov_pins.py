@@ -3,8 +3,8 @@
 The shipped configs only ever give S' in {0, 1, sqrt(2)/2}; these pins
 cover S' of random two-qubit states at random angles and non-uniform
 setting probabilities under all eight sign patterns (as ``float.hex``),
-the Kolmogorov audit of random spaces of 5 to 24 atoms and of each
-shipped config's mixed space,
+the Kolmogorov audit of random spaces of 5 to 24 atoms (some unnormalized,
+some with negative atoms) and of each shipped config's mixed space,
 and the additivity and extravalence reports of frame functions at
 dims 2-4, with additivity also at dims 2-6 over 1, 127, 129 and 1000
 contexts, either side of the check's 128-context blocks. Audit reports are compared as ``json.dumps(asdict(report),
@@ -73,6 +73,14 @@ def _random_space(n_atoms: int, seed: int, perturb: float = 0.0) -> ClassicalPro
     return ClassicalProbabilitySpace(tuple(range(n_atoms)), probs)
 
 
+def _shifted_space(n_atoms: int, seed: int) -> ClassicalProbabilitySpace:
+    """Dirichlet atoms stretched about 1/n: still summing to 1, but the
+    smallest go negative, so positivity sets the worst violation."""
+    probs = np.random.default_rng(seed).dirichlet(np.ones(n_atoms))
+    return ClassicalProbabilitySpace.unchecked(tuple(range(n_atoms)),
+                                               1.5 * probs - 0.5 / n_atoms)
+
+
 def _config_space(path: Path) -> ClassicalProbabilitySpace:
     cfg = load_experiment(path)
     return build_mixed_context_space_from_tables(cfg.model.behaviour(), cfg.settings)
@@ -88,6 +96,8 @@ AUDIT_CASES = {
     "dirichlet24": partial(_random_space, 24, 3),
     "perturbed8": partial(_random_space, 8, 4, 1e-6),
     "perturbed16": partial(_random_space, 16, 8, 1e-6),
+    "shifted8": partial(_shifted_space, 8, 11),
+    "shifted16": partial(_shifted_space, 16, 12),
     **{path.stem: partial(_config_space, path) for path in sorted(CONFIGS.glob("*.cfg"))},
 }
 
