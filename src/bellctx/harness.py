@@ -4,8 +4,7 @@ Trials are generated in fixed-size chunks. Each chunk owns an RNG stream
 derived from (master_seed, chunk_id) by the counter-based scheme in
 :mod:`bellctx.rng`, so the full run is reproducible byte for byte no
 matter how many workers generate chunks or in which order they finish.
-Aggregation is a cellwise sum of counts (a commutative monoid), and the
-event-log sink writes chunks in chunk order.
+Aggregation is a cellwise sum of counts (a commutative monoid).
 
 Estimators are the plug-in ones, all array expressions over the counts
 in :func:`estimate_report`: E(x,y) from the per-context counts with a
@@ -20,15 +19,19 @@ them by design, which is its point).
 
 A trial is a row of the chunk columns, and one event log line on disk:
 ``EVENT_FIELDS`` names the columns and one line template fixes the line.
-The writer lays a slice of a chunk out as rows of a byte matrix cut from
-that template; the reader matches its pattern over blocks of whole lines
-and parses their numbers as one comma-separated stream into an
-``(n_trials, 6)`` int64 array. One helper counts trials into cells by a
-linear index, exactly; every artifact is written through :func:`atomic_write`.
+The writer lays a block of a chunk's trials out as rows of a byte matrix
+cut from that template. It encodes blocks on as many threads as
+generated the chunks, a bounded window of them at a time, and writes
+them in trial order. The reader matches the template's pattern over
+blocks of whole lines and parses their numbers as one comma-separated
+stream into an ``(n_trials, 6)`` int64 array. One linear cell index
+orders both the counts and the writer's per-cell bytes; every artifact
+is written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
+import collections
 import itertools
 import json
 import os
@@ -96,19 +99,24 @@ def atomic_write(path, pieces: Iterable[bytes]) -> None:
         raise
 
 
+def _cell_index(x, y, a, b, n_bob: int) -> np.ndarray:
+    """The linear cell index ((x * n_bob + y) * 2 + ia) * 2 + ib of trials
+    (x, y, a, b) with outcomes +/-1, ia and ib 0 for +1 and 1 for -1: the
+    cell order of the counts table and of the log writer's middles."""
+    return ((x.astype(np.intp) * n_bob + y) * 2 + (a < 0)) * 2 + (b < 0)
+
+
 def _cell_counts(x, y, a, b, n_alice: int, n_bob: int, weights=None) -> np.ndarray:
     """Trials (x, y, a, b), each counted ``weights`` times (default once), in
-    an (n_alice, n_bob, 2, 2) int64 array by the linear cell index
-    ((x * n_bob + y) * 2 + ia) * 2 + ib, with ia and ib 0 for +1 and 1 for -1.
-    Refuses a setting off the grid or an outcome other than +/-1, which the
-    index would count into another cell."""
+    an (n_alice, n_bob, 2, 2) int64 array by :func:`_cell_index`. Refuses a
+    setting off the grid or an outcome other than +/-1, which the index
+    would count into another cell."""
     if x.size and (x.min() < 0 or x.max() >= n_alice or y.min() < 0 or y.max() >= n_bob):
         raise ValueError(f"setting index outside the {n_alice}x{n_bob} settings grid")
     if not (np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)):
         raise ValueError("outcomes must be +/-1")
-    flat = ((x.astype(np.int64) * n_bob + y) * 2 + (1 - a) // 2) * 2 + (1 - b) // 2
     counts = np.zeros(n_alice * n_bob * 4, dtype=np.int64)
-    np.add.at(counts, flat, 1 if weights is None else weights)
+    np.add.at(counts, _cell_index(x, y, a, b, n_bob), 1 if weights is None else weights)
     return counts.reshape(n_alice, n_bob, 2, 2)
 
 
@@ -217,53 +225,49 @@ def _generate_chunk(
     return ChunkData(chunk_id, start_trial, xs, ys, a, b)
 
 
-def _event_middles(n_alice: int, n_bob: int) -> tuple[np.ndarray, np.ndarray]:
+def _event_middles(n_alice: int, n_bob: int) -> np.ndarray:
     """The log line between its trial_id and chunk_id numbers, per cell.
 
-    Bytes and keep masks, each indexed [x, y, a index, b index, byte], with
-    every middle left-aligned and padded to the longest.
+    An (n_cells, width) byte matrix, one row per cell in :func:`_cell_index`
+    order, each middle left-aligned and padded with spaces to the longest;
+    no log line holds a space.
     """
     texts = [(_LINE_MIDDLE % cell).encode() for cell in itertools.product(
         range(n_alice), range(n_bob), (1, -1), (1, -1))]
     width = max(map(len, texts))
     middles = np.frombuffer(b"".join(text.ljust(width) for text in texts), dtype=np.uint8)
-    keep = np.arange(width) < np.array([len(text) for text in texts])[:, None]
-    shape = (n_alice, n_bob, 2, 2, width)
-    return middles.reshape(shape), keep.reshape(shape)
+    return middles.reshape(len(texts), width)
 
 
-def _encode_chunk(chunk: ChunkData, middles: np.ndarray, keep_middles: np.ndarray,
-                  ) -> Iterator[bytes]:
-    """The chunk's log lines, one byte matrix per _ENCODE_ROWS trials.
+def _encode_block(chunk: ChunkData, offset: int, middles: np.ndarray, n_bob: int,
+                  ) -> np.ndarray:
+    """The log lines of the chunk's _ENCODE_ROWS trials from ``offset``, as bytes.
 
-    A matrix row holds one line in fixed columns: the line's head, the
-    trial_id right-aligned in as many digits as the chunk's last one, the
-    cell's middle from :func:`_event_middles` and the chunk_id tail. A
-    keep mask drops the leading zeros and the middle's padding.
+    A byte-matrix row holds one line in fixed columns: the line's head, the
+    trial_id right-aligned in as many digits as the block's last one, the
+    cell's middle from :func:`_event_middles` and the chunk_id tail. Leading
+    zeros become spaces, which are dropped with the middle's padding.
     """
-    n = len(chunk.x_index)
+    trials = slice(offset, min(offset + _ENCODE_ROWS, len(chunk.x_index)))
+    first = chunk.start_trial + offset
+    ids = np.arange(first, chunk.start_trial + trials.stop)
     head = np.frombuffer(_LINE_HEAD.encode(), dtype=np.uint8)
     tail = np.frombuffer((_LINE_TAIL % chunk.chunk_id).encode(), dtype=np.uint8)
-    digits = range(len(head), len(head) + len(str(chunk.start_trial + n - 1)))
-    middle = slice(digits.stop, digits.stop + middles.shape[-1])
-    lines = np.empty((min(n, _ENCODE_ROWS), middle.stop + len(tail)), dtype=np.uint8)
-    keep = np.ones(lines.shape, dtype=bool)
-    lines[:, :digits.start] = head
-    lines[:, middle.stop:] = tail
-    for offset in range(0, n, _ENCODE_ROWS):
-        trials = slice(offset, min(offset + _ENCODE_ROWS, n))
-        m, k = lines[:trials.stop - offset], keep[:trials.stop - offset]
-        ids = np.arange(chunk.start_trial + trials.start, chunk.start_trial + trials.stop)
-        for column in digits:
-            place = 10 ** (digits.stop - 1 - column)
-            m[:, column] = ids // place % 10 + ord("0")
-            if column != digits[-1]:
-                k[:, column] = ids >= place
-        cell = (chunk.x_index[trials], chunk.y_index[trials],
-                (1 - chunk.a[trials]) // 2, (1 - chunk.b[trials]) // 2)
-        m[:, middle] = middles[cell]
-        k[:, middle] = keep_middles[cell]
-        yield m[k].tobytes()
+    digits = range(len(head), len(head) + len(str(ids[-1])))
+    middle = slice(digits.stop, digits.stop + middles.shape[1])
+    m = np.empty((len(ids), middle.stop + len(tail)), dtype=np.uint8)
+    m[:, :digits.start] = head
+    m[:, middle.stop:] = tail
+    for column in digits:
+        place = 10 ** (digits.stop - 1 - column)
+        m[:, column] = ids // place % 10 + ord("0")
+        # The ids ascend, so those below place are the block's first rows.
+        if column != digits[-1]:
+            m[:max(0, place - first), column] = ord(" ")
+    cell = _cell_index(chunk.x_index[trials], chunk.y_index[trials], chunk.a[trials],
+                       chunk.b[trials], n_bob)
+    m[:, middle] = middles.take(cell, axis=0)
+    return m[m != ord(" ")]
 
 
 @dataclass(frozen=True)
@@ -277,23 +281,41 @@ class ExperimentResult:
     chunk_size: int
     model_hash: str
     settings: SettingsSpec
+    # Threads that generated the chunks and that encode the log.
+    n_threads: int
 
     def write_event_log(self, path) -> None:
-        """Line-delimited JSON: one header line, then one line per trial."""
+        """Line-delimited JSON: one header line, then one line per trial.
+
+        Blocks of _ENCODE_ROWS trials are encoded on ``n_threads`` threads,
+        at most two per thread in flight, and written in block order.
+        """
         header = json.dumps({
             "schema_version": EVENT_LOG_SCHEMA_VERSION,
             "master_seed": self.master_seed,
             "model_hash": self.model_hash,
         })
-
         middles = _event_middles(self.settings.n_alice, self.settings.n_bob)
+        blocks = [(chunk, offset) for chunk in self.chunks
+                  for offset in range(0, len(chunk.x_index), _ENCODE_ROWS)]
 
-        def pieces() -> Iterator[bytes]:
+        def pieces(pool: ThreadPoolExecutor) -> Iterator:
             yield (header + "\n").encode()
-            for chunk in self.chunks:
-                yield from _encode_chunk(chunk, *middles)
+            window = collections.deque()
+            for block in blocks:
+                if len(window) == 2 * self.n_threads:
+                    yield window.popleft().result()
+                window.append(pool.submit(_encode_block, *block, middles,
+                                          self.settings.n_bob))
+            while window:
+                yield window.popleft().result()
 
-        atomic_write(path, pieces())
+        pool = ThreadPoolExecutor(max_workers=self.n_threads)
+        try:
+            atomic_write(path, pieces(pool))
+        finally:
+            # After a failure no block not yet started is encoded.
+            pool.shutdown(cancel_futures=True)
 
 
 def read_event_log(path) -> tuple[dict, np.ndarray]:
@@ -369,7 +391,8 @@ def run_experiment(
                                start, min(chunk_size, n_trials - start))
 
     # Never more threads than chunks, whatever the configured worker count.
-    with ThreadPoolExecutor(max_workers=min(n_workers, len(starts))) as pool:
+    n_threads = min(n_workers, len(starts))
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
         chunks = list(pool.map(generate, range(len(starts)), starts))
 
     total = sum(_cell_counts(chunk.x_index, chunk.y_index, chunk.a, chunk.b,
@@ -382,6 +405,7 @@ def run_experiment(
         chunk_size=chunk_size,
         model_hash=model_description_hash(model),
         settings=settings,
+        n_threads=n_threads,
     )
 
 

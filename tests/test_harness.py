@@ -1,9 +1,13 @@
 """Tests for the chunked Monte Carlo harness and its estimators."""
 
 import dataclasses
+import itertools
 import json
 import math
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -185,11 +189,11 @@ class TestRunExperiment:
         assert (log_bytes(serial, tmp_path / "serial.jsonl")
                 == log_bytes(threaded, tmp_path / "threaded.jsonl"))
 
-    def test_thread_count_is_capped_at_the_chunk_count(self, monkeypatch):
+    def test_thread_count_is_capped_at_the_chunk_count(self, tmp_path, monkeypatch):
         requested = []
 
         class RecordingExecutor:
-            """Records the requested pool size and maps inline: no threads start."""
+            """Records the requested pool size and runs work inline: no threads start."""
 
             def __init__(self, max_workers):
                 requested.append(max_workers)
@@ -203,12 +207,25 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+            def submit(self, fn, *args):
+                future = Future()
+                future.set_result(fn(*args))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
+        threads = threading.enumerate()
         result = run_experiment(quantum_pair_model(), 300, optimal_settings(), master_seed=7,
                                 chunk_size=100, n_workers=10**6)
         assert requested == [3]
         assert [chunk.start_trial for chunk in result.chunks] == [0, 100, 200]
         assert result.counts.counts.sum() == 300
+        # The encoder pool gets the same count.
+        assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
+        assert requested == [3, 3]
+        assert threading.enumerate() == threads
 
     def test_counts_match_record_stream_exactly(self, tmp_path):
         model = quantum_pair_model()
@@ -367,22 +384,50 @@ class TestEventLog:
             assert str(error.value) == expected
 
     def test_failed_write_leaves_no_log_and_no_temp_file(self, tmp_path, monkeypatch):
-        result = run_experiment(quantum_pair_model(), 3000, optimal_settings(),
-                                master_seed=27, chunk_size=1000)
-        encode = harness._encode_chunk
-        encoded = []
+        result = run_experiment(quantum_pair_model(), 30_000, optimal_settings(),
+                                master_seed=27, chunk_size=10_000, n_workers=2)
+        encode = harness._encode_block
+        main_thread = threading.get_ident()
 
-        def fail_after_first_chunk(chunk, *args):
-            if encoded:
+        def fail_after_first_block(chunk, offset, *args):
+            assert threading.get_ident() != main_thread
+            if (chunk.chunk_id, offset) != (0, 0):
                 raise RuntimeError("encoder failed")
-            encoded.append(chunk.chunk_id)
-            return encode(chunk, *args)
+            return encode(chunk, offset, *args)
 
-        monkeypatch.setattr(harness, "_encode_chunk", fail_after_first_chunk)
+        monkeypatch.setattr(harness, "_encode_block", fail_after_first_block)
+        threads = len(threading.enumerate())
         with pytest.raises(RuntimeError, match="encoder failed"):
             result.write_event_log(tmp_path / "events.jsonl")
-        assert encoded == [0]
         assert list(tmp_path.iterdir()) == []
+        # No pool thread outlives the call.
+        assert len(threading.enumerate()) == threads
+
+    def test_many_threads_write_blocks_in_order(self, tmp_path):
+        """More encoder threads than CPUs and a short switch interval, so
+        blocks finish out of order and the in-order window wraps often."""
+        result = run_experiment(quantum_pair_model(), 60_000, optimal_settings(),
+                                master_seed=30, chunk_size=1000, n_workers=8)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            written = log_bytes(result, tmp_path / "events.jsonl")
+        finally:
+            sys.setswitchinterval(interval)
+        assert result.n_threads == 8
+        assert written == reference_log(result)
+
+    def test_cell_middles_follow_the_cell_index(self):
+        """Each cell's middle is the template's, at the cell's counts-table index,
+        and no line holds a space, the middles' padding byte."""
+        n_alice, n_bob = 12, 11
+        middles = harness._event_middles(n_alice, n_bob)
+        for x, y, a, b in itertools.product(range(n_alice), range(n_bob), (1, -1), (1, -1)):
+            cell = harness._cell_index(*np.array([[x], [y], [a], [b]]), n_bob)[0]
+            assert cell == np.ravel_multi_index((x, y, a < 0, b < 0), (n_alice, n_bob, 2, 2))
+            assert (middles[cell].tobytes().rstrip(b" ")
+                    == (harness._LINE_MIDDLE % (x, y, a, b)).encode())
+            assert b" " not in (harness._EVENT_LINE % (10**17, x, y, a, b, 10**17)).encode()
 
     @pytest.mark.parametrize("chunk_id,start_trial,n_trials", [
         (3, 10**6 - 5000, 9000),
