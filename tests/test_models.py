@@ -1,5 +1,6 @@
 """Tests for the outcome-model zoo and the local-bound machinery."""
 
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -29,10 +30,55 @@ from bellctx.models import (
     validate_behaviour,
 )
 from bellctx.quantum import context_distribution, joint_context, \
-    maximally_mixed, photon_pair_state, polarization_observable
+    maximally_mixed, photon_pair_state, polarization_observable, pure_state
 
 RT2 = math.sqrt(2.0)
 PHOTON_PAIR_TABLES = Path(__file__).parent / "golden" / "photon_pair_tables.json"
+
+
+# SHA-256 of QuantumModel.behaviour().tobytes() per case of behaviour_cases():
+# every float of the trace-rule tables, signed zeros included, to the last bit.
+BEHAVIOUR_SHA256 = {
+    "photon_pair": "518909280f9789c2c16b8096ef1b5fbd5deb67eecd2ab2c2d35e8cf135645aca",
+    "maximally_mixed": "c68b23194102001f1c75662481333e4d75ba9b17c4dffc307ac2f260e4eaf076",
+    "product_hh": "27e505f18d42834dfdeb71c9ba40fa6faa603680557c3520dcf2da31e59b4864",
+    "random_0": "c94799588e1350c75f3b32e833d14268f67cf561277ab99b97dd2d49e7b0d67a",
+    "random_1": "3df725aabb7ef955da3eb87b2523745785ea3d54e521504b4a6f523d3eb87094",
+    "random_2": "59e41d64f132fc68ad7100df8e5c3b5f8ffc8647f405546fe6c4ca7280a135ab",
+    "random_3": "5d847f4501b977b977ebf61d817f0f028fd0ddb4a653dd6db9ca43e9f38d2bbb",
+    "random_4": "922cb0b83f92ee136e440dc1a2d88e5f9d41a5edb1711e0c7abd0539b7959bf0",
+    "random_5": "ad479317fbd9ce718d5c0fc251a5d9c4e10611a516a4200a478333dc076a8d1a",
+    "random_6": "7530416f1324331f7c1019c87cc34c6dac6cdf65d119cc97c3e9e2f8283f1206",
+    "random_7": "68ce6d1d4da47ab3fb56b683d3403cb2f6c4cd3cd67640610b59d5a806626ffc",
+    "random_8": "0b6a8d1a96fcb142386e7f7c1a5100178826c0a7525eb5f7d439ca61a3d99c26",
+    "random_9": "eeda5ddaf99688be94b10138f9a9482e02810ea44f0a35ebed1d2b131735a589",
+    "random_10": "f28cb87cf0adbb880651d38dd2d9edb85b66e8814da484b4e7df8d3e68517e63",
+    "random_11": "bdedebd3e7452357f531044aacb029e85f927b35c58cab791dcdbfbb00dcccf1",
+    "random_12": "0e262f6a0ee000ff33e8ba752d21fec36fdf221fa48b4e495fbcdd1895622d6d",
+    "random_13": "5d49be2d467e7bce25fdf687276469bbf9aafbeb36c077a0ed5e147ee3c12907",
+    "random_14": "e3ed7846b7ff6895774312e5551ae0d0c139ae39c00ac680669a5d8bc0ae6eb2",
+    "random_15": "02f242b3a74e6ff036ab04e4248127911bd10a2df2adbc40ba504dd5289f83f1",
+    "random_16": "9543b5ee2e3d2c837e1290fcabc01e931dbf535f599c34b0a66f9d5cab42f33b",
+    "random_17": "0310fdb1f4c582a310cb8f6221e2ccd3030b8c2f04ccc6a719175a237a403fc1",
+    "random_18": "fff92b8a2b3453efbd71df8b56f80cdfc0597e12aecae03c4bf11428e8995fec",
+    "random_19": "0b86694d3e2a4860dad6e32239bdffd425c03cba3b6f9df05a697c7415d54802",
+}
+
+
+def behaviour_cases():
+    """(name, rho, alice angles, bob angles): the named states, whose zero
+    probabilities cover the clamp, and 20 random states at 1-3 angles a side."""
+    from bellctx.gleason import random_density
+    spec = optimal_settings()
+    yield "photon_pair", photon_pair_state(), spec.alice_angles, spec.bob_angles
+    yield "maximally_mixed", maximally_mixed(4), spec.alice_angles, spec.bob_angles
+    yield "product_hh", pure_state([1, 0, 0, 0]), (0.0, math.pi / 2), (0.0, -math.pi / 4, math.pi)
+    rng = np.random.default_rng(15)
+    for i in range(20):
+        rho = random_density(4, rng)
+        n_alice, n_bob = rng.integers(1, 4, 2)
+        yield (f"random_{i}", rho, tuple(rng.uniform(-np.pi, np.pi, n_alice)),
+               tuple(rng.uniform(-np.pi, np.pi, n_bob)))
 
 
 def quantum_pair_model() -> QuantumModel:
@@ -126,6 +172,11 @@ class TestQuantumModel:
                 polarization_observable(spec.alice_angles[ix]),
                 polarization_observable(spec.bob_angles[iy])))
             assert np.array_equal(model.behaviour()[ix, iy].ravel(), expected)
+
+    def test_behaviour_bytes_are_pinned(self):
+        digests = {name: hashlib.sha256(QuantumModel(rho, a, b).behaviour().tobytes()).hexdigest()
+                   for name, rho, a, b in behaviour_cases()}
+        assert digests == BEHAVIOUR_SHA256
 
     def test_maximally_mixed_tables_uniform(self):
         model = QuantumModel(maximally_mixed(4), (0.0, 0.5), (0.1, 0.9))
