@@ -209,6 +209,8 @@ def cmd_gleason_check(args) -> Output:
     if args.n_contexts < 1:
         raise ConfigError(f"n-contexts must be at least 1, got {args.n_contexts}")
     seed = 0 if args.seed is None else args.seed
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
     rng = np.random.default_rng(seed)
     if args.state:
         try:

@@ -2,14 +2,14 @@
 
 A frame function assigns m(P) in [0, 1] to every projector with
 m(identity) = 1 and additivity over mutually orthogonal projectors.
-This module samples random contexts to stress that additivity, fits the
-trace form m(P) = Tr(rho P) back out of sampled values (the inverse
-problem), and exhibits the dimension-2 loophole: a cubic function of the
-Bloch vector that is additive on every two-outcome context yet is not of
-trace form. In dimension >= 3 a projector sits inside infinitely many
-contexts; ``intertwined_contexts`` samples such embeddings and
-``extravalence_check`` confirms the assigned value does not depend on
-the embedding.
+This module samples random contexts, as stacks ``(k, d, d)`` of
+projectors, to stress that additivity, fits the trace form
+m(P) = Tr(rho P) back out of sampled values (the inverse problem), and
+exhibits the dimension-2 loophole: a cubic function of the Bloch vector
+that is additive on every two-outcome context yet is not of trace form.
+In dimension >= 3 a projector sits inside infinitely many contexts;
+``extravalence_check`` samples such embeddings and confirms the assigned
+value does not depend on the embedding.
 
 Random objects are drawn from explicit seeds and are deterministic given
 the seed. Haar sampling uses QR of a complex Gaussian matrix with the
@@ -24,8 +24,8 @@ from typing import Callable
 
 import numpy as np
 
-from .quantum import (Context, DensityOperator, Projector, TOL, born_probabilities,
-                      check_contexts, projector_ranks)
+from .quantum import (DensityOperator, Projector, TOL, born_probabilities, check_contexts,
+                      projector_ranks)
 
 ADDITIVITY_TOL = 1e-10
 # Contexts checked as one stack: bounds memory whatever n_contexts is.
@@ -76,15 +76,6 @@ def _context_stack(unitaries: np.ndarray, profile: tuple[int, ...]) -> np.ndarra
         block = unitaries[:, :, start:start + rank]
         np.matmul(block, block.conj().swapaxes(-1, -2), out=stack[:, j])
     return stack
-
-
-def random_context(dim: int, rank_profile, seed) -> Context:
-    """Haar-random context with projector ranks given by ``rank_profile``."""
-    profile = tuple(int(r) for r in rank_profile)
-    if any(r < 1 for r in profile) or sum(profile) != dim:
-        raise ValueError(f"rank profile {profile} must be positive and sum to dim {dim}")
-    stack = _context_stack(haar_unitary(dim, _as_generator(seed))[None], profile)
-    return Context(tuple(Projector(p) for p in stack[0]))
 
 
 def random_rank_profile(dim: int, rng: np.random.Generator) -> tuple[int, ...]:
@@ -308,17 +299,6 @@ def _embedding_pieces(p: Projector, n: int, seed):
     for _ in range(n):
         columns = (complement_basis @ haar_unitary(complement_dim, rng)).T
         yield columns[:, :, None] * columns.conj()[:, None, :]
-
-
-def intertwined_contexts(p: Projector, n: int, seed) -> list[Context]:
-    """Distinct contexts all containing ``p``, completed at random.
-
-    The complement of ``p`` is split into Haar-random rank-1 pieces.
-    Requires a complement of dimension >= 2; below that the completion
-    is unique and the request is an error.
-    """
-    return [Context((p, *(Projector(q) for q in pieces)))
-            for pieces in _embedding_pieces(p, n, seed)]
 
 
 @dataclass(frozen=True)

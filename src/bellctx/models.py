@@ -465,8 +465,11 @@ def tables_from_json(data: dict | str) -> np.ndarray:
             raise ValueError(f"cell {key!r} has a non-numeric probability")
         cells[(ix, iy)] = [cell[k] for k in PAIR_KEYS]
     shape = (1 + max(ix for ix, _ in cells), 1 + max(iy for _, iy in cells))
-    missing = [cell for cell in np.ndindex(shape) if cell not in cells]
-    if missing:
-        raise ValueError(f"tables missing settings cells {missing}")
+    n_missing = shape[0] * shape[1] - len(cells)
+    if n_missing:  # name the first few only: two keys can span a grid of any size
+        first = list(itertools.islice((cell for cell in itertools.product(*map(range, shape))
+                                       if cell not in cells), 3))
+        raise ValueError(f"tables missing settings cells {first}{' ...' * (n_missing > 3)} "
+                         f"({n_missing} of the {shape[0]}x{shape[1]} grid)")
     return validate_behaviour(np.reshape([cells[cell] for cell in np.ndindex(shape)],
                                          shape + (2, 2)))

@@ -1,21 +1,25 @@
 """Exact finite-dimensional quantum probability engine.
 
-States are density operators, measurements are complete families of
-mutually orthogonal projectors ("contexts"), and probabilities come from
-the trace rule p = Re Tr(rho P). Everything is dense complex linear
-algebra at dimensions small enough (d <= 16) that double precision is
-comfortably exact at the 1e-10 tolerance used throughout.
+States are density operators. A measurement context is a stack
+``(k, d, d)`` of k mutually orthogonal projectors that sum to the
+identity, and probabilities come from the trace rule p = Re Tr(rho P):
+``context_distribution`` validates a context and returns its outcome
+distribution. Everything is dense complex linear algebra at dimensions
+small enough (d <= 16) that double precision is comfortably exact at the
+1e-10 tolerance used throughout.
 
 Conventions
 -----------
-- Polarization analyzers are real qubit projectors onto
-  |theta> = (cos theta, sin theta); the orthogonal outcome is
-  |theta + pi/2>. Outcomes are labelled +1 / -1.
+- A polarization analyzer is the stack [plus, minus] of real qubit
+  projectors onto |theta> = (cos theta, sin theta) and |theta + pi/2>;
+  the outcomes are labelled +1 / -1. The joint context of two analyzers
+  holds their four Kronecker products in OUTCOME_PAIRS order.
 - The two-photon source state is |Phi+> = (|HH> + |VV>)/sqrt(2), for
   which the correlation of two analyzers depends only on the angle
   difference: E(ta, tb) = cos 2(ta - tb).
-- All types are immutable after construction and all operations are
-  pure functions, so everything is safe to share across threads.
+- ``DensityOperator`` and ``Projector`` are immutable after construction.
+  Functions return fresh arrays and never modify their inputs, so
+  everything is safe to share across threads.
 """
 
 from __future__ import annotations
@@ -115,53 +119,6 @@ class Projector:
         return self.matrix.shape[0]
 
 
-@dataclass(frozen=True)
-class Context:
-    """Complete family of mutually orthogonal projectors (sums to identity)."""
-
-    projectors: tuple[Projector, ...]
-
-    def __post_init__(self) -> None:
-        projs = tuple(self.projectors)
-        object.__setattr__(self, "projectors", projs)
-        if not projs:
-            raise ValueError("context needs at least one projector")
-        if any(p.dim != projs[0].dim for p in projs):
-            raise ValueError("context projectors have mixed dimensions")
-        check_contexts(np.stack([p.matrix for p in projs]))
-
-    @property
-    def dim(self) -> int:
-        return self.projectors[0].dim
-
-    def __len__(self) -> int:
-        return len(self.projectors)
-
-
-@dataclass(frozen=True)
-class DichotomicObservable:
-    """Two-outcome observable with outcomes labelled +1 (plus) and -1 (minus)."""
-
-    plus: Projector
-    minus: Projector
-
-    def __post_init__(self) -> None:
-        if self.plus.dim != self.minus.dim:
-            raise ValueError("plus/minus projectors have different dimensions")
-        check_contexts(np.stack([self.plus.matrix, self.minus.matrix]))
-
-    @property
-    def dim(self) -> int:
-        return self.plus.dim
-
-    def projector(self, outcome: int) -> Projector:
-        if outcome == 1:
-            return self.plus
-        if outcome == -1:
-            return self.minus
-        raise ValueError(f"outcome must be +1 or -1, got {outcome}")
-
-
 def born_probabilities(rho: DensityOperator, stack: np.ndarray) -> np.ndarray:
     """Trace-rule values Re Tr(rho P) of a stack ``(m, d, d)`` of projectors,
     clamped to [0, 1] within TOL."""
@@ -183,16 +140,17 @@ def born_probability(rho: DensityOperator, p: Projector) -> float:
     return float(born_probabilities(rho, p.matrix[None])[0])
 
 
-def context_distribution(rho: DensityOperator, c: Context) -> np.ndarray:
-    """Outcome distribution of a context: one probability per projector.
-
-    The raw trace-rule values must sum to 1 within TOL; the returned
-    vector is then renormalized exactly so downstream samplers see a
-    distribution that sums to 1.
+def context_distribution(rho: DensityOperator, context: np.ndarray) -> np.ndarray:
+    """Outcome distribution of a context ``(k, d, d)``, validated here: one
+    probability per projector. The raw trace-rule values must sum to 1
+    within TOL; the returned vector is then renormalized exactly so
+    downstream samplers see a distribution that sums to 1.
     """
-    if rho.dim != c.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, context {c.dim}")
-    probs = np.array([born_probability(rho, p) for p in c.projectors])
+    if context.ndim != 3 or context.shape[1:] != rho.matrix.shape:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, context of shape {context.shape}")
+    projector_ranks(context)
+    check_contexts(context)
+    probs = born_probabilities(rho, context)
     total = float(probs.sum())
     if abs(total - 1.0) > TOL:
         raise ValueError(f"context probabilities sum to {total}, not 1")
@@ -214,19 +172,13 @@ def maximally_mixed(dim: int) -> DensityOperator:
     return DensityOperator(np.eye(dim) / dim)
 
 
-def polarization_observable(theta: float) -> DichotomicObservable:
-    """Analyzer at angle theta: +1 projects onto (cos theta, sin theta)."""
+def polarization_observable(theta: float) -> np.ndarray:
+    """Analyzer at angle theta as the stack [plus, minus]: +1 projects onto
+    (cos theta, sin theta), -1 onto the orthogonal direction."""
     if not math.isfinite(theta):
         raise ValueError(f"angle must be finite, got {theta}")
     c, s = math.cos(theta), math.sin(theta)
-    plus = Projector(np.outer([c, s], [c, s]))
-    minus = Projector(np.outer([-s, c], [-s, c]))
-    return DichotomicObservable(plus, minus)
-
-
-def tensor(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product; preserves Hermiticity and idempotence of inputs."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
+    return np.array([np.outer([c, s], [c, s]), np.outer([-s, c], [-s, c])], dtype=complex)
 
 
 def photon_pair_state() -> DensityOperator:
@@ -236,12 +188,11 @@ def photon_pair_state() -> DensityOperator:
     return pure_state(ket)
 
 
-def joint_context(a: DichotomicObservable, b: DichotomicObservable) -> Context:
-    """Four-projector context {Pa (x) Pb} ordered per OUTCOME_PAIRS."""
-    return Context(tuple(
-        Projector(tensor(a.projector(oa).matrix, b.projector(ob).matrix))
-        for oa, ob in OUTCOME_PAIRS
-    ))
+def joint_context(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Context ``(4, 4, 4)`` of the Kronecker products Pa (x) Pb of two
+    analyzers' projectors, ordered per OUTCOME_PAIRS."""
+    ia, ib = (1 - np.array(OUTCOME_PAIRS).T) // 2  # outcome +1 is index 0, -1 is index 1
+    return (a[ia][:, :, None, :, None] * b[ib][:, None, :, None, :]).reshape(4, 4, 4)
 
 
 def operator_to_json(mat: np.ndarray) -> list[list[list[float]]]:

@@ -21,7 +21,8 @@ from bellctx.gleason import (
     check_orthogonal_additivity,
     dim2_counterexample,
     fit_trace_form,
-    random_context,
+    _context_stack,
+    haar_unitary,
     random_density,
     random_rank_one,
     random_rank_profile,
@@ -125,11 +126,10 @@ def test_criterion_4_mixed_space_structure():
     worst = 0.0
     w = space.probs.reshape(2, 2, 2, 2)  # [x, a, y, b], outcome index 0 is +1
     for (ix, ia, iy, ib), prob in np.ndenumerate(w):
-        a, b = 1 - 2 * ia, 1 - 2 * ib
         # Independent of the behaviour array: the trace rule on Pa (x) Pb.
-        pa = polarization_observable(spec.alice_angles[ix]).projector(a)
-        pb = polarization_observable(spec.bob_angles[iy]).projector(b)
-        p_ab = born_probability(rho, Projector(np.kron(pa.matrix, pb.matrix)))
+        pa = polarization_observable(spec.alice_angles[ix])[ia]
+        pb = polarization_observable(spec.bob_angles[iy])[ib]
+        p_ab = born_probability(rho, Projector(np.kron(pa, pb)))
         worst = max(worst, abs(prob - p_ab / 4))
     factor_ok = worst <= 1e-12
     check(4, "mixed space has 16 atoms with prob = P(ab|xy)/4",
@@ -143,7 +143,8 @@ def test_criterion_5_probability_axioms_hold():
     for _ in range(1000):
         dim = int(rng.integers(2, 5))
         rho = random_density(dim, rng)
-        context = random_context(dim, random_rank_profile(dim, rng), rng)
+        profile = random_rank_profile(dim, rng)
+        context = _context_stack(haar_unitary(dim, rng)[None], profile)[0]
         space = ClassicalProbabilitySpace(tuple(f"P{k}" for k in range(len(context))),
                                           context_distribution(rho, context))
         report = verify_kolmogorov(space)

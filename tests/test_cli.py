@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 from pathlib import Path
 
 import pytest
@@ -183,6 +184,13 @@ class TestGleasonCheck:
         assert err.startswith("config error: n-contexts") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.json"))
 
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        assert main(["gleason-check", "--dim", "2", "--seed", "-1",
+                     "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == "config error: seed must be non-negative, got -1\n"
+        assert not list(tmp_path.glob("*.json"))
+
     def test_state_file_round_trip(self, tmp_path):
         from bellctx.quantum import maximally_mixed, operator_to_json
         state_path = tmp_path / "state.json"
@@ -288,6 +296,19 @@ class TestLhvBound:
         assert captured.err.startswith("config error: tables file")
         assert "two settings per side, got 1x3" in captured.err
         assert captured.err.count("\n") == 1
+
+    def test_sparse_keys_over_a_huge_grid_exit_2_at_once(self, tmp_path, capsys):
+        # Two cells span a 10^10-cell grid: the message counts the missing cells
+        # and names three, without walking the grid.
+        path = tmp_path / "tables.json"
+        path.write_text(json.dumps({"0,0": CELL, "100000,100000": CELL}))
+        start = time.perf_counter()
+        assert main(["lhv-bound", str(path)]) == 2
+        assert time.perf_counter() - start < 0.5
+        err = capsys.readouterr().err
+        assert len(err.encode()) < 1024
+        assert ("missing settings cells [(0, 1), (0, 2), (0, 3)] ... "
+                "(10000199999 of the 100001x100001 grid)") in err
 
     @pytest.mark.parametrize("tables, message", [
         ({"0,0": {"++": 0.5, "+-": 0.0, "-+": 0.0}, "0,1": CELL, "1,0": CELL, "1,1": CELL},

@@ -14,15 +14,21 @@ from bellctx.gleason import (
     extravalence_check,
     fit_trace_form,
     haar_unitary,
-    intertwined_contexts,
-    random_context,
     random_density,
     random_rank_one,
     random_rank_profile,
 )
-from bellctx.quantum import DensityOperator, Projector, born_probability, operator_to_json
+from bellctx.quantum import (DensityOperator, Projector, born_probability, check_contexts,
+                             context_distribution, maximally_mixed, operator_to_json,
+                             projector_ranks)
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+
+
+def random_context(dim: int, profile: tuple[int, ...], seed) -> np.ndarray:
+    """Haar-random context ``(k, d, d)`` with the given rank profile."""
+    return gleason._context_stack(haar_unitary(dim, gleason._as_generator(seed))[None],
+                                  profile)[0]
 
 
 def rank_proportional(dim: int) -> FrameFunction:
@@ -40,21 +46,18 @@ class TestRandomSampling:
     def test_random_context_satisfies_invariants(self):
         ctx = random_context(3, (1, 1, 1), seed=1)
         assert len(ctx) == 3
-        assert all(p.rank == 1 for p in ctx.projectors)
+        assert projector_ranks(ctx).tolist() == [1, 1, 1]
+        check_contexts(ctx)
 
     def test_full_rank_profile_gives_identity(self):
         ctx = random_context(3, (3,), seed=2)
-        assert np.allclose(ctx.projectors[0].matrix, np.eye(3))
-
-    def test_invalid_profile_rejected(self):
-        with pytest.raises(ValueError, match="profile"):
-            random_context(3, (1, 1), seed=0)
+        assert np.allclose(ctx[0], np.eye(3))
 
     def test_seeded_context_matches_golden_file(self):
         ctx = random_context(2, (1, 1), seed=42)
         produced = {
             "dim": 2, "seed": 42, "rank_profile": [1, 1],
-            "projectors": [operator_to_json(p.matrix) for p in ctx.projectors],
+            "projectors": [operator_to_json(p) for p in ctx],
         }
         recorded = json.loads((GOLDEN_DIR / "context_dim2_seed42.json").read_text())
         assert json.dumps(produced, sort_keys=True) == json.dumps(recorded, sort_keys=True)
@@ -123,10 +126,11 @@ class TestOrthogonalAdditivity:
         with pytest.raises(ValueError, match="not idempotent"):
             check_orthogonal_additivity(m, 200, 3, seed=41)
 
-    def test_random_context_rejects_non_unitary_haar_unitary(self, monkeypatch):
-        monkeypatch.setattr(gleason, "haar_unitary", lambda dim, rng: 1.5 * np.eye(dim))
+    def test_context_of_a_non_unitary_is_rejected(self):
+        # Blocks of 1.5 I sum to 1.5 I: orthogonal, but each part is 2.25 B B^dagger.
+        ctx = gleason._context_stack(1.5 * np.eye(3)[None], (1, 2))[0]
         with pytest.raises(ValueError, match="not idempotent"):
-            random_context(3, (1, 2), seed=42)
+            context_distribution(maximally_mixed(3), ctx)
 
     def test_values_outside_unit_interval_are_rejected(self):
         # Normalized on 0 and I, but rank-1 projectors get 1.5.
@@ -162,7 +166,7 @@ class TestTraceFormFit:
         samples = []
         while len(samples) < 40:
             ctx = random_context(4, random_rank_profile(4, rng), rng)
-            samples.extend((p, born_probability(rho, p)) for p in ctx.projectors)
+            samples.extend((p, born_probability(rho, p)) for p in map(Projector, ctx))
         fit = fit_trace_form(samples, 4)
         assert np.max(np.abs(fit.rho_estimate.matrix - rho.matrix)) <= 1e-8
 
@@ -231,39 +235,39 @@ class TestDim2Counterexample:
 
 
 class TestIntertwining:
-    def test_five_contexts_all_contain_projector(self):
+    # extravalence_check's embeddings of p: rank-1 pieces that complete it.
+    def test_five_embeddings_all_complete_the_projector(self):
         rng = np.random.default_rng(20)
         p = random_rank_one(3, rng)
-        contexts = intertwined_contexts(p, 5, seed=21)
-        assert len(contexts) == 5
-        for ctx in contexts:
-            assert np.max(np.abs(ctx.projectors[0].matrix - p.matrix)) <= 1e-10
+        embeddings = list(gleason._embedding_pieces(p, 5, seed=21))
+        assert len(embeddings) == 5
+        for pieces in embeddings:
+            assert projector_ranks(pieces).tolist() == [1, 1]
+            check_contexts(np.concatenate([p.matrix[None], pieces]))
 
-    def test_contexts_are_pairwise_distinct(self):
+    def test_embeddings_are_pairwise_distinct(self):
         rng = np.random.default_rng(22)
         p = random_rank_one(3, rng)
-        contexts = intertwined_contexts(p, 5, seed=23)
+        embeddings = list(gleason._embedding_pieces(p, 5, seed=23))
         for i in range(5):
             for j in range(i + 1, 5):
-                gap = max(
-                    np.max(np.abs(a.matrix - b.matrix))
-                    for a, b in zip(contexts[i].projectors[1:], contexts[j].projectors[1:]))
-                assert gap > 1e-6
+                assert np.max(np.abs(embeddings[i] - embeddings[j])) > 1e-6
 
     def test_qubit_rank_one_has_unique_completion(self):
         rng = np.random.default_rng(24)
         with pytest.raises(ValueError, match="unique completion"):
-            intertwined_contexts(random_rank_one(2, rng), 3, seed=25)
+            extravalence_check(rank_proportional(2), random_rank_one(2, rng), 3, seed=25)
 
     def test_dim4_rank2_completions_pass_invariants(self):
         rng = np.random.default_rng(26)
         u = haar_unitary(4, rng)
         block = u[:, :2]
         p = Projector(block @ block.conj().T)
-        contexts = intertwined_contexts(p, 3, seed=27)
-        assert len(contexts) == 3
-        for ctx in contexts:
-            assert len(ctx) == 3  # p plus two rank-1 pieces
+        embeddings = list(gleason._embedding_pieces(p, 3, seed=27))
+        assert len(embeddings) == 3
+        for pieces in embeddings:
+            assert pieces.shape == (2, 4, 4)  # two rank-1 pieces beside p
+            check_contexts(np.concatenate([p.matrix[None], pieces]))
 
 
 class TestExtravalence:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellctx.chsh import DEFAULT_COMBINATION, all_combinations, chsh_value, correlations
-from bellctx.gleason import random_context, random_density, random_rank_profile
+from bellctx.gleason import _context_stack, haar_unitary, random_density, random_rank_profile
 from bellctx.kolmogorov import (
     SPACE_TOL,
     ClassicalProbabilitySpace,
@@ -22,9 +22,8 @@ from bellctx.kolmogorov import (
 )
 from bellctx.models import DeterministicStrategy, MixedLhvModel, QuantumModel
 from bellctx.quantum import (
-    Context,
-    Projector,
     context_distribution,
+    joint_context,
     maximally_mixed,
     photon_pair_state,
     polarization_observable,
@@ -34,12 +33,18 @@ from bellctx.quantum import (
 RT2 = math.sqrt(2.0)
 
 
-def computational_context(dim: int) -> Context:
+def computational_context(dim: int) -> np.ndarray:
     """Context of the computational-basis rank-1 projectors."""
-    return Context(tuple(Projector(np.diag(row)) for row in np.eye(dim)))
+    return np.array([np.diag(row) for row in np.eye(dim)], dtype=complex)
 
 
-def context_space(rho, ctx: Context) -> ClassicalProbabilitySpace:
+def random_context(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random context with a random rank profile."""
+    profile = random_rank_profile(dim, rng)
+    return _context_stack(haar_unitary(dim, rng)[None], profile)[0]
+
+
+def context_space(rho, ctx: np.ndarray) -> ClassicalProbabilitySpace:
     """One atom per projector of the context; trace-rule probabilities."""
     return ClassicalProbabilitySpace(tuple(f"P{k}" for k in range(len(ctx))),
                                      context_distribution(rho, ctx))
@@ -117,7 +122,7 @@ class TestSingleContextSpace:
         assert space.probs == pytest.approx([0.5, 0.5])
 
     def test_trivial_single_projector_context(self):
-        space = context_space(maximally_mixed(3), Context((Projector(np.eye(3)),)))
+        space = context_space(maximally_mixed(3), np.eye(3, dtype=complex)[None])
         assert len(space) == 1
         assert space.probs[0] == pytest.approx(1.0)
 
@@ -127,14 +132,11 @@ class TestSingleContextSpace:
         a = polarization_observable(0.0)
         b = polarization_observable(math.pi / 8)
         expected = []
-        for pa in (a.plus, a.minus):
-            for pb in (b.plus, b.minus):
-                proj = np.kron(pa.matrix, pb.matrix)
+        for pa in a:
+            for pb in b:
+                proj = np.kron(pa, pb)
                 expected.append(float(np.trace(rho.matrix @ proj).real))
-        joint = Context(tuple(
-            Projector(np.kron(pa.matrix, pb.matrix))
-            for pa in (a.plus, a.minus) for pb in (b.plus, b.minus)))
-        space = context_space(rho, joint)
+        space = context_space(rho, joint_context(a, b))
         assert space.probs == pytest.approx(expected, abs=1e-12)
         assert space.probs == pytest.approx(
             [(2 + RT2) / 8, (2 - RT2) / 8, (2 - RT2) / 8, (2 + RT2) / 8], abs=1e-12)
@@ -242,7 +244,7 @@ class TestVerifier:
         for _ in range(1000):
             dim = int(rng.integers(2, 5))
             rho = random_density(dim, rng)
-            ctx = random_context(dim, random_rank_profile(dim, rng), rng)
+            ctx = random_context(dim, rng)
             report = verify_kolmogorov(context_space(rho, ctx))
             assert report.all_ok
             assert report.worst_violation <= 1e-12

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from bellctx.quantum import (
-    Context,
+    OUTCOME_PAIRS,
     DensityOperator,
-    DichotomicObservable,
     Projector,
     born_probability,
+    check_contexts,
     context_distribution,
     joint_context,
     maximally_mixed,
@@ -18,16 +18,22 @@ from bellctx.quantum import (
     operator_to_json,
     photon_pair_state,
     polarization_observable,
+    projector_ranks,
     pure_state,
-    tensor,
 )
 from bellctx.chsh import correlations
-from bellctx.gleason import haar_unitary, random_context, random_density, random_rank_profile
+from bellctx.gleason import _context_stack, haar_unitary, random_density, random_rank_profile
 
 
-def computational_context(dim: int) -> Context:
+def computational_context(dim: int) -> np.ndarray:
     """Context of the computational-basis rank-1 projectors."""
-    return Context(tuple(Projector(np.diag(row)) for row in np.eye(dim)))
+    return np.array([np.diag(row) for row in np.eye(dim)], dtype=complex)
+
+
+def random_context(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Haar-random context with a random rank profile."""
+    profile = random_rank_profile(dim, rng)
+    return _context_stack(haar_unitary(dim, rng)[None], profile)[0]
 
 
 def trace_prob(rho_matrix, proj_matrix) -> float:
@@ -67,20 +73,29 @@ class TestTypeInvariants:
         assert p.rank == 2
 
     def test_context_requires_orthogonality(self):
-        p = Projector(np.diag([1.0, 0.0]))
+        p = np.diag([1.0, 0.0])
         with pytest.raises(ValueError, match="orthogonal"):
-            Context((p, p))
+            check_contexts(np.array([p, p]))
+        with pytest.raises(ValueError, match="orthogonal"):
+            context_distribution(maximally_mixed(2), np.array([p, p], dtype=complex))
 
     def test_context_requires_completeness(self):
-        p = Projector(np.diag([1.0, 0.0, 0.0]))
-        q = Projector(np.diag([0.0, 1.0, 0.0]))
+        p = np.diag([1.0, 0.0, 0.0])
+        q = np.diag([0.0, 1.0, 0.0])
         with pytest.raises(ValueError, match="incomplete"):
-            Context((p, q))
+            check_contexts(np.array([p, q]))
+        with pytest.raises(ValueError, match="incomplete"):
+            context_distribution(maximally_mixed(3), np.array([p, q], dtype=complex))
 
-    def test_dichotomic_observable_checks_completeness(self):
-        p = Projector(np.diag([1.0, 0.0]))
-        with pytest.raises(ValueError):
-            DichotomicObservable(p, p)
+    def test_context_requires_projectors(self):
+        # Orthogonal and complete, but neither part is idempotent.
+        half = np.eye(2) / 2
+        with pytest.raises(ValueError, match="idempotent"):
+            context_distribution(maximally_mixed(2), np.array([half, half], dtype=complex))
+
+    def test_context_requires_the_state_dimension(self):
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            context_distribution(maximally_mixed(2), np.eye(2, dtype=complex))
 
 
 class TestBornProbability:
@@ -94,7 +109,7 @@ class TestBornProbability:
 
     def test_maximally_mixed_dim3_gives_third(self):
         rho = maximally_mixed(3)
-        p = computational_context(3).projectors[1]
+        p = Projector(computational_context(3)[1])
         assert born_probability(rho, p) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_dimension_mismatch_raises(self):
@@ -106,10 +121,10 @@ class TestBornProbability:
         for _ in range(200):
             dim = int(rng.integers(2, 5))
             rho = random_density(dim, rng)
-            ctx = random_context(dim, random_rank_profile(dim, rng), rng)
+            ctx = random_context(dim, rng)
             if len(ctx) < 2:
                 continue
-            p, q = ctx.projectors[0], ctx.projectors[1]
+            p, q = Projector(ctx[0]), Projector(ctx[1])
             merged = Projector(p.matrix + q.matrix)
             lhs = born_probability(rho, merged)
             rhs = born_probability(rho, p) + born_probability(rho, q)
@@ -120,8 +135,8 @@ class TestBornProbability:
         for _ in range(200):
             dim = int(rng.integers(2, 5))
             rho = random_density(dim, rng)
-            ctx = random_context(dim, random_rank_profile(dim, rng), rng)
-            total = sum(born_probability(rho, p) for p in ctx.projectors)
+            ctx = random_context(dim, rng)
+            total = sum(born_probability(rho, Projector(p)) for p in ctx)
             assert abs(total - 1.0) <= 1e-10
 
 
@@ -152,46 +167,55 @@ class TestContextDistribution:
 
 class TestPolarization:
     def test_theta_zero_is_horizontal(self):
-        obs = polarization_observable(0.0)
-        assert np.allclose(obs.plus.matrix, np.diag([1.0, 0.0]))
+        plus, minus = polarization_observable(0.0)
+        assert np.array_equal(plus, np.diag([1.0, 0.0]))
+        assert np.array_equal(minus, np.diag([0.0, 1.0]))
 
     def test_theta_right_angle_is_vertical(self):
-        obs = polarization_observable(math.pi / 2)
-        assert np.allclose(obs.plus.matrix, np.diag([0.0, 1.0]), atol=1e-15)
+        plus, _ = polarization_observable(math.pi / 2)
+        assert np.allclose(plus, np.diag([0.0, 1.0]), atol=1e-15)
 
     def test_theta_quarter_by_hand(self):
-        # Outer product of (1,1)/sqrt(2) with itself.
-        obs = polarization_observable(math.pi / 4)
-        assert np.allclose(obs.plus.matrix, np.full((2, 2), 0.5))
+        # Outer products of (1,1)/sqrt(2) and (-1,1)/sqrt(2) with themselves.
+        plus, minus = polarization_observable(math.pi / 4)
+        assert np.allclose(plus, np.full((2, 2), 0.5))
+        assert np.allclose(minus, [[0.5, -0.5], [-0.5, 0.5]])
+
+    def test_analyzer_is_a_rank_one_context(self):
+        for theta in np.random.default_rng(9).uniform(-np.pi, np.pi, 20):
+            analyzer = polarization_observable(theta)
+            assert analyzer.shape == (2, 2, 2) and analyzer.dtype == complex
+            assert projector_ranks(analyzer).tolist() == [1, 1]
+            check_contexts(analyzer)
 
     def test_non_finite_angle_rejected(self):
         with pytest.raises(ValueError):
             polarization_observable(float("nan"))
 
 
-class TestTensor:
-    def test_identity_times_identity(self):
-        assert np.array_equal(tensor(np.eye(2), np.eye(2)), np.eye(4))
-
-    def test_projector_tensor(self):
-        d = np.diag([1.0, 0.0])
-        assert np.array_equal(tensor(d, d), np.diag([1.0, 0.0, 0.0, 0.0]))
-
-    def test_pauli_x_tensor_by_hand(self):
-        x = np.array([[0, 1], [1, 0]])
-        expected = np.zeros((4, 4))
-        expected[0, 3] = expected[1, 2] = expected[2, 1] = expected[3, 0] = 1.0
-        assert np.array_equal(tensor(x, x).real, expected)
-
-    def test_tensor_of_projectors_is_projector(self):
+class TestJointContext:
+    def test_kronecker_products_in_outcome_pair_order(self):
+        # Bit for bit np.kron of the analyzers' projectors, signed zeros included.
         rng = np.random.default_rng(4)
-        for _ in range(50):
-            u = haar_unitary(2, rng)[:, 0]
-            v = haar_unitary(2, rng)[:, 0]
-            p = Projector(np.outer(u, u.conj()))
-            q = Projector(np.outer(v, v.conj()))
-            pq = Projector(tensor(p.matrix, q.matrix))
-            assert np.max(np.abs(pq.matrix @ pq.matrix - pq.matrix)) <= 1e-10
+        angles = [(0.0, 0.0), (0.0, math.pi / 2)] + rng.uniform(-np.pi, np.pi, (50, 2)).tolist()
+        for ta, tb in angles:
+            a, b = polarization_observable(ta), polarization_observable(tb)
+            context = joint_context(a, b)
+            assert context.shape == (4, 4, 4)
+            for part, (oa, ob) in zip(context, OUTCOME_PAIRS):
+                expected = np.kron(a[(1 - oa) // 2], b[(1 - ob) // 2])
+                assert part.tobytes() == expected.tobytes()
+
+    def test_horizontal_pair_by_hand(self):
+        context = joint_context(polarization_observable(0.0), polarization_observable(0.0))
+        assert np.array_equal(context, [np.diag(row) for row in np.eye(4)])
+
+    def test_joint_context_is_a_rank_one_context(self):
+        rng = np.random.default_rng(5)
+        for ta, tb in rng.uniform(-np.pi, np.pi, (50, 2)):
+            context = joint_context(polarization_observable(ta), polarization_observable(tb))
+            assert projector_ranks(context).tolist() == [1, 1, 1, 1]
+            check_contexts(context)
 
 
 class TestPhotonPair:
