@@ -44,6 +44,7 @@ from bellctx.models import (
     superdeterministic_s4_example,
 )
 from bellctx.quantum import photon_pair_state
+from bellctx.rng import chunk_generator
 
 RT2 = math.sqrt(2.0)
 CONFIGS = Path(__file__).parent.parent / "src" / "bellctx" / "configs"
@@ -483,6 +484,113 @@ class TestEventLog:
         assert header["master_seed"] == cfg.master_seed
         assert CountsTable.from_records(records, cfg.settings.n_alice,
                                         cfg.settings.n_bob) == result.counts
+
+
+def chunk_cells(chunk, n_bob: int) -> np.ndarray:
+    """A chunk's trials as counts-table cell indices."""
+    return harness._cell_index(chunk.x_index, chunk.y_index, chunk.a, chunk.b, n_bob)
+
+
+def reference_cells(p, alice_probs, bob_probs, ux, uy, uo) -> np.ndarray:
+    """The sampler as first written, the oracle for the chunk generator: each
+    uniform is drawn through ``searchsorted`` on its cumulative, capped at the
+    last index, and the outcome uniforms one context mask at a time."""
+    def draw(probs, u):
+        cumulative = setting_cumulative(probs)
+        return np.minimum(np.searchsorted(cumulative, u, side="right"), len(cumulative) - 1)
+
+    x, y = draw(alice_probs, ux), draw(bob_probs, uy)
+    outcome = np.empty(len(uo), dtype=np.intp)
+    for ix, iy in np.ndindex(p.shape[:2]):
+        mask = (x == ix) & (y == iy)
+        outcome[mask] = draw(p[ix, iy].ravel(), uo[mask])
+    return (x * p.shape[1] + y) * 4 + outcome
+
+
+class FixedUniforms:
+    """Stands in for a chunk's generator: ``random`` hands out given arrays in order."""
+
+    def __init__(self, *arrays):
+        self.arrays = list(arrays)
+
+    def random(self, size):
+        u = self.arrays.pop(0)
+        assert len(u) == size
+        return u
+
+
+def setting_cumulative(probs) -> np.ndarray:
+    """A wing's setting thresholds as run_experiment forms them."""
+    cumulative = np.cumsum(probs)
+    return cumulative / cumulative[-1]
+
+
+def sampled_cells(p, alice_probs, bob_probs, master_seed, chunk_id, size) -> np.ndarray:
+    alice_cum, bob_cum = setting_cumulative(alice_probs), setting_cumulative(bob_probs)
+    chunk = harness._generate_chunk(harness._cell_cumulatives(p), alice_cum, bob_cum,
+                                    master_seed, chunk_id, 0, size)
+    return chunk_cells(chunk, p.shape[1])
+
+
+def around(values) -> list[float]:
+    """Each value with its neighbouring doubles on either side, kept in [0, 1]."""
+    return sorted({float(u) for v in values for u in (np.nextafter(v, -1.0), v,
+                   np.nextafter(v, 2.0)) if 0.0 <= u <= 1.0})
+
+
+class TestSamplerOracle:
+    @pytest.mark.parametrize("config", SHIPPED)
+    def test_shipped_configs_match_the_reference_sampler(self, config):
+        cfg = load_experiment(CONFIGS / config)
+        result = run_experiment(cfg.model, 20_000, cfg.settings, cfg.master_seed,
+                                chunk_size=4096, n_workers=2)
+        for chunk in result.chunks:
+            rng = chunk_generator(cfg.master_seed, chunk.chunk_id)
+            size = min(4096, 20_000 - chunk.start_trial)
+            uniforms = [rng.random(size) for _ in range(3)]
+            assert np.array_equal(chunk_cells(chunk, cfg.settings.n_bob), reference_cells(
+                cfg.model.behaviour(), cfg.settings.alice_probs, cfg.settings.bob_probs,
+                *uniforms))
+
+    def test_random_behaviours_match_the_reference_sampler(self):
+        rng = np.random.default_rng(31)
+        for case in range(60):
+            n_alice, n_bob = rng.integers(1, 4, 2)
+            p = rng.dirichlet(np.ones(4), (n_alice, n_bob))
+            # Some outcomes and settings never occur.
+            p[rng.random(p.shape) < 0.2] = 0.0
+            p[..., 0] += p.sum(axis=-1) == 0
+            p = (p / p.sum(axis=-1, keepdims=True)).reshape(n_alice, n_bob, 2, 2)
+            alice_probs, bob_probs = rng.dirichlet(np.ones(n_alice)), rng.dirichlet(np.ones(n_bob))
+            if case % 3 == 0 and n_alice > 1:
+                alice_probs[0] = 0.0
+            size = int(rng.integers(1, 3000))
+            ours = sampled_cells(p, alice_probs, bob_probs, 40 + case, case, size)
+            generator = chunk_generator(40 + case, case)
+            uniforms = [generator.random(size) for _ in range(3)]
+            assert np.array_equal(ours, reference_cells(p, alice_probs, bob_probs, *uniforms))
+
+    @pytest.mark.parametrize("p", [
+        DeterministicStrategy((1, -1), (-1, 1)).behaviour(),
+        PrBoxModel().behaviour(),
+        np.array([[[[0.25, 0.0], [0.0, 0.75]], [[0.0, 0.0], [0.0, 1.0]]],
+                  [[[0.0, 0.5], [0.5, 0.0]], [[0.125, 0.375], [0.375, 0.125]]]]),
+    ], ids=["deterministic", "pr-box", "zero-outcomes"])
+    @pytest.mark.parametrize("alice_probs, bob_probs", [
+        ((0.5, 0.5), (0.5, 0.5)), ((0.25, 0.75), (1.0, 0.0)), ((0.0, 1.0), (0.375, 0.625))])
+    def test_uniforms_on_the_thresholds_match_the_reference_sampler(
+            self, monkeypatch, p, alice_probs, bob_probs):
+        """Every uniform at, just below and just above each threshold, so the
+        draw rule decides every tie the way ``searchsorted(..., "right")`` does."""
+        setting_us = [around(setting_cumulative(probs)) + [0.0]
+                      for probs in (alice_probs, bob_probs)]
+        cell_cums = np.cumsum(p.reshape(2, 2, 4), axis=-1)
+        ux, uy, uo = (np.array(column) for column in zip(*itertools.product(
+            *setting_us, around(cell_cums.ravel()))))
+        monkeypatch.setattr(harness, "chunk_generator",
+                            lambda seed, chunk_id: FixedUniforms(ux, uy, uo))
+        ours = sampled_cells(p, np.array(alice_probs), np.array(bob_probs), 0, 0, len(ux))
+        assert np.array_equal(ours, reference_cells(p, alice_probs, bob_probs, ux, uy, uo))
 
 
 class TestEstimators:
