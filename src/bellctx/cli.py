@@ -66,6 +66,7 @@ from .models import (
     lhv_max_chsh,
     local_polytope_membership,
     maximizing_strategies,
+    strict_json_loads,
     tables_from_json,
 )
 from .plotsvg import Panel, render_panels
@@ -216,7 +217,7 @@ def cmd_gleason_check(args) -> Output:
         try:
             # An unreadable file is an OSError and exits as an I/O error.
             rho = DensityOperator(operator_from_json(
-                json.loads(Path(args.state).read_text())))
+                strict_json_loads(Path(args.state).read_text())))
         except ValueError as exc:
             raise ModelBuildError(f"state file {args.state}: {exc}") from exc
         if rho.dim != args.dim:

@@ -51,6 +51,7 @@ from .models import (
     PrBoxModel,
     QuantumModel,
     SignallingModel,
+    strict_json_loads,
     superdeterministic_s4_example,
 )
 from .quantum import DensityOperator, maximally_mixed, operator_from_json, photon_pair_state, \
@@ -176,8 +177,8 @@ def load_raw_config(path) -> dict:
         raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
     if path.suffix.lower() == ".json":
         try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
+            data = strict_json_loads(text)
+        except ValueError as exc:
             raise ConfigError(f"{path}: invalid JSON: {exc}") from exc
         if not isinstance(data, dict):
             raise ConfigError(f"{path}: top-level JSON value must be an object")
@@ -191,7 +192,7 @@ def _build_model(canon: dict, settings: SettingsSpec,
     try:
         if kind == "quantum":
             if "model.state_file" in canon:
-                state_data = json.loads(Path(canon["model.state_file"]).read_text())
+                state_data = strict_json_loads(Path(canon["model.state_file"]).read_text())
                 rho = DensityOperator(operator_from_json(state_data))
             else:
                 name = canon.get("model.state", "photon_pair")

@@ -4,7 +4,12 @@ Trials are generated in fixed-size chunks. Each chunk owns an RNG stream
 derived from (master_seed, chunk_id) by the counter-based scheme in
 :mod:`bellctx.rng`, so the full run is reproducible byte for byte no
 matter how many workers generate chunks or in which order they finish.
-Aggregation is a cellwise sum of counts (a commutative monoid).
+A trial draws three uniforms, Alice's setting, Bob's and then the outcome
+pair of that context, and each becomes the number of its cumulative's
+thresholds (all but the last) at or below it. A trial is therefore one
+cell of p(a,b|x,y): a chunk is one column of cell indices, 1 byte per
+trial in the 2x2 scenario, and its counts are a ``bincount`` of that
+column. Aggregation is a cellwise sum of counts (a commutative monoid).
 
 Estimators are the plug-in ones, all array expressions over the counts
 in :func:`estimate_report`: E(x,y) from the per-context counts with a
@@ -17,16 +22,18 @@ Simulated spacelike separation is bookkeeping only: setting draws never
 feed the model's hidden state (the superdeterministic kind conditions on
 them by design, which is its point).
 
-A trial is a row of the chunk columns, and one event log line on disk:
-``EVENT_FIELDS`` names the columns and one line template fixes the line.
-The writer lays a block of a chunk's trials out as rows of a byte matrix
-cut from that template. It encodes blocks on as many threads as
-generated the chunks, a bounded window of them at a time, and writes
-them in trial order. The reader matches the template's pattern over
-blocks of whole lines and parses their numbers as one comma-separated
-stream into an ``(n_trials, 6)`` int64 array. One linear cell index
-orders both the counts and the writer's per-cell bytes; every artifact
-is written through :func:`atomic_write`.
+On disk a trial is one event log line: ``EVENT_FIELDS`` names its
+numbers and one line template fixes the line. The writer lays a block of
+a chunk's trials out as rows of a byte matrix cut from that template,
+each row's middle looked up by the trial's cell index. It encodes blocks
+on as many threads as generated the chunks, a bounded window of them at
+a time, and writes them in trial order. A pool task, generating or
+encoding, covers whole chunks or blocks of at least ``_ENCODE_ROWS``
+trials, so tiny chunks share one. The reader matches the template's
+pattern over blocks of whole lines and parses their numbers as one
+comma-separated stream into an ``(n_trials, 6)`` int64 array. One linear
+cell index orders the chunks, the counts and the writer's per-cell
+bytes; every artifact is written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
@@ -87,12 +94,16 @@ Z_THRESHOLD = 5.0
 
 def atomic_write(path, pieces: Iterable[bytes]) -> None:
     """Write the byte pieces to a temp file, then rename it to ``path``;
-    a failure part way removes the temp file and leaves ``path`` as it was."""
+    a failure part way removes the temp file and leaves ``path`` as it was.
+    The file gets the mode ``open`` would give a new one, not mkstemp's 0600."""
     path = Path(path)
     handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(handle, "wb") as fh:
             fh.writelines(pieces)
+            umask = os.umask(0)
+            os.umask(umask)
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
         os.replace(tmp_name, path)
     except BaseException:
         os.unlink(tmp_name)
@@ -174,25 +185,20 @@ class CountsTable:
 
 @dataclass(frozen=True)
 class ChunkData:
-    """Raw per-chunk trial arrays (int8 outcome/setting codes)."""
+    """One chunk's trials, each as its counts-table cell index (see
+    :func:`_cell_index`), in the smallest unsigned dtype that holds them."""
 
     chunk_id: int
     start_trial: int
-    x_index: np.ndarray
-    y_index: np.ndarray
-    a: np.ndarray
-    b: np.ndarray
+    cells: np.ndarray
 
 
 def _cell_cumulatives(p: np.ndarray) -> np.ndarray:
-    """Per-cell cumulative outcome distributions [x, y, 4] of a behaviour."""
-    cum = np.cumsum(p.reshape(p.shape[0], p.shape[1], 4), axis=-1)
+    """Per-context cumulative outcome distributions [x, y, 4] of a behaviour,
+    made non-decreasing so that entries a hair below zero draw as zero."""
+    cum = np.maximum.accumulate(np.cumsum(p.reshape(p.shape[0], p.shape[1], 4), axis=-1),
+                                axis=-1)
     return cum / cum[..., -1:]
-
-
-def _draw_indices(cumulative: np.ndarray, u: np.ndarray) -> np.ndarray:
-    return np.minimum(np.searchsorted(cumulative, u, side="right"),
-                      len(cumulative) - 1)
 
 
 def _generate_chunk(
@@ -206,23 +212,26 @@ def _generate_chunk(
 ) -> ChunkData:
     """All trials of one chunk; a pure function of its arguments.
 
-    Draw order is fixed (settings u's, then one outcome u per trial) so
-    the output is identical no matter how cells interleave.
+    Three uniforms per trial are drawn in a fixed order: all of Alice's
+    setting uniforms, then Bob's, then the outcome uniforms. Each becomes an
+    index, the number of thresholds at or below it among all but the last
+    entry of its cumulative distribution; an outcome's thresholds are those
+    of the trial's context.
     """
     rng = chunk_generator(master_seed, chunk_id)
     ux = rng.random(size)
     uy = rng.random(size)
     uo = rng.random(size)
-    xs = _draw_indices(alice_cum, ux).astype(np.int8)
-    ys = _draw_indices(bob_cum, uy).astype(np.int8)
-    outcome = np.empty(size, dtype=np.int8)
-    for ix, iy in np.ndindex(cell_cums.shape[:2]):
-        mask = (xs == ix) & (ys == iy)
-        if mask.any():
-            outcome[mask] = _draw_indices(cell_cums[ix, iy], uo[mask])
-    a = np.where(outcome < 2, 1, -1).astype(np.int8)
-    b = np.where((outcome & 1) == 0, 1, -1).astype(np.int8)
-    return ChunkData(chunk_id, start_trial, xs, ys, a, b)
+    context = np.zeros(size, dtype=np.min_scalar_type(cell_cums.size - 1))
+    for threshold in alice_cum[:-1]:
+        context += ux >= threshold
+    context *= cell_cums.shape[1]
+    for threshold in bob_cum[:-1]:
+        context += uy >= threshold
+    cells = context * 4
+    for thresholds in cell_cums.reshape(-1, 4)[:, :-1].T:
+        cells += uo >= thresholds.take(context)
+    return ChunkData(chunk_id, start_trial, cells)
 
 
 def _event_middles(n_alice: int, n_bob: int) -> np.ndarray:
@@ -239,8 +248,7 @@ def _event_middles(n_alice: int, n_bob: int) -> np.ndarray:
     return middles.reshape(len(texts), width)
 
 
-def _encode_block(chunk: ChunkData, offset: int, middles: np.ndarray, n_bob: int,
-                  ) -> np.ndarray:
+def _encode_block(chunk: ChunkData, offset: int, middles: np.ndarray) -> np.ndarray:
     """The log lines of the chunk's _ENCODE_ROWS trials from ``offset``, as bytes.
 
     A byte-matrix row holds one line in fixed columns: the line's head, the
@@ -248,7 +256,7 @@ def _encode_block(chunk: ChunkData, offset: int, middles: np.ndarray, n_bob: int
     cell's middle from :func:`_event_middles` and the chunk_id tail. Leading
     zeros become spaces, which are dropped with the middle's padding.
     """
-    trials = slice(offset, min(offset + _ENCODE_ROWS, len(chunk.x_index)))
+    trials = slice(offset, min(offset + _ENCODE_ROWS, len(chunk.cells)))
     first = chunk.start_trial + offset
     ids = np.arange(first, chunk.start_trial + trials.stop)
     head = np.frombuffer(_LINE_HEAD.encode(), dtype=np.uint8)
@@ -264,10 +272,22 @@ def _encode_block(chunk: ChunkData, offset: int, middles: np.ndarray, n_bob: int
         # The ids ascend, so those below place are the block's first rows.
         if column != digits[-1]:
             m[:max(0, place - first), column] = ord(" ")
-    cell = _cell_index(chunk.x_index[trials], chunk.y_index[trials], chunk.a[trials],
-                       chunk.b[trials], n_bob)
-    m[:, middle] = middles.take(cell, axis=0)
+    m[:, middle] = middles.take(chunk.cells[trials], axis=0)
     return m[m != ord(" ")]
+
+
+def _tasks(items: list, sizes: list[int]) -> list[list]:
+    """The items in consecutive groups of at least _ENCODE_ROWS trials (the
+    last group may hold fewer), one pool task each: tiny chunks share a
+    thread handoff."""
+    tasks, rows = [[]], 0
+    for item, size in zip(items, sizes):
+        if rows >= _ENCODE_ROWS:
+            tasks.append([])
+            rows = 0
+        tasks[-1].append(item)
+        rows += size
+    return tasks
 
 
 @dataclass(frozen=True)
@@ -288,7 +308,8 @@ class ExperimentResult:
         """Line-delimited JSON: one header line, then one line per trial.
 
         Blocks of _ENCODE_ROWS trials are encoded on ``n_threads`` threads,
-        at most two per thread in flight, and written in block order.
+        whole blocks of at least _ENCODE_ROWS trials per task and at most two
+        tasks per thread in flight, and written in block order.
         """
         header = json.dumps({
             "schema_version": EVENT_LOG_SCHEMA_VERSION,
@@ -297,18 +318,22 @@ class ExperimentResult:
         })
         middles = _event_middles(self.settings.n_alice, self.settings.n_bob)
         blocks = [(chunk, offset) for chunk in self.chunks
-                  for offset in range(0, len(chunk.x_index), _ENCODE_ROWS)]
+                  for offset in range(0, len(chunk.cells), _ENCODE_ROWS)]
+        tasks = _tasks(blocks, [min(_ENCODE_ROWS, len(chunk.cells) - offset)
+                                for chunk, offset in blocks])
+
+        def encode(task: list) -> list:
+            return [_encode_block(chunk, offset, middles) for chunk, offset in task]
 
         def pieces(pool: ThreadPoolExecutor) -> Iterator:
             yield (header + "\n").encode()
             window = collections.deque()
-            for block in blocks:
+            for task in tasks:
                 if len(window) == 2 * self.n_threads:
-                    yield window.popleft().result()
-                window.append(pool.submit(_encode_block, *block, middles,
-                                          self.settings.n_bob))
+                    yield from window.popleft().result()
+                window.append(pool.submit(encode, task))
             while window:
-                yield window.popleft().result()
+                yield from window.popleft().result()
 
         pool = ThreadPoolExecutor(max_workers=self.n_threads)
         try:
@@ -385,20 +410,21 @@ def run_experiment(
     bob_cum /= bob_cum[-1]
 
     starts = range(0, n_trials, chunk_size)
+    sizes = [min(chunk_size, n_trials - start) for start in starts]
 
-    def generate(chunk_id: int, start: int) -> ChunkData:
-        return _generate_chunk(cell_cums, alice_cum, bob_cum, master_seed, chunk_id,
-                               start, min(chunk_size, n_trials - start))
+    def generate(task: list[int]) -> list[ChunkData]:
+        return [_generate_chunk(cell_cums, alice_cum, bob_cum, master_seed, chunk_id,
+                                starts[chunk_id], sizes[chunk_id]) for chunk_id in task]
 
     # Never more threads than chunks, whatever the configured worker count.
     n_threads = min(n_workers, len(starts))
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        chunks = list(pool.map(generate, range(len(starts)), starts))
+        chunks = [chunk for task in pool.map(generate, _tasks(range(len(starts)), sizes))
+                  for chunk in task]
 
-    total = sum(_cell_counts(chunk.x_index, chunk.y_index, chunk.a, chunk.b,
-                             settings.n_alice, settings.n_bob) for chunk in chunks)
+    total = sum(np.bincount(chunk.cells, minlength=cell_cums.size) for chunk in chunks)
     return ExperimentResult(
-        counts=CountsTable(total),
+        counts=CountsTable(total.reshape(settings.n_alice, settings.n_bob, 2, 2)),
         chunks=tuple(chunks),
         n_trials=n_trials,
         master_seed=master_seed,

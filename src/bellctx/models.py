@@ -24,9 +24,11 @@ Models are immutable value objects; they never own RNG state.
 
 from __future__ import annotations
 
+import collections
 import hashlib
 import itertools
 import json
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from functools import cached_property
@@ -444,21 +446,41 @@ def model_description_hash(model: OutcomeModel) -> str:
     return hashlib.sha256(json.dumps(model.to_json_dict(), sort_keys=True).encode()).hexdigest()
 
 
-def tables_from_json(data: dict | str) -> np.ndarray:
+def _unique_keys(pairs: list) -> dict:
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        key, _ = collections.Counter(key for key, _ in pairs).most_common(1)[0]
+        raise ValueError(f"duplicate key {key!r}")
+    return obj
+
+
+def strict_json_loads(text: str):
+    """``json.loads`` that refuses an object with a repeated key, where
+    ``json.loads`` would keep the last value without a word."""
+    return json.loads(text, object_pairs_hook=_unique_keys)
+
+
+# A tables key: two setting indices in plain ASCII decimal, so each cell has one key.
+_TABLES_KEY = re.compile(r"(0|[1-9][0-9]*),(0|[1-9][0-9]*)")
+
+
+def tables_from_json(text: str) -> np.ndarray:
     """Parse {"x,y": {"++": p, "+-": p, "-+": p, "--": p}} into a validated p[x, y, a, b].
 
     Every cell of the nx-by-ny layout must be present with all four
-    outcome pairs; malformed input raises ValueError.
+    outcome pairs; malformed input, a repeated key included, raises
+    ValueError.
     """
-    if isinstance(data, str):
-        data = json.loads(data)
+    data = strict_json_loads(text)
     if not isinstance(data, dict) or not data:
         raise ValueError("tables must be a non-empty JSON object keyed by 'x,y'")
     cells = {}
     for key, cell in data.items():
-        ix, iy = (int(t) for t in key.split(","))
-        if ix < 0 or iy < 0:
-            raise ValueError(f"negative setting index in cell {key!r}")
+        match = _TABLES_KEY.fullmatch(key)
+        if match is None:
+            raise ValueError(f"cell key {key!r} is not two setting indices 'x,y' in "
+                             f"plain decimal")
+        ix, iy = map(int, match.groups())
         if not isinstance(cell, dict) or sorted(cell) != sorted(PAIR_KEYS):
             raise ValueError(f"cell {key!r} must give exactly the outcome pairs {PAIR_KEYS}")
         if not all(isinstance(cell[k], (int, float)) for k in PAIR_KEYS):

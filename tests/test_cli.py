@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from bellctx.cli import main
+from bellctx.config import parse_config_text
 from bellctx.harness import CountsTable, read_event_log
 from bellctx.models import SignallingModel
 
@@ -82,6 +83,15 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.startswith("config error: alice.probs") and err.count("\n") == 1
         assert not list(tmp_path.glob("*.json*"))
+
+    def test_json_config_with_a_repeated_key_exits_2(self, tmp_path, capsys):
+        raw = parse_config_text((CONFIGS / "chsh_quantum.cfg").read_text())
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(raw)[:-1] + ', "trials": "2000"}')
+        assert main(["simulate", str(path), "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: {path}: invalid JSON: duplicate key 'trials'\n"
+        assert not list(tmp_path.glob("*.jsonl"))
 
     def test_invalid_model_exits_3(self, tmp_path):
         config = write_quick_config(tmp_path, **{"model.state": "bogus"})
@@ -309,6 +319,26 @@ class TestLhvBound:
         assert len(err.encode()) < 1024
         assert ("missing settings cells [(0, 1), (0, 2), (0, 3)] ... "
                 "(10000199999 of the 100001x100001 grid)") in err
+
+    @pytest.mark.parametrize("key, message", [
+        (" 1 , +1", "cell key ' 1 , +1' is not two setting indices"),
+        ("01,1", "cell key '01,1' is not two setting indices"),
+        ("\u0661,1", "cell key '\u0661,1' is not two setting indices"),
+        ("1_0,1", "cell key '1_0,1' is not two setting indices"),
+        ("1,1", "duplicate key '1,1'"),
+    ], ids=["spaced-signed", "leading-zero", "arabic-indic-one", "underscore", "repeated"])
+    def test_second_key_for_a_cell_exits_2(self, tmp_path, capsys, key, message):
+        """A full 2x2 table plus one more key that names a cell it already
+        has, or no cell at all, is refused with the key named."""
+        text = json.dumps({cell: CELL for cell in ("0,0", "0,1", "1,0", "1,1")}, ensure_ascii=False)
+        path = tmp_path / "tables.json"
+        path.write_text(text[:-1] + f", {json.dumps(key, ensure_ascii=False)}: "
+                        f"{json.dumps(CELL)}}}", encoding="utf-8")
+        assert main(["lhv-bound", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: tables file {path}: ")
+        assert message in captured.err and captured.err.count("\n") == 1
 
     @pytest.mark.parametrize("tables, message", [
         ({"0,0": {"++": 0.5, "+-": 0.0, "-+": 0.0}, "0,1": CELL, "1,0": CELL, "1,1": CELL},

@@ -7,7 +7,8 @@ report without its ``meta`` block), the ``kc-verify`` report without
 contexts, and 1000 contexts against a ``--state`` file, the way the
 benchmark runs it), the ``plot`` SVG, and the stdout of ``lhv-bound --format json`` with no
 argument and with the photon-pair tables file. The reports whose digests
-leave ``meta`` out must still time themselves there.
+leave ``meta`` out must still time themselves there. The ``chsh_quantum``
+event log at its shipped size (1M trials) is pinned at 1 and 2 workers.
 
 Also pinned: the stdout of every command in each format it prints
 (``STDOUT_CASES``), with the output directory replaced by ``<out>``.
@@ -79,6 +80,10 @@ def simulate_digests(out: Path, name: str, workers: int) -> dict:
         "counts": sha256((out / raw["out.counts"]).read_bytes()),
         "report": report_digest(out / raw["out.report"]),
     }
+
+
+# SHA-256 of the chsh_quantum event log at its shipped size (1M trials).
+SHIPPED_QUANTUM_LOG = "7a222200150ab1f11520cdc2b147bfc97493118922eeb82730a5870ce4dee97e"
 
 
 def kc_verify_digest(out: Path, name: str) -> str:
@@ -161,6 +166,19 @@ def golden() -> dict:
 @pytest.mark.parametrize("name", SHIPPED)
 def test_simulate_artifacts_match_golden(tmp_path, name, workers):
     assert simulate_digests(tmp_path, name, workers) == golden()["simulate"][name]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_shipped_size_quantum_log_matches_its_digest(tmp_path, workers):
+    path, raw = write_config(tmp_path, "chsh_quantum.cfg", workers=workers)
+    assert main(["simulate", str(path), "--out-dir", str(tmp_path), "--quiet"]) == 0
+    log = tmp_path / raw["out.event_log"]
+    digest = hashlib.sha256()
+    with open(log, "rb") as fh:
+        for piece in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(piece)
+    log.unlink()  # 70 MB
+    assert digest.hexdigest() == SHIPPED_QUANTUM_LOG
 
 
 @pytest.mark.parametrize("name", SHIPPED)

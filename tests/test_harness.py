@@ -4,6 +4,8 @@ import dataclasses
 import itertools
 import json
 import math
+import os
+import stat
 import sys
 import threading
 import tracemalloc
@@ -163,8 +165,9 @@ class TestRunExperiment:
         strategy = DeterministicStrategy((1, -1), (-1, 1))
         result = run_experiment(strategy, 100, optimal_settings(), master_seed=3)
         for chunk in result.chunks:
-            assert np.array_equal(chunk.a, np.take(strategy.a_of_x, chunk.x_index))
-            assert np.array_equal(chunk.b, np.take(strategy.b_of_y, chunk.y_index))
+            x_index, y_index, a, b = chunk_columns(chunk, 2)
+            assert np.array_equal(a, np.take(strategy.a_of_x, x_index))
+            assert np.array_equal(b, np.take(strategy.b_of_y, y_index))
 
     def test_same_seed_identical_logs(self, tmp_path):
         model = quantum_pair_model()
@@ -228,6 +231,48 @@ class TestRunExperiment:
         assert requested == [3, 3]
         assert threading.enumerate() == threads
 
+    def test_tiny_chunks_share_a_pool_task(self, tmp_path, monkeypatch):
+        """One generation task and one encoding task per run of consecutive
+        chunks holding at least _ENCODE_ROWS trials, the last run excepted."""
+        tasks = []
+
+        class RecordingExecutor:
+            """Records the chunks or blocks of each task and runs it inline."""
+
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+            def map(self, fn, items):
+                return [self.submit(fn, task).result() for task in items]
+
+            def submit(self, fn, task):
+                tasks.append(len(task))
+                future = Future()
+                future.set_result(fn(task))
+                return future
+
+            def shutdown(self, wait=True, cancel_futures=False):
+                pass
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
+        for n_trials, chunk_size, per_task in [
+                (2000, 1, [2000]), (20_000, 3000, [3, 3, 1]), (20_000, 8192, [1, 1, 1]),
+                (20_000, 10_000, [1, 1])]:
+            tasks.clear()
+            result = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
+                                    master_seed=7, chunk_size=chunk_size, n_workers=2)
+            assert tasks == per_task
+            tasks.clear()
+            assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
+            # A 10,000-trial chunk is a block of 8192 trials and one of 1808.
+            assert tasks == ([1, 2, 1] if chunk_size == 10_000 else per_task)
+
     def test_counts_match_record_stream_exactly(self, tmp_path):
         model = quantum_pair_model()
         spec = optimal_settings()
@@ -272,6 +317,12 @@ class TestRunExperiment:
             run_experiment(quantum_pair_model(), 0, optimal_settings(), master_seed=0)
 
 
+def chunk_columns(chunk, n_bob: int) -> tuple[np.ndarray, ...]:
+    """A chunk's x_index, y_index, a and b columns, decoded from its cells."""
+    context, outcome = np.divmod(chunk.cells.astype(np.intp), 4)
+    return (*np.divmod(context, n_bob), 1 - 2 * (outcome >> 1), 1 - 2 * (outcome & 1))
+
+
 def log_bytes(result, path: Path) -> bytes:
     result.write_event_log(path)
     return path.read_bytes()
@@ -283,9 +334,10 @@ def reference_log(result) -> bytes:
               "model_hash": result.model_hash}
     lines = [json.dumps(header)]
     for chunk in result.chunks:
-        for offset in range(len(chunk.x_index)):
-            values = (chunk.start_trial + offset, int(chunk.x_index[offset]),
-                      int(chunk.y_index[offset]), int(chunk.a[offset]), int(chunk.b[offset]),
+        x_index, y_index, a, b = chunk_columns(chunk, result.settings.n_bob)
+        for offset in range(len(chunk.cells)):
+            values = (chunk.start_trial + offset, int(x_index[offset]),
+                      int(y_index[offset]), int(a[offset]), int(b[offset]),
                       chunk.chunk_id)
             lines.append(json.dumps(dict(zip(EVENT_FIELDS, values)), separators=(",", ":")))
     return ("\n".join(lines) + "\n").encode()
@@ -440,8 +492,8 @@ class TestEventLog:
                                                         start_trial, n_trials):
         rng = np.random.default_rng(chunk_id)
         indices, outcomes = rng.integers(0, 2, (2, n_trials)), rng.choice([1, -1], (2, n_trials))
-        chunk = harness.ChunkData(chunk_id, start_trial, *indices.astype(np.int8),
-                                  *outcomes.astype(np.int8))
+        chunk = harness.ChunkData(chunk_id, start_trial,
+                                  harness._cell_index(*indices, *outcomes, 2).astype(np.uint8))
         result = dataclasses.replace(
             run_experiment(quantum_pair_model(), 1, optimal_settings(), master_seed=5),
             chunks=(chunk,))
@@ -486,11 +538,6 @@ class TestEventLog:
                                         cfg.settings.n_bob) == result.counts
 
 
-def chunk_cells(chunk, n_bob: int) -> np.ndarray:
-    """A chunk's trials as counts-table cell indices."""
-    return harness._cell_index(chunk.x_index, chunk.y_index, chunk.a, chunk.b, n_bob)
-
-
 def reference_cells(p, alice_probs, bob_probs, ux, uy, uo) -> np.ndarray:
     """The sampler as first written, the oracle for the chunk generator: each
     uniform is drawn through ``searchsorted`` on its cumulative, capped at the
@@ -529,7 +576,7 @@ def sampled_cells(p, alice_probs, bob_probs, master_seed, chunk_id, size) -> np.
     alice_cum, bob_cum = setting_cumulative(alice_probs), setting_cumulative(bob_probs)
     chunk = harness._generate_chunk(harness._cell_cumulatives(p), alice_cum, bob_cum,
                                     master_seed, chunk_id, 0, size)
-    return chunk_cells(chunk, p.shape[1])
+    return chunk.cells
 
 
 def around(values) -> list[float]:
@@ -548,7 +595,7 @@ class TestSamplerOracle:
             rng = chunk_generator(cfg.master_seed, chunk.chunk_id)
             size = min(4096, 20_000 - chunk.start_trial)
             uniforms = [rng.random(size) for _ in range(3)]
-            assert np.array_equal(chunk_cells(chunk, cfg.settings.n_bob), reference_cells(
+            assert np.array_equal(chunk.cells, reference_cells(
                 cfg.model.behaviour(), cfg.settings.alice_probs, cfg.settings.bob_probs,
                 *uniforms))
 
@@ -569,6 +616,17 @@ class TestSamplerOracle:
             generator = chunk_generator(40 + case, case)
             uniforms = [generator.random(size) for _ in range(3)]
             assert np.array_equal(ours, reference_cells(p, alice_probs, bob_probs, *uniforms))
+
+    def test_entries_a_hair_below_zero_are_never_drawn(self, monkeypatch):
+        """A behaviour entry in [-BEHAVIOUR_TOL, 0) draws as zero: the cumulative
+        is made non-decreasing, so no uniform lands in its interval."""
+        p = np.array([[[[0.5, -5e-10], [0.5 + 5e-10, 0.0]]]])
+        uo = np.array([0.0, 0.5 - 2.5e-10, np.nextafter(0.5, 0.0), 0.5, 0.75])
+        zeros = np.zeros(len(uo))
+        monkeypatch.setattr(harness, "chunk_generator",
+                            lambda seed, chunk_id: FixedUniforms(zeros, zeros, uo))
+        cells = sampled_cells(p, np.ones(1), np.ones(1), 0, 0, len(uo))
+        assert cells.tolist() == [0, 0, 0, 2, 2]
 
     @pytest.mark.parametrize("p", [
         DeterministicStrategy((1, -1), (-1, 1)).behaviour(),
@@ -591,6 +649,22 @@ class TestSamplerOracle:
                             lambda seed, chunk_id: FixedUniforms(ux, uy, uo))
         ours = sampled_cells(p, np.array(alice_probs), np.array(bob_probs), 0, 0, len(ux))
         assert np.array_equal(ours, reference_cells(p, alice_probs, bob_probs, ux, uy, uo))
+
+
+class TestAtomicWrite:
+    @pytest.mark.parametrize("umask", [0o022, 0o077, 0o002, 0o000])
+    def test_mode_is_what_open_gives_a_new_file(self, tmp_path, umask):
+        previous = os.umask(umask)
+        try:
+            harness.atomic_write(tmp_path / "artifact", [b"bytes"])
+            with open(tmp_path / "plain", "wb") as fh:
+                fh.write(b"bytes")
+        finally:
+            os.umask(previous)
+        modes = [stat.S_IMODE((tmp_path / name).stat().st_mode) for name in ("artifact", "plain")]
+        assert modes[0] == modes[1] == 0o666 & ~umask
+        assert (tmp_path / "artifact").read_bytes() == b"bytes"
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["artifact", "plain"]
 
 
 class TestEstimators:

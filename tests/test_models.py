@@ -96,7 +96,8 @@ def sample_cell(model, x_index, y_index, n, seed):
     bob_cum = (np.arange(model.n_bob) >= y_index).astype(float)
     chunk = _generate_chunk(_cell_cumulatives(model.behaviour()), alice_cum, bob_cum,
                             master_seed=seed, chunk_id=0, start_trial=0, size=n)
-    return list(zip(chunk.a.tolist(), chunk.b.tolist()))
+    outcome = chunk.cells.astype(np.intp) % 4
+    return list(zip((1 - 2 * (outcome >> 1)).tolist(), (1 - 2 * (outcome & 1)).tolist()))
 
 
 class TestDeterministicStrategies:
