@@ -101,6 +101,8 @@ def atomic_write(path, pieces: Iterable[bytes]) -> None:
     try:
         with os.fdopen(handle, "wb") as fh:
             fh.writelines(pieces)
+            # Reading the umask sets it for the process a moment; no other
+            # thread of this program creates a file meanwhile.
             umask = os.umask(0)
             os.umask(umask)
             os.fchmod(fh.fileno(), 0o666 & ~umask)
