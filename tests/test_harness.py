@@ -5,6 +5,7 @@ import itertools
 import json
 import math
 import os
+import re
 import stat
 import sys
 import threading
@@ -536,6 +537,193 @@ class TestEventLog:
         assert header["master_seed"] == cfg.master_seed
         assert CountsTable.from_records(records, cfg.settings.n_alice,
                                         cfg.settings.n_bob) == result.counts
+
+
+# The reader as first written, kept as the oracle for read_event_log: the
+# line pattern over every block, its error text, then one number stream.
+_REFERENCE_TEXT = [re.escape(part) for part in harness._EVENT_LINE.encode().split(b"%d")]
+_REFERENCE_LINES = re.compile(b"(?:" + _REFERENCE_TEXT[0] + b"".join(
+    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]{0,17})") + text
+    for name, text in zip(EVENT_FIELDS, _REFERENCE_TEXT[1:])) + b")*")
+_REFERENCE_STREAM = (bytes.maketrans(b"\n", b","),
+                     bytes(set(range(256)) - set(b"-0123456789,\n")))
+
+
+def reference_read(path) -> tuple[dict, np.ndarray]:
+    with open(path, "rb") as fh:
+        try:
+            header = json.loads(fh.readline())
+            version = header["schema_version"]
+        except (ValueError, TypeError, KeyError):
+            raise ValueError(f"{path}: line 1 is not an event log header") from None
+        if version != EVENT_LOG_SCHEMA_VERSION:
+            raise ValueError(f"{path}: event log schema_version {version!r} is not "
+                             f"{EVENT_LOG_SCHEMA_VERSION}")
+        blocks, row = [], 0
+        for block in iter(lambda: fh.read(1 << 18) + fh.readline(), b""):
+            valid = _REFERENCE_LINES.match(block).end()
+            if valid < len(block):
+                bad = block.count(b"\n", 0, valid)
+                line, newline, _ = block[valid:].partition(b"\n")
+                raise ValueError(f"{path}: line {row + bad + 2} is not an event "
+                                 f"record: {(line + newline)[:200]!r}")
+            numbers = np.fromstring(block.translate(*_REFERENCE_STREAM)[:-1], dtype=np.int64,
+                                    sep=",").reshape(-1, len(EVENT_FIELDS))
+            blocks.append(numbers)
+            row += len(numbers)
+    records = np.concatenate(blocks) if blocks else np.empty((0, len(EVENT_FIELDS)), np.int64)
+    records.setflags(write=False)
+    return header, records
+
+
+def read_outcome(read, path):
+    """What a reader makes of the log: (header, records) or its error text."""
+    try:
+        return read(path)
+    except ValueError as error:
+        return str(error)
+
+
+# The block sizes each oracle case is read at; 1 << 18 is the default.
+READ_SIZES = (64, 97, 1000, 1 << 18)
+
+
+def assert_reads_as_reference(path, monkeypatch):
+    expected = read_outcome(reference_read, path)
+    for size in READ_SIZES:
+        monkeypatch.setattr(harness, "_READ_BYTES", size)
+        got = read_outcome(read_event_log, path)
+        if isinstance(expected, str):
+            assert got == expected, size
+        else:
+            assert not isinstance(got, str), (size, got)
+            assert got[0] == expected[0]
+            assert got[1].dtype == np.int64 and got[1].shape == expected[1].shape
+            assert not got[1].flags.writeable
+            assert np.array_equal(got[1], expected[1]), size
+    return expected
+
+
+def write_chunks(path, chunks, n_alice=2, n_bob=2) -> Path:
+    """The writer's log of hand-built chunks of (start_trial, chunk_id, n_trials),
+    each with seeded random cells on an n_alice x n_bob grid."""
+    rng = np.random.default_rng(len(chunks))
+    spec = SettingsSpec.uniform(np.linspace(0.0, 1.0, n_alice), np.linspace(0.0, 1.0, n_bob))
+    model = QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles)
+    result = run_experiment(model, 1, spec, master_seed=5)
+    data = tuple(harness.ChunkData(chunk_id, start, rng.integers(
+        0, n_alice * n_bob * 4, n_trials).astype(np.uint16)) for start, chunk_id, n_trials in chunks)
+    dataclasses.replace(result, chunks=data).write_event_log(path)
+    return path
+
+
+def edited(text: bytes, kind: str, rng) -> bytes:
+    """One seeded single edit of a log's bytes."""
+    lines = text.splitlines(keepends=True)
+    i, j = sorted(rng.choice(np.arange(1, len(lines)), 2, replace=False))
+    at = int(rng.integers(0, len(text) - 1))
+    if kind == "byte-swap":
+        return text[:at] + text[at + 1:at + 2] + text[at:at + 1] + text[at + 2:]
+    if kind == "insertion":
+        return text[:at] + bytes([rng.choice(list(b'0159-,:"}\n\r x'))]) + text[at:]
+    if kind == "deletion":
+        return text[:at] + text[at + 1:]
+    if kind == "swapped-lines":
+        lines[i], lines[j] = lines[j], lines[i]
+    elif kind == "duplicated-line":
+        lines.insert(j, lines[i])
+    elif kind == "crlf":
+        lines[i:] = [line.replace(b"\n", b"\r\n") for line in lines[i:]]
+    elif kind == "no-final-newline":
+        return text[:-1]
+    return b"".join(lines)
+
+
+class TestReaderOracle:
+    """read_event_log gives the records or the error text of reference_read,
+    at every block size, on writer logs and on edits of them."""
+
+    @pytest.mark.parametrize("chunk_size", [1, 90, 65536])
+    @pytest.mark.parametrize("config", SHIPPED)
+    def test_shipped_configs(self, tmp_path, monkeypatch, config, chunk_size):
+        cfg = load_experiment(CONFIGS / config)
+        for workers in (1, 2):
+            result = run_experiment(cfg.model, 1200, cfg.settings, cfg.master_seed,
+                                    chunk_size, workers)
+            path = tmp_path / f"events-{workers}.jsonl"
+            result.write_event_log(path)
+            _, records = assert_reads_as_reference(path, monkeypatch)
+            assert CountsTable.from_records(records, cfg.settings.n_alice,
+                                            cfg.settings.n_bob) == result.counts
+
+    def test_two_digit_setting_grid(self, tmp_path, monkeypatch):
+        spec = SettingsSpec.uniform(np.linspace(0.0, np.pi, 12), (0.1, 0.7, 1.3))
+        model = QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles)
+        result = run_experiment(model, 1500, spec, master_seed=28, chunk_size=500)
+        result.write_event_log(tmp_path / "events.jsonl")
+        _, records = assert_reads_as_reference(tmp_path / "events.jsonl", monkeypatch)
+        assert records[:, 1].max() == 11
+
+    def test_trial_ids_crossing_a_power_of_ten(self, tmp_path, monkeypatch):
+        path = write_chunks(tmp_path / "events.jsonl", [(10**6 - 200, 3, 400)])
+        _, records = assert_reads_as_reference(path, monkeypatch)
+        assert records[0, 0] == 10**6 - 200 and len(records) == 400
+
+    @pytest.mark.parametrize("chunks", [
+        [(10**18 - 3, 7, 5)],
+        [(40, 10**18 - 1, 3), (43, 10**18, 3)],
+    ], ids=["trial-id", "chunk-id"])
+    def test_ids_of_nineteen_digits_fail_at_their_line(self, tmp_path, monkeypatch, chunks):
+        path = write_chunks(tmp_path / "events.jsonl", chunks)
+        error = assert_reads_as_reference(path, monkeypatch)
+        assert isinstance(error, str) and "line 5 is not an event record" in error
+
+    @pytest.mark.parametrize("first_chunk", [7, 97])
+    def test_chunk_ids_gaining_a_digit_in_one_block(self, tmp_path, monkeypatch, first_chunk):
+        chunks = [(5 * k, first_chunk + k, 5) for k in range(5)]
+        path = write_chunks(tmp_path / "events.jsonl", chunks)
+        _, records = assert_reads_as_reference(path, monkeypatch)
+        assert records[:, 5].tolist() == [first_chunk + k // 5 for k in range(25)]
+
+    @pytest.mark.parametrize("lines", [
+        [(0, 1, 0, -1, 1, 0), b'{"trial_id"\n'],
+        [(0, 1, 0, -1, 1, 0), b'{"trial_id":\n', (2, 0, 0, 1, 1, 0)],
+        [b'{"trial_id":07,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n'],
+        [b'{"trial_id":007,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n',
+         *((i, 0, 1, -1, -1, 0) for i in range(8, 20))],
+        [(7, 1, 0, -1, 1, 0), b'{"trial_id":8,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":05}\n'],
+        [(5, 1, 1, 1, -1, 0), (6, 0, 1, -1, -1, 10), (7, 1, 0, 1, 1, 5), (8, 0, 0, 1, 1, 100)],
+        [(5, 1, 1, 1, -1, 3), (6, 0, 1, -1, -1, 10**18)],
+        [(5, 1, 1, 1, -1, 3), (6, 10, 1, -1, -1, 3), (7, 0, 1, -1, -1, 3)],
+        [(5, 1, 1, 1, -1, 3), (7, 0, 1, -1, -1, 3)],
+        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":+1,"b":1,"chunk_id":3}\n'],
+        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":1a}\n'],
+        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":}\n'],
+        [(5, 1, 1, 1, -1, 3), b"}\n", (7, 0, 1, -1, -1, 3)],
+        [(5, 1, 1, 1, -1, 3), b"\n"],
+    ], ids=["id-key-alone", "id-without-number", "id-leading-zero",
+            "id-leading-zeros-before-more-lines", "chunk-id-leading-zero",
+            "chunk-id-widths-vary", "chunk-id-19-digits", "setting-10", "ids-skip",
+            "outcome-plus-sign", "chunk-id-not-digits", "chunk-id-empty", "brace-alone",
+            "blank"])
+    def test_hand_written_lines(self, tmp_path, monkeypatch, lines):
+        path = tmp_path / "events.jsonl"
+        path.write_bytes(HEADER.encode() + b"".join(
+            line if isinstance(line, bytes) else (harness._EVENT_LINE % line).encode()
+            for line in lines))
+        assert_reads_as_reference(path, monkeypatch)
+
+    @pytest.mark.parametrize("kind", ["byte-swap", "insertion", "deletion", "swapped-lines",
+                                      "duplicated-line", "crlf", "no-final-newline"])
+    def test_single_edits_of_a_writer_log(self, tmp_path, monkeypatch, kind):
+        cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
+        result = run_experiment(cfg.model, 150, cfg.settings, cfg.master_seed, chunk_size=12)
+        original = log_bytes(result, tmp_path / "events.jsonl")
+        rng = np.random.default_rng(sum(map(ord, kind)))
+        for case in range(25):
+            path = tmp_path / f"edited-{case}.jsonl"
+            path.write_bytes(edited(original, kind, rng))
+            assert_reads_as_reference(path, monkeypatch)
 
 
 def reference_cells(p, alice_probs, bob_probs, ux, uy, uo) -> np.ndarray:
