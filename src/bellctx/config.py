@@ -21,7 +21,7 @@ Keys (* = required):
     alice.angles*        analyzer angles in radians, comma-separated
     alice.probs          setting probabilities (default uniform)
     bob.angles*, bob.probs
-    trials*, seed*       integers
+    trials*, seed*       integers, the seed in [0, 2^64)
     chunk_size           default 65536
     workers              default 1
     combination          CHSH sign pattern, default +-++
@@ -261,6 +261,10 @@ def build_experiment(canon: dict, seed_override: int | None = None) -> Experimen
             f"model declares {model.n_alice}x{model.n_bob} settings, config has "
             f"{settings.n_alice}x{settings.n_bob}")
     seed = canon["seed"] if seed_override is None else int(seed_override)
+    # The chunk streams take the seed mod 2^64, so any other seed would
+    # replay another seed's trials under its own header and hash.
+    if not 0 <= seed < 2**64:
+        raise ConfigError(f"seed must be in [0, 2^64), got {seed}")
     # The worker count is execution topology, not experiment identity:
     # reports must be byte-identical across worker configurations, so it
     # is excluded from the config echo and the reproducibility hash.

@@ -29,16 +29,21 @@ each row's middle looked up by the trial's cell index. It encodes blocks
 on as many threads as generated the chunks, a bounded window of them at
 a time, and writes them in trial order. A pool task, generating or
 encoding, covers whole chunks or blocks of at least ``_ENCODE_ROWS``
-trials, so tiny chunks share one. The reader matches the template's
-pattern over blocks of whole lines and parses their numbers as one
-comma-separated stream into an ``(n_trials, 6)`` int64 array. One linear
-cell index orders the chunks, the counts and the writer's per-cell
+trials, so tiny chunks share one. The reader takes the log in blocks of
+whole lines and fills an ``(n_trials, 6)`` int64 array. It decodes a
+block as the writer lays one out, encodes those numbers again with the
+writer's own block encoder and takes them if the bytes are equal. A
+block the writer did not write so (ids that skip, a setting of 10 or
+more, any edit) meets the template's pattern, which names the first bad
+line, and its numbers are parsed as one comma-separated stream. One
+linear cell index orders the chunks, the counts and the writer's per-cell
 bytes; every artifact is written through :func:`atomic_write`.
 """
 
 from __future__ import annotations
 
 import collections
+import functools
 import itertools
 import json
 import os
@@ -84,7 +89,8 @@ _NUMBER_STREAM = bytes.maketrans(b"\n", b","), bytes(set(range(256)) - set(b"-01
 
 # Trials per encoded byte matrix and per counted block, and bytes per block
 # read before its last line is completed: memory does not grow with the log.
-# Matching keeps a backtracking stack of about eight times the block.
+# A block that meets the pattern keeps a backtracking stack of about eight
+# times its size; the writer's blocks skip the pattern.
 _ENCODE_ROWS = _COUNT_ROWS = 8192
 _READ_BYTES = 1 << 18
 
@@ -97,7 +103,12 @@ def atomic_write(path, pieces: Iterable[bytes]) -> None:
     a failure part way removes the temp file and leaves ``path`` as it was.
     The file gets the mode ``open`` would give a new one, not mkstemp's 0600."""
     path = Path(path)
-    handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        handle, tmp_name = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    except OSError as error:
+        # Name the artifact, not the temp file that was never made.
+        error.filename = str(path)
+        raise
     try:
         with os.fdopen(handle, "wb") as fh:
             fh.writelines(pieces)
@@ -345,13 +356,79 @@ class ExperimentResult:
             pool.shutdown(cancel_futures=True)
 
 
+@functools.cache
+def _reader_middles() -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """The writer's middles of a 10x10 settings grid and their lengths, both
+    read-only, and the offsets of x, y, a and b in a middle with a = +1."""
+    middles = _event_middles(10, 10)
+    widths = (middles != ord(" ")).sum(axis=1)
+    for table in (middles, widths):
+        table.setflags(write=False)
+    ends = itertools.accumulate(len(text) + 1 for text in _LINE_MIDDLE.split("%d")[:-1])
+    return middles, widths, [end - 1 for end in ends]
+
+
+def _read_writer_block(block: bytes, out: np.ndarray) -> int:
+    """Write the trials of a block of whole lines into the first rows of
+    ``out`` and return their number if the block is byte for byte what
+    :func:`_encode_block` writes for consecutive trial ids and settings below
+    10; else return 0 and leave ``out`` alone. Raises nothing on any block."""
+    buf = np.frombuffer(block, dtype=np.uint8)
+    ends = np.flatnonzero(buf == ord("\n"))
+    head = len(_LINE_HEAD)
+    comma = block.find(b",", head, head + 19)
+    # The first trial_id in plain decimal, as the writer writes it.
+    first = block[head:comma]
+    if not (len(ends) and block.startswith(_LINE_HEAD.encode()) and comma > 0
+            and first.isdigit() and b"%d" % int(first) == first
+            and int(first) + len(ends) <= 10 ** 18):
+        return 0
+    middles, widths, (x_at, y_at, a_at, b_at) = _reader_middles()
+    ids = int(first) + np.arange(len(ends))
+    # Each line's middle starts after the head and its trial id's digits.
+    mid = np.concatenate(([0], ends[:-1] + 1)) + comma
+    for power in range(comma - head, len(str(ids[-1]))):
+        mid += ids >= 10 ** power
+    x, y = (np.minimum(buf.take(mid + at, mode="clip") - ord("0"), 9) for at in (x_at, y_at))
+    a = buf.take(mid + a_at, mode="clip") == ord("-")
+    b = buf.take(mid + b_at + a, mode="clip") == ord("-")
+    cells = ((x.astype(np.intp) * 10 + y) * 2 + a) * 2 + b
+    # The chunk_id's n digits lie between the middle and the line's "}\n".
+    tail = mid + widths[cells]
+    n = ends - 1 - tail
+    if not 1 <= n.min() <= n.max() <= 18:
+        return 0
+    # Each run of lines with equal n is encoded with the chunk_id 10^(n-1),
+    # so each line is as long as the block's; the digits of that chunk_id
+    # then give way to the block's own, which must be digits with no
+    # leading zero.
+    runs = np.concatenate(([0], np.flatnonzero(np.diff(n)) + 1, [len(ends)])).tolist()
+    expected = np.concatenate([_encode_block(
+        ChunkData(10 ** (int(n[start]) - 1), int(ids[start]), cells[start:stop]), offset, middles)
+        for start, stop in zip(runs, runs[1:]) for offset in range(0, stop - start, _ENCODE_ROWS)])
+    chunk_ids = np.zeros(len(ends), dtype=np.int64)
+    for place in range(n.max()):
+        spots = (tail + place)[place < n]
+        if (buf[spots] - ord("0") > 9).any():
+            return 0
+        expected[spots] = buf[spots]
+        digit = buf.take(tail + place, mode="clip") - ord("0")
+        chunk_ids = np.where(place < n, chunk_ids * 10 + digit, chunk_ids)
+    if ((buf[tail] == ord("0")) & (n > 1)).any() or expected.tobytes() != block:
+        return 0
+    out[:len(ids)].T[:] = ids, x, y, 1 - 2 * a, 1 - 2 * b, chunk_ids
+    return len(ids)
+
+
 def read_event_log(path) -> tuple[dict, np.ndarray]:
     """Parse an event log into its header and a read-only int64 array.
 
     The array has one row per trial and its columns in ``EVENT_FIELDS``
     order. A header of another schema version, or a line that is not
     exactly what the writer writes (outcomes +/-1 included), raises
-    ValueError naming the line.
+    ValueError naming the line. A block equal to the writer's encoding of
+    the numbers decoded from it is taken as it is; any other block meets
+    ``_EVENT_LINES``, so both kinds give the same records and errors.
     """
     with open(path, "rb") as fh:
         try:
@@ -369,16 +446,19 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
         records = np.empty((rows, len(EVENT_FIELDS)), dtype=np.int64)
         row = 0
         for block in iter(lambda: fh.read(_READ_BYTES) + fh.readline(), b""):
-            valid = _EVENT_LINES.match(block).end()
-            if valid < len(block):
-                bad = block.count(b"\n", 0, valid)
-                line, newline, _ = block[valid:].partition(b"\n")
-                raise ValueError(f"{path}: line {row + bad + 2} is not an event "
-                                 f"record: {(line + newline)[:200]!r}")
-            numbers = np.fromstring(block.translate(*_NUMBER_STREAM)[:-1], dtype=np.int64,
-                                    sep=",").reshape(-1, len(EVENT_FIELDS))
-            records[row:row + len(numbers)] = numbers
-            row += len(numbers)
+            count = _read_writer_block(block, records[row:])
+            if not count:
+                valid = _EVENT_LINES.match(block).end()
+                if valid < len(block):
+                    bad = block.count(b"\n", 0, valid)
+                    line, newline, _ = block[valid:].partition(b"\n")
+                    raise ValueError(f"{path}: line {row + bad + 2} is not an event "
+                                     f"record: {(line + newline)[:200]!r}")
+                numbers = np.fromstring(block.translate(*_NUMBER_STREAM)[:-1],
+                                        dtype=np.int64, sep=",").reshape(-1, len(EVENT_FIELDS))
+                count = len(numbers)
+                records[row:row + count] = numbers
+            row += count
     records.resize((row, len(EVENT_FIELDS)), refcheck=False)
     records.setflags(write=False)
     return header, records

@@ -105,6 +105,24 @@ class TestSimulate:
         report = json.loads((tmp_path / "chsh_quantum_report.json").read_text())
         assert report["report"]["config"]["seed"] == 7
 
+    @pytest.mark.parametrize("where", ["config", "flag"])
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_64_bits_exits_2(self, tmp_path, capsys, seed, where):
+        """The chunk streams take the seed mod 2^64, so -1 would replay 2^64 - 1."""
+        config = write_quick_config(tmp_path, trials=100,
+                                    **({"seed": seed} if where == "config" else {}))
+        flag = ["--seed", str(seed)] if where == "flag" else []
+        assert main(["simulate", str(config), "--out-dir", str(tmp_path / "out"), *flag]) == 2
+        assert capsys.readouterr().err == f"config error: seed must be in [0, 2^64), got {seed}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_largest_seed_runs(self, tmp_path):
+        config = write_quick_config(tmp_path, trials=100)
+        assert main(["simulate", str(config), "--out-dir", str(tmp_path), "--quiet",
+                     "--seed", str(2**64 - 1)]) == 0
+        header, _ = read_event_log(tmp_path / "chsh_quantum_events.jsonl")
+        assert header["master_seed"] == 2**64 - 1
+
     def test_byte_identical_reports_across_workers(self, tmp_path):
         report_bytes = {}
         logs = {}
@@ -254,6 +272,20 @@ def test_missing_config_exits_4(tmp_path, capsys, command):
     err = capsys.readouterr().err
     assert err.startswith("io error:") and err.count("\n") == 1
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command, name", [
+    (["simulate"], "missing/events.jsonl"),
+    (["plot", "missing/curve.svg", "--mc-trials", "100"], "missing/curve.svg"),
+], ids=["simulate", "plot"])
+def test_artifact_in_a_missing_directory_exits_4_naming_it(tmp_path, capsys, command, name):
+    """The message names the artifact, not the temp file beside it."""
+    config = write_quick_config(tmp_path, trials=2000,
+                                **{"out.event_log": "missing/events.jsonl"})
+    assert main([command[0], str(config), *command[1:], "--out-dir", str(tmp_path)]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("io error: ") and err.endswith(f": '{tmp_path / name}'\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["chsh_quantum.cfg"]
 
 
 @pytest.mark.parametrize("command", CONFIG_COMMANDS)

@@ -726,6 +726,37 @@ class TestReaderOracle:
             assert_reads_as_reference(path, monkeypatch)
 
 
+class RaisingPattern:
+    """Stands in for the line pattern where no block may need it."""
+
+    def match(self, block):
+        raise AssertionError(f"the line pattern was asked to match {block[:80]!r}")
+
+
+class TestWriterBlocks:
+    @pytest.mark.parametrize("chunk_size", [1, 90])
+    @pytest.mark.parametrize("config", SHIPPED)
+    def test_writer_logs_skip_the_line_pattern(self, tmp_path, monkeypatch, config,
+                                               chunk_size):
+        cfg = load_experiment(CONFIGS / config)
+        result = run_experiment(cfg.model, 1200, cfg.settings, cfg.master_seed, chunk_size)
+        path = tmp_path / "events.jsonl"
+        result.write_event_log(path)
+        expected_header, expected = reference_read(path)
+        monkeypatch.setattr(harness, "_EVENT_LINES", RaisingPattern())
+        for size in (97, 1 << 18):
+            monkeypatch.setattr(harness, "_READ_BYTES", size)
+            header, records = read_event_log(path)
+            assert header == expected_header and np.array_equal(records, expected)
+
+    def test_other_blocks_still_meet_the_pattern(self, tmp_path, monkeypatch):
+        path = tmp_path / "events.jsonl"
+        path.write_text(HEADER + RECORD + RECORD)
+        monkeypatch.setattr(harness, "_EVENT_LINES", RaisingPattern())
+        with pytest.raises(AssertionError, match="the line pattern was asked"):
+            read_event_log(path)
+
+
 def reference_cells(p, alice_probs, bob_probs, ux, uy, uo) -> np.ndarray:
     """The sampler as first written, the oracle for the chunk generator: each
     uniform is drawn through ``searchsorted`` on its cumulative, capped at the
