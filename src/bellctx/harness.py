@@ -7,9 +7,11 @@ matter how many workers generate chunks or in which order they finish.
 A trial draws three uniforms, Alice's setting, Bob's and then the outcome
 pair of that context, and each becomes the number of its cumulative's
 thresholds (all but the last) at or below it. A trial is therefore one
-cell of p(a,b|x,y): a chunk is one column of cell indices, 1 byte per
-trial in the 2x2 scenario, and its counts are a ``bincount`` of that
-column. Aggregation is a cellwise sum of counts (a commutative monoid).
+cell of p(a,b|x,y), and a run is one column of cell indices, 1 byte per
+trial in the 2x2 scenario. A chunk is only the unit of an RNG stream:
+after the draws everything sees the column, with trial t in chunk
+t // chunk_size. The counts are a sum of ``bincount``s of the column's
+slices (a commutative monoid).
 
 Estimators are the plug-in ones, all array expressions over the counts
 in :func:`estimate_report`: E(x,y) from the per-context counts with a
@@ -23,23 +25,23 @@ feed the model's hidden state (the superdeterministic kind conditions on
 them by design, which is its point).
 
 On disk a trial is one event log line: ``EVENT_FIELDS`` names its
-numbers and one line template fixes the line. The writer lays a block of
-a chunk's trials out as rows of a byte matrix cut from that template,
-each row's middle looked up by the trial's cell index. It encodes blocks
-on as many threads as generated the chunks, a bounded window of them at
-a time, and writes them in trial order. A pool task, generating or
-encoding, covers whole chunks or blocks of at least ``_ENCODE_ROWS``
-trials, so tiny chunks share one. The reader takes the log in blocks of
-whole lines and fills an ``(n_trials, 6)`` int64 array. It decodes a
-block as the writer lays one out, encodes those numbers again with the
-writer's own block encoder and takes them if the bytes are equal. A
-block the writer did not write so (ids that skip, a setting of 10 or
-more, any edit) meets the template's pattern, which names the first bad
-line, and its numbers are parsed as one comma-separated stream. One
-linear cell index orders the chunks, the counts and the writer's per-cell
+numbers and one line template fixes the line. One row encoder lays
+consecutive trials out as rows of a byte matrix cut from that template,
+each row's middle looked up by the trial's cell index and its tail by the
+run of equal chunk ids it is in. The writer encodes the column in fixed
+slices of ``_ENCODE_ROWS`` trials, whatever the chunk boundaries, on as
+many threads as drew the trials, a bounded window of them at a time, and
+writes them in trial order. Only the draws group tiny chunks: a pool task
+draws whole chunks, ``_ENCODE_ROWS`` trials' worth or more. The reader
+takes the log in blocks of whole lines and fills an ``(n_trials, 6)``
+int64 array. It decodes a block as the writer lays one out, encodes those
+numbers again with the same row encoder and takes them if the bytes are
+equal. A block the writer did not write so (ids that skip, a setting of
+10 or more, any edit) meets the template's pattern, which names the first
+bad line, and its numbers are parsed as one comma-separated stream. One
+linear cell index orders the cells, the counts and the writer's per-cell
 bytes; every artifact is written through :func:`atomic_write`.
 """
-
 from __future__ import annotations
 
 import collections
@@ -80,15 +82,17 @@ _EVENT_LINES = re.compile(b"(?:" + _EVENT_LINE_TEXT[0] + b"".join(
     for name, text in zip(EVENT_FIELDS, _EVENT_LINE_TEXT[1:])) + b")*")
 
 # The line around its first and last field, trial_id and chunk_id, which
-# the writer fills per trial and per chunk; the middle depends on the cell.
-_LINE_HEAD, _LINE_MIDDLE, _LINE_TAIL = re.fullmatch(
-    r"(.*?)%d(.*)(%d.*)", _EVENT_LINE, re.DOTALL).groups()
+# the encoder fills per trial and per run of equal chunk ids; the middle
+# depends on the cell.
+_LINE_HEAD, _LINE_MIDDLE, _LINE_END = re.fullmatch(
+    r"(.*?)%d(.*)%d(.*)", _EVENT_LINE, re.DOTALL).groups()
 
 # Maps a matched block's line ends to commas and drops all but its numbers.
 _NUMBER_STREAM = bytes.maketrans(b"\n", b","), bytes(set(range(256)) - set(b"-0123456789,\n"))
 
-# Trials per encoded byte matrix and per counted block, and bytes per block
-# read before its last line is completed: memory does not grow with the log.
+# Trials per encoded byte matrix and per counted block, the least a draw
+# task holds in whole chunks, and bytes per block read before its last line
+# is completed: memory does not grow with the log.
 # A block that meets the pattern keeps a backtracking stack of about eight
 # times its size; the writer's blocks skip the pattern.
 _ENCODE_ROWS = _COUNT_ROWS = 8192
@@ -196,16 +200,6 @@ class CountsTable:
         return cls(_cell_counts(x, y, a, b, n_alice, n_bob, weights=count))
 
 
-@dataclass(frozen=True)
-class ChunkData:
-    """One chunk's trials, each as its counts-table cell index (see
-    :func:`_cell_index`), in the smallest unsigned dtype that holds them."""
-
-    chunk_id: int
-    start_trial: int
-    cells: np.ndarray
-
-
 def _cell_cumulatives(p: np.ndarray) -> np.ndarray:
     """Per-context cumulative outcome distributions [x, y, 4] of a behaviour,
     made non-decreasing so that entries a hair below zero draw as zero."""
@@ -214,37 +208,42 @@ def _cell_cumulatives(p: np.ndarray) -> np.ndarray:
     return cum / cum[..., -1:]
 
 
-def _generate_chunk(
+def _sample_cells(
+    out: np.ndarray,
     cell_cums: np.ndarray,
     alice_cum: np.ndarray,
     bob_cum: np.ndarray,
     master_seed: int,
-    chunk_id: int,
-    start_trial: int,
-    size: int,
-) -> ChunkData:
-    """All trials of one chunk; a pure function of its arguments.
+    chunk_size: int,
+    first_chunk: int,
+) -> np.ndarray:
+    """Fill ``out`` with the cells of consecutive chunks from ``first_chunk``,
+    ``chunk_size`` trials each (the last may hold fewer), and return their
+    ``bincount`` over all cells; a pure function of its arguments.
 
-    Three uniforms per trial are drawn in a fixed order: all of Alice's
-    setting uniforms, then Bob's, then the outcome uniforms. Each becomes an
-    index, the number of thresholds at or below it among all but the last
-    entry of its cumulative distribution; an outcome's thresholds are those
-    of the trial's context.
+    Each chunk's stream draws three uniforms per trial in a fixed order: all
+    of Alice's setting uniforms, then Bob's, then the outcome uniforms. Each
+    becomes an index, the number of thresholds at or below it among all but
+    the last entry of its cumulative distribution; an outcome's thresholds
+    are those of the trial's context.
     """
-    rng = chunk_generator(master_seed, chunk_id)
-    ux = rng.random(size)
-    uy = rng.random(size)
-    uo = rng.random(size)
-    context = np.zeros(size, dtype=np.min_scalar_type(cell_cums.size - 1))
+    uniforms = np.empty((3, len(out)))
+    for offset in range(0, len(out), chunk_size):
+        rng = chunk_generator(master_seed, first_chunk + offset // chunk_size)
+        for column in uniforms:
+            rng.random(out=column[offset:offset + chunk_size])
+    ux, uy, uo = uniforms
+    context = np.zeros(len(out), dtype=out.dtype)
     for threshold in alice_cum[:-1]:
         context += ux >= threshold
     context *= cell_cums.shape[1]
     for threshold in bob_cum[:-1]:
         context += uy >= threshold
-    cells = context * 4
+    np.multiply(context, 4, out=out)
     for thresholds in cell_cums.reshape(-1, 4)[:, :-1].T:
-        cells += uo >= thresholds.take(context)
-    return ChunkData(chunk_id, start_trial, cells)
+        out += uo >= thresholds.take(context)
+    # Per task, not over the whole run: bincount holds its input as intp.
+    return np.bincount(out, minlength=cell_cums.size)
 
 
 def _event_middles(n_alice: int, n_bob: int) -> np.ndarray:
@@ -261,54 +260,54 @@ def _event_middles(n_alice: int, n_bob: int) -> np.ndarray:
     return middles.reshape(len(texts), width)
 
 
-def _encode_block(chunk: ChunkData, offset: int, middles: np.ndarray) -> np.ndarray:
-    """The log lines of the chunk's _ENCODE_ROWS trials from ``offset``, as bytes.
+def _encode_rows(first: int, cells: np.ndarray, chunk_ids: np.ndarray,
+                 middles: np.ndarray) -> np.ndarray:
+    """The log lines of consecutive trials from trial id ``first``, with the
+    given cells and chunk ids, as bytes.
 
     A byte-matrix row holds one line in fixed columns: the line's head, the
-    trial_id right-aligned in as many digits as the block's last one, the
-    cell's middle from :func:`_event_middles` and the chunk_id tail. Leading
-    zeros become spaces, which are dropped with the middle's padding.
+    trial_id right-aligned in as many digits as the last one, the cell's
+    middle from :func:`_event_middles`, and a tail laid out once per run of
+    equal chunk ids: the chunk_id right-aligned in as many digits as the
+    largest, then the line's end. Leading zeros become spaces, which are
+    dropped with the middle's padding.
     """
-    trials = slice(offset, min(offset + _ENCODE_ROWS, len(chunk.cells)))
-    first = chunk.start_trial + offset
-    ids = np.arange(first, chunk.start_trial + trials.stop)
+    ids = np.arange(first, first + len(cells))
+    runs = np.concatenate(([True], chunk_ids[1:] != chunk_ids[:-1]))
+    run_ids = chunk_ids[runs]
+    width = len(str(run_ids.max()))
+    tails = np.empty((len(run_ids), width + len(_LINE_END)), dtype=np.uint8)
+    tails[:, width:] = np.frombuffer(_LINE_END.encode(), dtype=np.uint8)
+    for column in range(width):
+        place = 10 ** (width - 1 - column)
+        tails[:, column] = run_ids // place % 10 + ord("0")
+        # By value: the chunk ids a reader decodes need not ascend.
+        if place > 1:
+            tails[run_ids < place, column] = ord(" ")
     head = np.frombuffer(_LINE_HEAD.encode(), dtype=np.uint8)
-    tail = np.frombuffer((_LINE_TAIL % chunk.chunk_id).encode(), dtype=np.uint8)
     digits = range(len(head), len(head) + len(str(ids[-1])))
     middle = slice(digits.stop, digits.stop + middles.shape[1])
-    m = np.empty((len(ids), middle.stop + len(tail)), dtype=np.uint8)
+    m = np.empty((len(ids), middle.stop + tails.shape[1]), dtype=np.uint8)
     m[:, :digits.start] = head
-    m[:, middle.stop:] = tail
     for column in digits:
         place = 10 ** (digits.stop - 1 - column)
         m[:, column] = ids // place % 10 + ord("0")
-        # The ids ascend, so those below place are the block's first rows.
+        # The ids ascend, so those below place are the first rows.
         if column != digits[-1]:
             m[:max(0, place - first), column] = ord(" ")
-    m[:, middle] = middles.take(chunk.cells[trials], axis=0)
+    m[:, middle] = middles.take(cells, axis=0)
+    m[:, middle.stop:] = tails if len(tails) == 1 else tails.take(np.cumsum(runs) - 1, axis=0)
     return m[m != ord(" ")]
-
-
-def _tasks(items: list, sizes: list[int]) -> list[list]:
-    """The items in consecutive groups of at least _ENCODE_ROWS trials (the
-    last group may hold fewer), one pool task each: tiny chunks share a
-    thread handoff."""
-    tasks, rows = [[]], 0
-    for item, size in zip(items, sizes):
-        if rows >= _ENCODE_ROWS:
-            tasks.append([])
-            rows = 0
-        tasks[-1].append(item)
-        rows += size
-    return tasks
 
 
 @dataclass(frozen=True)
 class ExperimentResult:
-    """Counts plus the full per-chunk event stream of one run."""
+    """Counts plus the cell of every trial of one run."""
 
     counts: CountsTable
-    chunks: tuple[ChunkData, ...]
+    # Read-only, one per trial, each its counts-table cell index (see
+    # _cell_index) in the smallest unsigned dtype that holds them all.
+    cells: np.ndarray
     n_trials: int
     master_seed: int
     chunk_size: int
@@ -317,12 +316,17 @@ class ExperimentResult:
     # Threads that generated the chunks and that encode the log.
     n_threads: int
 
+    @property
+    def chunks(self) -> range:
+        """The chunks' first trial ids; trial t is in chunk t // chunk_size."""
+        return range(0, self.n_trials, self.chunk_size)
+
     def write_event_log(self, path) -> None:
         """Line-delimited JSON: one header line, then one line per trial.
 
-        Blocks of _ENCODE_ROWS trials are encoded on ``n_threads`` threads,
-        whole blocks of at least _ENCODE_ROWS trials per task and at most two
-        tasks per thread in flight, and written in block order.
+        Slices of _ENCODE_ROWS trials, whatever the chunk boundaries, are
+        encoded on ``n_threads`` threads, one slice per task and at most two
+        tasks per thread in flight, and written in trial order.
         """
         header = json.dumps({
             "schema_version": EVENT_LOG_SCHEMA_VERSION,
@@ -330,29 +334,28 @@ class ExperimentResult:
             "model_hash": self.model_hash,
         })
         middles = _event_middles(self.settings.n_alice, self.settings.n_bob)
-        blocks = [(chunk, offset) for chunk in self.chunks
-                  for offset in range(0, len(chunk.cells), _ENCODE_ROWS)]
-        tasks = _tasks(blocks, [min(_ENCODE_ROWS, len(chunk.cells) - offset)
-                                for chunk, offset in blocks])
 
-        def encode(task: list) -> list:
-            return [_encode_block(chunk, offset, middles) for chunk, offset in task]
+        def encode(trials: range) -> np.ndarray:
+            chunk_ids = np.arange(trials.start, trials.stop) // self.chunk_size
+            return _encode_rows(trials.start, self.cells[trials.start:trials.stop], chunk_ids,
+                                middles)
 
         def pieces(pool: ThreadPoolExecutor) -> Iterator:
             yield (header + "\n").encode()
             window = collections.deque()
-            for task in tasks:
+            trials = range(self.n_trials)
+            for start in trials[::_ENCODE_ROWS]:
                 if len(window) == 2 * self.n_threads:
-                    yield from window.popleft().result()
-                window.append(pool.submit(encode, task))
+                    yield window.popleft().result()
+                window.append(pool.submit(encode, trials[start:start + _ENCODE_ROWS]))
             while window:
-                yield from window.popleft().result()
+                yield window.popleft().result()
 
         pool = ThreadPoolExecutor(max_workers=self.n_threads)
         try:
             atomic_write(path, pieces(pool))
         finally:
-            # After a failure no block not yet started is encoded.
+            # After a failure no slice not yet started is encoded.
             pool.shutdown(cancel_futures=True)
 
 
@@ -371,7 +374,7 @@ def _reader_middles() -> tuple[np.ndarray, np.ndarray, list[int]]:
 def _read_writer_block(block: bytes, out: np.ndarray) -> int:
     """Write the trials of a block of whole lines into the first rows of
     ``out`` and return their number if the block is byte for byte what
-    :func:`_encode_block` writes for consecutive trial ids and settings below
+    :func:`_encode_rows` writes for consecutive trial ids and settings below
     10; else return 0 and leave ``out`` alone. Raises nothing on any block."""
     buf = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
@@ -398,23 +401,18 @@ def _read_writer_block(block: bytes, out: np.ndarray) -> int:
     n = ends - 1 - tail
     if not 1 <= n.min() <= n.max() <= 18:
         return 0
-    # Each run of lines with equal n is encoded with the chunk_id 10^(n-1),
-    # so each line is as long as the block's; the digits of that chunk_id
-    # then give way to the block's own, which must be digits with no
-    # leading zero.
-    runs = np.concatenate(([0], np.flatnonzero(np.diff(n)) + 1, [len(ends)])).tolist()
-    expected = np.concatenate([_encode_block(
-        ChunkData(10 ** (int(n[start]) - 1), int(ids[start]), cells[start:stop]), offset, middles)
-        for start, stop in zip(runs, runs[1:]) for offset in range(0, stop - start, _ENCODE_ROWS)])
+    # Any byte but a digit reads as the digit 10, so the id stays below
+    # 2^63 and its encoding differs from the block's bytes, as does a
+    # leading zero's.
     chunk_ids = np.zeros(len(ends), dtype=np.int64)
     for place in range(n.max()):
-        spots = (tail + place)[place < n]
-        if (buf[spots] - ord("0") > 9).any():
-            return 0
-        expected[spots] = buf[spots]
-        digit = buf.take(tail + place, mode="clip") - ord("0")
+        digit = np.minimum(buf.take(tail + place, mode="clip") - ord("0"), 10)
         chunk_ids = np.where(place < n, chunk_ids * 10 + digit, chunk_ids)
-    if ((buf[tail] == ord("0")) & (n > 1)).any() or expected.tobytes() != block:
+    expected = np.concatenate([
+        _encode_rows(int(ids[start]), cells[start:start + _ENCODE_ROWS],
+                     chunk_ids[start:start + _ENCODE_ROWS], middles)
+        for start in range(0, len(ends), _ENCODE_ROWS)])
+    if expected.tobytes() != block:
         return 0
     out[:len(ids)].T[:] = ids, x, y, 1 - 2 * a, 1 - 2 * b, chunk_ids
     return len(ids)
@@ -491,23 +489,22 @@ def run_experiment(
     bob_cum = np.cumsum(settings.bob_probs)
     bob_cum /= bob_cum[-1]
 
+    cells = np.empty(n_trials, dtype=np.min_scalar_type(cell_cums.size - 1))
     starts = range(0, n_trials, chunk_size)
-    sizes = [min(chunk_size, n_trials - start) for start in starts]
+    group = -(-_ENCODE_ROWS // chunk_size)
 
-    def generate(task: list[int]) -> list[ChunkData]:
-        return [_generate_chunk(cell_cums, alice_cum, bob_cum, master_seed, chunk_id,
-                                starts[chunk_id], sizes[chunk_id]) for chunk_id in task]
+    def sample(task: range) -> np.ndarray:
+        return _sample_cells(cells[task.start:task.stop], cell_cums, alice_cum, bob_cum,
+                             master_seed, chunk_size, task.start // chunk_size)
 
     # Never more threads than chunks, whatever the configured worker count.
     n_threads = min(n_workers, len(starts))
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        chunks = [chunk for task in pool.map(generate, _tasks(range(len(starts)), sizes))
-                  for chunk in task]
-
-    total = sum(np.bincount(chunk.cells, minlength=cell_cums.size) for chunk in chunks)
+        total = sum(pool.map(sample, [starts[k:k + group] for k in range(0, len(starts), group)]))
+    cells.setflags(write=False)
     return ExperimentResult(
         counts=CountsTable(total.reshape(settings.n_alice, settings.n_bob, 2, 2)),
-        chunks=tuple(chunks),
+        cells=cells,
         n_trials=n_trials,
         master_seed=master_seed,
         chunk_size=chunk_size,

@@ -1,6 +1,5 @@
 """Tests for the chunked Monte Carlo harness and its estimators."""
 
-import dataclasses
 import itertools
 import json
 import math
@@ -165,10 +164,9 @@ class TestRunExperiment:
     def test_deterministic_strategy_records(self):
         strategy = DeterministicStrategy((1, -1), (-1, 1))
         result = run_experiment(strategy, 100, optimal_settings(), master_seed=3)
-        for chunk in result.chunks:
-            x_index, y_index, a, b = chunk_columns(chunk, 2)
-            assert np.array_equal(a, np.take(strategy.a_of_x, x_index))
-            assert np.array_equal(b, np.take(strategy.b_of_y, y_index))
+        x_index, y_index, a, b = cell_columns(result.cells, 2)
+        assert np.array_equal(a, np.take(strategy.a_of_x, x_index))
+        assert np.array_equal(b, np.take(strategy.b_of_y, y_index))
 
     def test_same_seed_identical_logs(self, tmp_path):
         model = quantum_pair_model()
@@ -225,7 +223,7 @@ class TestRunExperiment:
         result = run_experiment(quantum_pair_model(), 300, optimal_settings(), master_seed=7,
                                 chunk_size=100, n_workers=10**6)
         assert requested == [3]
-        assert [chunk.start_trial for chunk in result.chunks] == [0, 100, 200]
+        assert list(result.chunks) == [0, 100, 200]
         assert result.counts.counts.sum() == 300
         # The encoder pool gets the same count.
         assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
@@ -233,12 +231,13 @@ class TestRunExperiment:
         assert threading.enumerate() == threads
 
     def test_tiny_chunks_share_a_pool_task(self, tmp_path, monkeypatch):
-        """One generation task and one encoding task per run of consecutive
-        chunks holding at least _ENCODE_ROWS trials, the last run excepted."""
+        """One generation task per run of consecutive chunks holding at least
+        _ENCODE_ROWS trials, the last run excepted, and one encoding task per
+        _ENCODE_ROWS trials whatever the chunk boundaries."""
         tasks = []
 
         class RecordingExecutor:
-            """Records the chunks or blocks of each task and runs it inline."""
+            """Records the chunks or trials of each task and runs it inline."""
 
             def __init__(self, max_workers):
                 pass
@@ -271,8 +270,23 @@ class TestRunExperiment:
             assert tasks == per_task
             tasks.clear()
             assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
-            # A 10,000-trial chunk is a block of 8192 trials and one of 1808.
-            assert tasks == ([1, 2, 1] if chunk_size == 10_000 else per_task)
+            assert tasks == [min(8192, n_trials - start) for start in range(0, n_trials, 8192)]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_drawing_holds_a_byte_per_trial_and_a_few_mb_per_thread(self, workers):
+        """The cells column and, per thread, one task's uniforms and counts:
+        a bincount over the whole column would hold 8 bytes per trial."""
+        cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
+        n_trials = 4_000_000
+        tracemalloc.start()
+        try:
+            result = run_experiment(cfg.model, n_trials, cfg.settings, cfg.master_seed,
+                                    n_workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.n_threads == workers and result.cells.nbytes == n_trials
+        assert peak <= n_trials + workers * 4_000_000
 
     def test_counts_match_record_stream_exactly(self, tmp_path):
         model = quantum_pair_model()
@@ -318,9 +332,9 @@ class TestRunExperiment:
             run_experiment(quantum_pair_model(), 0, optimal_settings(), master_seed=0)
 
 
-def chunk_columns(chunk, n_bob: int) -> tuple[np.ndarray, ...]:
-    """A chunk's x_index, y_index, a and b columns, decoded from its cells."""
-    context, outcome = np.divmod(chunk.cells.astype(np.intp), 4)
+def cell_columns(cells, n_bob: int) -> tuple[np.ndarray, ...]:
+    """The x_index, y_index, a and b columns of trials, decoded from their cells."""
+    context, outcome = np.divmod(cells.astype(np.intp), 4)
     return (*np.divmod(context, n_bob), 1 - 2 * (outcome >> 1), 1 - 2 * (outcome & 1))
 
 
@@ -329,19 +343,22 @@ def log_bytes(result, path: Path) -> bytes:
     return path.read_bytes()
 
 
+def reference_lines(first: int, cells, chunk_ids, n_bob: int) -> bytes:
+    """The log lines of consecutive trials from trial id ``first``, one
+    json.dumps each: the oracle for the row encoder."""
+    columns = (column.tolist() for column in cell_columns(cells, n_bob))
+    rows = zip(range(first, first + len(cells)), *columns, chunk_ids.tolist())
+    return "".join(json.dumps(dict(zip(EVENT_FIELDS, values)), separators=(",", ":")) + "\n"
+                   for values in rows).encode()
+
+
 def reference_log(result) -> bytes:
     """The event log with one json.dumps per trial: the oracle for the writer."""
     header = {"schema_version": EVENT_LOG_SCHEMA_VERSION, "master_seed": result.master_seed,
               "model_hash": result.model_hash}
-    lines = [json.dumps(header)]
-    for chunk in result.chunks:
-        x_index, y_index, a, b = chunk_columns(chunk, result.settings.n_bob)
-        for offset in range(len(chunk.cells)):
-            values = (chunk.start_trial + offset, int(x_index[offset]),
-                      int(y_index[offset]), int(a[offset]), int(b[offset]),
-                      chunk.chunk_id)
-            lines.append(json.dumps(dict(zip(EVENT_FIELDS, values)), separators=(",", ":")))
-    return ("\n".join(lines) + "\n").encode()
+    chunk_ids = np.arange(result.n_trials) // result.chunk_size
+    return (json.dumps(header) + "\n").encode() + reference_lines(
+        0, result.cells, chunk_ids, result.settings.n_bob)
 
 
 # A valid one-trial log, edited by the malformed-log cases below.
@@ -440,16 +457,16 @@ class TestEventLog:
     def test_failed_write_leaves_no_log_and_no_temp_file(self, tmp_path, monkeypatch):
         result = run_experiment(quantum_pair_model(), 30_000, optimal_settings(),
                                 master_seed=27, chunk_size=10_000, n_workers=2)
-        encode = harness._encode_block
+        encode = harness._encode_rows
         main_thread = threading.get_ident()
 
-        def fail_after_first_block(chunk, offset, *args):
+        def fail_after_first_slice(first, *args):
             assert threading.get_ident() != main_thread
-            if (chunk.chunk_id, offset) != (0, 0):
+            if first != 0:
                 raise RuntimeError("encoder failed")
-            return encode(chunk, offset, *args)
+            return encode(first, *args)
 
-        monkeypatch.setattr(harness, "_encode_block", fail_after_first_block)
+        monkeypatch.setattr(harness, "_encode_rows", fail_after_first_slice)
         threads = len(threading.enumerate())
         with pytest.raises(RuntimeError, match="encoder failed"):
             result.write_event_log(tmp_path / "events.jsonl")
@@ -489,16 +506,13 @@ class TestEventLog:
         (0, 0, 1),
         (9, 999_999, 1),
     ], ids=["slice-crosses-1e6", "five-digit-chunk-id", "trial-0-alone", "one-trial"])
-    def test_hand_built_chunk_matches_reference_encoder(self, tmp_path, chunk_id,
-                                                        start_trial, n_trials):
+    def test_hand_built_chunk_matches_reference_encoder(self, chunk_id, start_trial, n_trials):
         rng = np.random.default_rng(chunk_id)
         indices, outcomes = rng.integers(0, 2, (2, n_trials)), rng.choice([1, -1], (2, n_trials))
-        chunk = harness.ChunkData(chunk_id, start_trial,
-                                  harness._cell_index(*indices, *outcomes, 2).astype(np.uint8))
-        result = dataclasses.replace(
-            run_experiment(quantum_pair_model(), 1, optimal_settings(), master_seed=5),
-            chunks=(chunk,))
-        assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
+        cells = harness._cell_index(*indices, *outcomes, 2).astype(np.uint8)
+        chunk_ids = np.full(n_trials, chunk_id)
+        encoded = harness._encode_rows(start_trial, cells, chunk_ids, harness._event_middles(2, 2))
+        assert encoded.tobytes() == reference_lines(start_trial, cells, chunk_ids, 2)
 
     def test_two_digit_setting_index_matches_reference_encoder(self, tmp_path):
         spec = SettingsSpec.uniform(np.linspace(0.0, np.pi, 12), (0.1, 0.7, 1.3))
@@ -605,15 +619,20 @@ def assert_reads_as_reference(path, monkeypatch):
 
 
 def write_chunks(path, chunks, n_alice=2, n_bob=2) -> Path:
-    """The writer's log of hand-built chunks of (start_trial, chunk_id, n_trials),
-    each with seeded random cells on an n_alice x n_bob grid."""
+    """A writer's header and the row encoder's lines of consecutive
+    hand-built chunks of (start_trial, chunk_id, n_trials), each with seeded
+    random cells on an n_alice x n_bob grid, encoded as one run of trials."""
     rng = np.random.default_rng(len(chunks))
     spec = SettingsSpec.uniform(np.linspace(0.0, 1.0, n_alice), np.linspace(0.0, 1.0, n_bob))
     model = QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles)
-    result = run_experiment(model, 1, spec, master_seed=5)
-    data = tuple(harness.ChunkData(chunk_id, start, rng.integers(
-        0, n_alice * n_bob * 4, n_trials).astype(np.uint16)) for start, chunk_id, n_trials in chunks)
-    dataclasses.replace(result, chunks=data).write_event_log(path)
+    header = reference_log(run_experiment(model, 1, spec, master_seed=5)).partition(b"\n")
+    starts, chunk_ids, sizes = zip(*chunks)
+    assert starts == tuple(np.cumsum((starts[0],) + sizes[:-1]))
+    cells = np.concatenate([rng.integers(0, n_alice * n_bob * 4, size).astype(np.uint16)
+                            for size in sizes])
+    lines = harness._encode_rows(starts[0], cells, np.repeat(chunk_ids, sizes),
+                                 harness._event_middles(n_alice, n_bob))
+    path.write_bytes(b"".join(header[:2]) + lines.tobytes())
     return path
 
 
@@ -701,17 +720,23 @@ class TestReaderOracle:
         [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":}\n'],
         [(5, 1, 1, 1, -1, 3), b"}\n", (7, 0, 1, -1, -1, 3)],
         [(5, 1, 1, 1, -1, 3), b"\n"],
+        *([(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":'
+           + field + b"}\n"] for field in (b":" * 18, b"\xff" * 18, b"/" + b"9" * 17)),
     ], ids=["id-key-alone", "id-without-number", "id-leading-zero",
             "id-leading-zeros-before-more-lines", "chunk-id-leading-zero",
             "chunk-id-widths-vary", "chunk-id-19-digits", "setting-10", "ids-skip",
             "outcome-plus-sign", "chunk-id-not-digits", "chunk-id-empty", "brace-alone",
-            "blank"])
+            "blank", "chunk-id-18-colons", "chunk-id-18-ff-bytes", "chunk-id-slash-17-digits"])
     def test_hand_written_lines(self, tmp_path, monkeypatch, lines):
         path = tmp_path / "events.jsonl"
-        path.write_bytes(HEADER.encode() + b"".join(
-            line if isinstance(line, bytes) else (harness._EVENT_LINE % line).encode()
-            for line in lines))
-        assert_reads_as_reference(path, monkeypatch)
+        body = b"".join(line if isinstance(line, bytes) else (harness._EVENT_LINE % line).encode()
+                        for line in lines)
+        path.write_bytes(HEADER.encode() + body)
+        if isinstance(assert_reads_as_reference(path, monkeypatch), str):
+            # The writer's block reader refuses, and raises nothing on, what
+            # the pattern rejects.
+            out = np.zeros((len(lines), len(EVENT_FIELDS)), dtype=np.int64)
+            assert harness._read_writer_block(body, out) == 0 and not out.any()
 
     @pytest.mark.parametrize("kind", ["byte-swap", "insertion", "deletion", "swapped-lines",
                                       "duplicated-line", "crlf", "no-final-newline"])
@@ -779,10 +804,10 @@ class FixedUniforms:
     def __init__(self, *arrays):
         self.arrays = list(arrays)
 
-    def random(self, size):
+    def random(self, out):
         u = self.arrays.pop(0)
-        assert len(u) == size
-        return u
+        assert len(u) == len(out)
+        out[:] = u
 
 
 def setting_cumulative(probs) -> np.ndarray:
@@ -793,9 +818,11 @@ def setting_cumulative(probs) -> np.ndarray:
 
 def sampled_cells(p, alice_probs, bob_probs, master_seed, chunk_id, size) -> np.ndarray:
     alice_cum, bob_cum = setting_cumulative(alice_probs), setting_cumulative(bob_probs)
-    chunk = harness._generate_chunk(harness._cell_cumulatives(p), alice_cum, bob_cum,
-                                    master_seed, chunk_id, 0, size)
-    return chunk.cells
+    cells = np.empty(size, dtype=np.uint8)
+    counts = harness._sample_cells(cells, harness._cell_cumulatives(p), alice_cum, bob_cum,
+                                   master_seed, size, chunk_id)
+    assert np.array_equal(counts, np.bincount(cells, minlength=p.size))
+    return cells
 
 
 def around(values) -> list[float]:
@@ -810,11 +837,11 @@ class TestSamplerOracle:
         cfg = load_experiment(CONFIGS / config)
         result = run_experiment(cfg.model, 20_000, cfg.settings, cfg.master_seed,
                                 chunk_size=4096, n_workers=2)
-        for chunk in result.chunks:
-            rng = chunk_generator(cfg.master_seed, chunk.chunk_id)
-            size = min(4096, 20_000 - chunk.start_trial)
+        for chunk_id, start in enumerate(result.chunks):
+            rng = chunk_generator(cfg.master_seed, chunk_id)
+            size = min(4096, 20_000 - start)
             uniforms = [rng.random(size) for _ in range(3)]
-            assert np.array_equal(chunk.cells, reference_cells(
+            assert np.array_equal(result.cells[start:start + size], reference_cells(
                 cfg.model.behaviour(), cfg.settings.alice_probs, cfg.settings.bob_probs,
                 *uniforms))
 

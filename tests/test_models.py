@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from bellctx.chsh import CELLS, DEFAULT_COMBINATION, all_combinations, chsh_value, correlations
-from bellctx.harness import _cell_cumulatives, _generate_chunk
+from bellctx.harness import _cell_cumulatives, _sample_cells
 from bellctx.kolmogorov import optimal_settings
 from bellctx.models import (
     DeterministicStrategy,
@@ -94,9 +94,10 @@ def sample_cell(model, x_index, y_index, n, seed):
     """(a, b) draws of the chunked sampler with the settings pinned to one cell."""
     alice_cum = (np.arange(model.n_alice) >= x_index).astype(float)
     bob_cum = (np.arange(model.n_bob) >= y_index).astype(float)
-    chunk = _generate_chunk(_cell_cumulatives(model.behaviour()), alice_cum, bob_cum,
-                            master_seed=seed, chunk_id=0, start_trial=0, size=n)
-    outcome = chunk.cells.astype(np.intp) % 4
+    cells = np.empty(n, dtype=np.uint8)
+    _sample_cells(cells, _cell_cumulatives(model.behaviour()), alice_cum, bob_cum,
+                  master_seed=seed, chunk_size=n, first_chunk=0)
+    outcome = cells.astype(np.intp) % 4
     return list(zip((1 - 2 * (outcome >> 1)).tolist(), (1 - 2 * (outcome & 1)).tolist()))
 
 
