@@ -62,6 +62,19 @@ class TestRandomSampling:
         recorded = json.loads((GOLDEN_DIR / "context_dim2_seed42.json").read_text())
         assert json.dumps(produced, sort_keys=True) == json.dumps(recorded, sort_keys=True)
 
+    @pytest.mark.parametrize("dim", range(2, 7))
+    @pytest.mark.parametrize("count", ["one", "fit", "hundred"])
+    def test_rank_one_stack_matches_successive_draws(self, dim, count):
+        # Oracle: n successive Haar draws, each first column's outer product.
+        n = {"one": 1, "fit": 3 * dim * dim, "hundred": 100}[count]
+        reference_rng, rng = np.random.default_rng(50 + dim), np.random.default_rng(50 + dim)
+        columns = [haar_unitary(dim, reference_rng)[:, 0] for _ in range(n)]
+        expected = np.array([np.outer(c, c.conj()) for c in columns])
+        stack = np.array([random_rank_one(dim, rng).matrix for _ in range(n)])
+        assert stack.shape == (n, dim, dim)
+        assert (stack == expected).all()
+        assert rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_rank_profiles_are_compositions(self):
         rng = np.random.default_rng(3)
         for dim in (2, 3, 4):
