@@ -24,8 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .quantum import (DensityOperator, Projector, TOL, born_probabilities, check_contexts,
-                      projector_ranks)
+from .quantum import DensityOperator, TOL, born_probabilities, check_contexts, projector_ranks
 
 ADDITIVITY_TOL = 1e-10
 # Contexts checked as one stack: bounds memory whatever n_contexts is.
@@ -56,10 +55,15 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     return DensityOperator(rho / np.trace(rho).real)
 
 
-def random_rank_one(dim: int, rng: np.random.Generator) -> Projector:
-    """Haar-random rank-1 projector."""
-    column = haar_unitary(dim, rng)[:, 0]
-    return Projector(np.outer(column, column.conj()))
+def random_rank_ones(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack ``(n, d, d)`` of Haar-random rank-1 projectors, drawn as n
+    successive ``haar_unitary`` draws would be: each is the outer product
+    of its unitary's first column, formed elementwise."""
+    ginibre = np.empty((n, dim, dim), dtype=complex)
+    for i in range(n):
+        ginibre[i] = _ginibre(dim, rng)
+    columns = _haar_unitaries(ginibre)[:, :, 0]
+    return columns[:, :, None] * columns.conj()[:, None, :]
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -109,18 +113,17 @@ class FrameFunction:
             raise ValueError(f"frame function must be 1 on the identity ({self.label})")
 
     def values(self, stack: np.ndarray, ranks: np.ndarray) -> np.ndarray:
-        """The rule on a stack of projectors; a value outside [0, 1] (or NaN) is an error."""
+        """The rule on a stack ``(m, d, d)`` of projectors; a value outside
+        [0, 1] (or NaN) is an error."""
+        if stack.shape[-2:] != (self.dim, self.dim):
+            raise ValueError(f"dimension mismatch: frame function {self.dim}, "
+                             f"projectors of shape {stack.shape}")
         values = np.asarray(self.rule(stack, ranks), dtype=float)
         outside = ~((values >= -TOL) & (values <= 1.0 + TOL))
         if outside.any():
             raise ValueError(f"frame function value {values[outside][0]} outside [0, 1] "
                              f"({self.label})")
         return values
-
-    def __call__(self, p: Projector) -> float:
-        if p.dim != self.dim:
-            raise ValueError(f"dimension mismatch: frame function {self.dim}, projector {p.dim}")
-        return float(self.values(p.matrix[None], np.array([p.rank]))[0])
 
     @classmethod
     def trace_form(cls, rho: DensityOperator) -> "FrameFunction":
@@ -240,8 +243,9 @@ class TraceFormFit:
     n_samples: int
 
 
-def fit_trace_form(samples, dim: int) -> TraceFormFit:
-    """Fit a unit-trace Hermitian rho to (projector, value) samples.
+def fit_trace_form(stack: np.ndarray, values, dim: int) -> TraceFormFit:
+    """Fit a unit-trace Hermitian rho to the values of a stack ``(n, d, d)``
+    of projectors, one value per projector.
 
     The state is parameterized as I/dim plus a real combination of
     traceless Hermitian generators, keeping the least-squares problem
@@ -251,14 +255,15 @@ def fit_trace_form(samples, dim: int) -> TraceFormFit:
     projected back onto the state set by eigenvalue clipping and trace
     renormalization.
     """
-    samples = list(samples)
-    if len(samples) < dim * dim:
+    values = np.asarray(values, dtype=float)
+    if stack.shape[1:] != (dim, dim) or values.shape != stack.shape[:1]:
+        raise ValueError(f"need a stack (n, {dim}, {dim}) of projectors and n values, "
+                         f"got shapes {stack.shape} and {values.shape}")
+    if len(stack) < dim * dim:
         raise ValueError(
-            f"need at least dim^2 = {dim * dim} samples, got {len(samples)}")
+            f"need at least dim^2 = {dim * dim} samples, got {len(stack)}")
+    ranks = projector_ranks(stack)
     generators = traceless_hermitian_basis(dim)
-    projectors = [p for p, _ in samples]
-    values = np.array([float(v) for _, v in samples])
-    stack = np.array([p.matrix for p in projectors])
     # design[i, j] = tr(G_j P_i), one stacked product per generator: a product
     # for every pair at once would hold n * dim^6 complex numbers.
     design = np.stack([np.trace(g @ stack, axis1=1, axis2=2).real for g in generators],
@@ -269,7 +274,7 @@ def fit_trace_form(samples, dim: int) -> TraceFormFit:
         raise ValueError(
             f"sample design has rank {rank} < dim^2 = {dim * dim}; "
             "sample more (or more varied) projectors")
-    targets = values - np.array([p.rank for p in projectors]) / dim
+    targets = values - ranks / dim
     coeffs, *_ = np.linalg.lstsq(design, targets, rcond=None)
     rho = np.eye(dim, dtype=complex) / dim
     for c, g in zip(coeffs, generators):
@@ -282,19 +287,20 @@ def fit_trace_form(samples, dim: int) -> TraceFormFit:
         rho = (vectors * clipped) @ vectors.conj().T
     estimate = DensityOperator(rho)
     residual = np.max(np.abs(np.trace(estimate.matrix @ stack, axis1=1, axis2=2).real - values))
-    return TraceFormFit(rho_estimate=estimate, residual=float(residual), n_samples=len(samples))
+    return TraceFormFit(rho_estimate=estimate, residual=float(residual), n_samples=len(stack))
 
 
-def _embedding_pieces(p: Projector, n: int, seed):
-    """Stacks ``(k, d, d)`` of rank-1 pieces, one per embedding of ``p``:
-    Haar-random splits of its complement, of dimension k >= 2."""
-    complement_dim = p.dim - p.rank
+def _embedding_pieces(p: np.ndarray, rank: int, n: int, seed):
+    """Stacks ``(k, d, d)`` of rank-1 pieces, one per embedding of the
+    projector ``p`` of the given rank: Haar-random splits of its
+    complement, of dimension k >= 2."""
+    complement_dim = len(p) - rank
     if complement_dim < 2:
         raise ValueError(
-            f"projector of rank {p.rank} in dimension {p.dim} has a unique completion; "
+            f"projector of rank {rank} in dimension {len(p)} has a unique completion; "
             "intertwining needs a complement of dimension >= 2")
     rng = _as_generator(seed)
-    eigenvalues, vectors = np.linalg.eigh(p.matrix)
+    eigenvalues, vectors = np.linalg.eigh(p)
     complement_basis = vectors[:, eigenvalues < 0.5]
     for _ in range(n):
         columns = (complement_basis @ haar_unitary(complement_dim, rng)).T
@@ -314,11 +320,11 @@ class ExtravalenceReport:
 
 def extravalence_check(
     m: FrameFunction,
-    p: Projector,
+    p: np.ndarray,
     n_contexts: int,
     seed,
 ) -> ExtravalenceReport:
-    """Verify the value of ``p`` is embedding-independent.
+    """Verify the value of the projector ``p`` ``(d, d)`` is embedding-independent.
 
     m is a function of the projector alone, so m(p) cannot vary across
     contexts by construction; what can vary is the rest of the context.
@@ -327,12 +333,13 @@ def extravalence_check(
     ``target_deviation`` its worst distance from the target. Both must
     stay within ADDITIVITY_TOL to pass.
     """
-    value = m(p)
+    rank = projector_ranks(p[None])
+    value = float(m.values(p[None], rank)[0])
     target = 1.0 - value
     residuals = []
-    for pieces in _embedding_pieces(p, n_contexts, seed):
+    for pieces in _embedding_pieces(p, int(rank[0]), n_contexts, seed):
         ranks = projector_ranks(pieces)
-        check_contexts(np.concatenate([p.matrix[None], pieces]))
+        check_contexts(np.concatenate([p[None], pieces]))
         residuals.append(sum(m.values(pieces, ranks).tolist()))  # Python's left-to-right sum
     spread = max(residuals) - min(residuals)
     target_deviation = max(abs(r - target) for r in residuals)

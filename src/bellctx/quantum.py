@@ -17,15 +17,15 @@ Conventions
 - The two-photon source state is |Phi+> = (|HH> + |VV>)/sqrt(2), for
   which the correlation of two analyzers depends only on the angle
   difference: E(ta, tb) = cos 2(ta - tb).
-- ``DensityOperator`` and ``Projector`` are immutable after construction.
-  Functions return fresh arrays and never modify their inputs, so
-  everything is safe to share across threads.
+- ``DensityOperator`` is immutable after construction; a projector is a
+  plain ``(d, d)`` array. Functions return fresh arrays and never modify
+  their inputs, so everything is safe to share across threads.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -102,26 +102,11 @@ def check_contexts(stack: np.ndarray) -> None:
         raise ValueError("context is incomplete: projectors do not sum to identity")
 
 
-@dataclass(frozen=True)
-class Projector:
-    """Orthogonal projector: Hermitian, idempotent, integer trace = rank."""
-
-    matrix: np.ndarray
-    rank: int = field(init=False)
-
-    def __post_init__(self) -> None:
-        mat = as_operator(self.matrix)
-        object.__setattr__(self, "matrix", mat)
-        object.__setattr__(self, "rank", int(projector_ranks(mat[None])[0]))
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-
 def born_probabilities(rho: DensityOperator, stack: np.ndarray) -> np.ndarray:
     """Trace-rule values Re Tr(rho P) of a stack ``(m, d, d)`` of projectors,
     clamped to [0, 1] within TOL."""
+    if stack.shape[-2:] != rho.matrix.shape:
+        raise ValueError(f"dimension mismatch: state {rho.dim}, projectors of shape {stack.shape}")
     values = np.trace(rho.matrix @ stack, axis1=-2, axis2=-1).real
     outside = (values < -TOL) | (values > 1.0 + TOL)
     if outside.any():
@@ -131,13 +116,6 @@ def born_probabilities(rho: DensityOperator, stack: np.ndarray) -> np.ndarray:
     values[values < 0.0] = 0.0
     values[values > 1.0] = 1.0
     return values
-
-
-def born_probability(rho: DensityOperator, p: Projector) -> float:
-    """Trace-rule probability Re Tr(rho p), clamped to [0, 1] within TOL."""
-    if rho.dim != p.dim:
-        raise ValueError(f"dimension mismatch: state {rho.dim}, projector {p.dim}")
-    return float(born_probabilities(rho, p.matrix[None])[0])
 
 
 def context_distribution(rho: DensityOperator, context: np.ndarray) -> np.ndarray:

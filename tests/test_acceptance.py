@@ -24,7 +24,7 @@ from bellctx.gleason import (
     _context_stack,
     haar_unitary,
     random_density,
-    random_rank_one,
+    random_rank_ones,
     random_rank_profile,
 )
 from bellctx.harness import estimate_report, exact_estimates, run_experiment
@@ -43,8 +43,8 @@ from bellctx.models import (
     enumerate_deterministic_strategies,
     superdeterministic_s4_example,
 )
-from bellctx.quantum import Projector, born_probability, context_distribution, \
-    photon_pair_state, polarization_observable
+from bellctx.quantum import born_probabilities, context_distribution, photon_pair_state, \
+    polarization_observable, projector_ranks
 
 RT2 = math.sqrt(2.0)
 CONFIGS = Path(__file__).parent.parent / "src" / "bellctx" / "configs"
@@ -129,7 +129,7 @@ def test_criterion_4_mixed_space_structure():
         # Independent of the behaviour array: the trace rule on Pa (x) Pb.
         pa = polarization_observable(spec.alice_angles[ix])[ia]
         pb = polarization_observable(spec.bob_angles[iy])[ib]
-        p_ab = born_probability(rho, Projector(np.kron(pa, pb)))
+        p_ab = born_probabilities(rho, np.kron(pa, pb)[None])[0]
         worst = max(worst, abs(prob - p_ab / 4))
     factor_ok = worst <= 1e-12
     check(4, "mixed space has 16 atoms with prob = P(ab|xy)/4",
@@ -163,23 +163,22 @@ def test_criterion_6_frame_function_suite():
         FrameFunction.trace_form(rho3), 1000, 3, seed=1006)
     additivity_ok = additivity.passed and additivity.worst_violation <= 1e-10
 
-    samples = [(p, born_probability(rho3, p))
-               for p in (random_rank_one(3, rng) for _ in range(30))]
-    fit = fit_trace_form(samples, 3)
+    stack = random_rank_ones(30, 3, rng)
+    fit = fit_trace_form(stack, born_probabilities(rho3, stack), 3)
     recovery = float(np.max(np.abs(fit.rho_estimate.matrix - rho3.matrix)))
     fit_ok = recovery <= 1e-8
 
     counterexample = dim2_counterexample()
-    pair_worst = 0.0
-    for _ in range(10_000):
-        p = random_rank_one(2, rng)
-        complement = Projector(np.eye(2) - p.matrix)
-        pair_worst = max(pair_worst,
-                         abs(counterexample(p) + counterexample(complement) - 1.0))
+    ps = random_rank_ones(10_000, 2, rng)
+    complements = np.eye(2) - ps
+    pair_worst = float(np.max(np.abs(counterexample.values(ps, projector_ranks(ps))
+                                     + counterexample.values(complements,
+                                                             projector_ranks(complements))
+                                     - 1.0)))
     ce_additivity = check_orthogonal_additivity(counterexample, 1000, 2, seed=1066)
-    ce_samples = [(p, counterexample(p))
-                  for p in (random_rank_one(2, rng) for _ in range(200))]
-    ce_fit = fit_trace_form(ce_samples, 2)
+    ce_stack = random_rank_ones(200, 2, rng)
+    ce_fit = fit_trace_form(ce_stack, counterexample.values(ce_stack, projector_ranks(ce_stack)),
+                            2)
     # "Exact" additivity: identically true in real arithmetic, so only
     # final-rounding noise (<= 1e-15) is tolerated, 13 orders below the
     # fit-residual contrast.

@@ -200,8 +200,12 @@ class TestGleasonCheck:
         assert report["report"]["counterexample"]["additivity"]["passed"]
         assert report["report"]["counterexample"]["fit_residual"] > 0.01
 
-    def test_dim1_is_an_error(self, tmp_path):
-        assert main(["gleason-check", "--dim", "1", "--out-dir", str(tmp_path)]) == 2
+    @pytest.mark.parametrize("dim", ("1", "17"))
+    def test_dim_outside_2_to_16_is_an_error(self, tmp_path, capsys, dim):
+        assert main(["gleason-check", "--dim", dim, "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: dimension must be from 2 to 16, got {dim}\n"
+        assert not list(tmp_path.glob("*.json"))
 
     @pytest.mark.parametrize("dim", (2, 3))
     @pytest.mark.parametrize("n_contexts", ("0", "-3"))

@@ -15,10 +15,10 @@ from bellctx.gleason import (
     fit_trace_form,
     haar_unitary,
     random_density,
-    random_rank_one,
+    random_rank_ones,
     random_rank_profile,
 )
-from bellctx.quantum import (DensityOperator, Projector, born_probability, check_contexts,
+from bellctx.quantum import (DensityOperator, born_probabilities, check_contexts,
                              context_distribution, maximally_mixed, operator_to_json,
                              projector_ranks)
 
@@ -29,6 +29,11 @@ def random_context(dim: int, profile: tuple[int, ...], seed) -> np.ndarray:
     """Haar-random context ``(k, d, d)`` with the given rank profile."""
     return gleason._context_stack(haar_unitary(dim, gleason._as_generator(seed))[None],
                                   profile)[0]
+
+
+def value_of(m: FrameFunction, p: np.ndarray) -> float:
+    """m at one projector ``(d, d)``, evaluated as a one-element stack."""
+    return float(m.values(p[None], projector_ranks(p[None]))[0])
 
 
 def rank_proportional(dim: int) -> FrameFunction:
@@ -70,7 +75,7 @@ class TestRandomSampling:
         reference_rng, rng = np.random.default_rng(50 + dim), np.random.default_rng(50 + dim)
         columns = [haar_unitary(dim, reference_rng)[:, 0] for _ in range(n)]
         expected = np.array([np.outer(c, c.conj()) for c in columns])
-        stack = np.array([random_rank_one(dim, rng).matrix for _ in range(n)])
+        stack = random_rank_ones(n, dim, rng)
         assert stack.shape == (n, dim, dim)
         assert (stack == expected).all()
         assert rng.bit_generator.state == reference_rng.bit_generator.state
@@ -88,8 +93,8 @@ class TestFrameFunction:
     def test_trace_form_normalization_enforced(self):
         rho = random_density(3, np.random.default_rng(4))
         m = FrameFunction.trace_form(rho)
-        assert m(Projector(np.zeros((3, 3)))) == 0.0
-        assert m(Projector(np.eye(3))) == pytest.approx(1.0)
+        assert value_of(m, np.zeros((3, 3))) == 0.0
+        assert value_of(m, np.eye(3)) == pytest.approx(1.0)
 
     def test_unnormalized_rule_rejected(self):
         with pytest.raises(ValueError, match="identity"):
@@ -98,7 +103,7 @@ class TestFrameFunction:
     def test_dimension_mismatch_rejected(self):
         m = rank_proportional(2)
         with pytest.raises(ValueError, match="dimension mismatch"):
-            m(Projector(np.eye(3)))
+            value_of(m, np.eye(3))
 
 
 class TestOrthogonalAdditivity:
@@ -166,9 +171,8 @@ class TestTraceFormFit:
     def test_round_trip_recovers_known_state(self):
         rng = np.random.default_rng(11)
         rho = random_density(3, rng)
-        samples = [(p, born_probability(rho, p))
-                   for p in (random_rank_one(3, rng) for _ in range(30))]
-        fit = fit_trace_form(samples, 3)
+        stack = random_rank_ones(30, 3, rng)
+        fit = fit_trace_form(stack, born_probabilities(rho, stack), 3)
         assert np.max(np.abs(fit.rho_estimate.matrix - rho.matrix)) <= 1e-8
         assert fit.residual <= 1e-10
         assert fit.n_samples == 30
@@ -176,39 +180,51 @@ class TestTraceFormFit:
     def test_round_trip_with_mixed_rank_samples(self):
         rng = np.random.default_rng(12)
         rho = random_density(4, rng)
-        samples = []
-        while len(samples) < 40:
-            ctx = random_context(4, random_rank_profile(4, rng), rng)
-            samples.extend((p, born_probability(rho, p)) for p in map(Projector, ctx))
-        fit = fit_trace_form(samples, 4)
+        contexts = []
+        while sum(map(len, contexts)) < 40:
+            contexts.append(random_context(4, random_rank_profile(4, rng), rng))
+        stack = np.concatenate(contexts)
+        fit = fit_trace_form(stack, born_probabilities(rho, stack), 4)
         assert np.max(np.abs(fit.rho_estimate.matrix - rho.matrix)) <= 1e-8
 
     def test_rank_proportional_recovers_maximally_mixed(self):
         rng = np.random.default_rng(13)
         m = rank_proportional(3)
-        samples = [(p, m(p)) for p in (random_rank_one(3, rng) for _ in range(30))]
-        fit = fit_trace_form(samples, 3)
+        stack = random_rank_ones(30, 3, rng)
+        fit = fit_trace_form(stack, m.values(stack, projector_ranks(stack)), 3)
         assert np.max(np.abs(fit.rho_estimate.matrix - np.eye(3) / 3)) <= 1e-8
 
-    def test_too_few_samples_rejected(self):
-        rng = np.random.default_rng(14)
-        samples = [(random_rank_one(3, rng), 0.3)] * 5
-        with pytest.raises(ValueError, match="at least"):
-            fit_trace_form(samples, 3)
+    @pytest.mark.parametrize("shape, n_values, message", [
+        ((5, 3, 3), 5, "at least"),
+        ((12, 3, 3), 11, "need a stack"),
+        ((12, 3, 3), 13, "need a stack"),
+        ((12, 2, 2), 12, "need a stack"),
+        ((3, 3), 3, "need a stack"),
+    ])
+    def test_too_few_or_malformed_samples_rejected(self, shape, n_values, message):
+        # One random projector repeated to the shape, 0.3 for each value.
+        p = random_rank_ones(1, shape[-1], np.random.default_rng(14))[0]
+        with pytest.raises(ValueError, match=message):
+            fit_trace_form(np.broadcast_to(p, shape), [0.3] * n_values, 3)
 
     def test_rank_deficient_design_rejected(self):
         rng = np.random.default_rng(15)
-        p = random_rank_one(3, rng)
-        samples = [(p, 0.5)] * 12
+        stack = np.repeat(random_rank_ones(1, 3, rng), 12, axis=0)
         with pytest.raises(ValueError, match="rank"):
-            fit_trace_form(samples, 3)
+            fit_trace_form(stack, [0.5] * 12, 3)
+
+    def test_non_projectors_rejected(self):
+        stack = np.repeat(np.diag([0.5, 0.5, 0.0])[None], 12, axis=0)
+        with pytest.raises(ValueError, match="not idempotent"):
+            fit_trace_form(stack, [0.5] * 12, 3)
 
     def test_noisy_values_are_projected_to_a_state(self):
         rng = np.random.default_rng(16)
         rho = random_density(2, rng)
-        samples = [(p, min(1.0, max(0.0, born_probability(rho, p) + rng.normal(0, 0.05))))
-                   for p in (random_rank_one(2, rng) for _ in range(40))]
-        fit = fit_trace_form(samples, 2)
+        stack = random_rank_ones(40, 2, rng)
+        values = [min(1.0, max(0.0, v + rng.normal(0, 0.05)))
+                  for v in born_probabilities(rho, stack).tolist()]
+        fit = fit_trace_form(stack, values, 2)
         eigenvalues = np.linalg.eigvalsh(fit.rho_estimate.matrix)
         assert eigenvalues.min() >= -1e-10
         assert np.trace(fit.rho_estimate.matrix).real == pytest.approx(1.0, abs=1e-12)
@@ -217,24 +233,23 @@ class TestTraceFormFit:
 class TestDim2Counterexample:
     def test_pole_values(self):
         m = dim2_counterexample()
-        assert m(Projector(np.diag([1.0, 0.0]))) == 1.0
-        assert m(Projector(np.diag([0.0, 1.0]))) == 0.0
+        assert value_of(m, np.diag([1.0, 0.0])) == 1.0
+        assert value_of(m, np.diag([0.0, 1.0])) == 0.0
 
     def test_equator_value_is_half(self):
         m = dim2_counterexample()
-        x_plus = Projector(np.full((2, 2), 0.5))
-        assert m(x_plus) == pytest.approx(0.5)
+        x_plus = np.full((2, 2), 0.5)
+        assert value_of(m, x_plus) == pytest.approx(0.5)
 
     def test_pair_sums_are_one_up_to_final_rounding(self):
         # The complement identity holds exactly in real arithmetic
         # (odd cubic); in floats only the final additions round.
         m = dim2_counterexample()
         rng = np.random.default_rng(17)
-        worst = 0.0
-        for _ in range(10_000):
-            p = random_rank_one(2, rng)
-            q = Projector(np.eye(2) - p.matrix)
-            worst = max(worst, abs(m(p) + m(q) - 1.0))
+        ps = random_rank_ones(10_000, 2, rng)
+        qs = np.eye(2) - ps
+        worst = np.max(np.abs(m.values(ps, projector_ranks(ps))
+                              + m.values(qs, projector_ranks(qs)) - 1.0))
         assert worst <= 1e-15
 
     def test_passes_additivity_but_fails_trace_fit(self):
@@ -242,8 +257,8 @@ class TestDim2Counterexample:
         report = check_orthogonal_additivity(m, 500, 2, seed=18)
         assert report.passed
         rng = np.random.default_rng(19)
-        samples = [(p, m(p)) for p in (random_rank_one(2, rng) for _ in range(200))]
-        fit = fit_trace_form(samples, 2)
+        stack = random_rank_ones(200, 2, rng)
+        fit = fit_trace_form(stack, m.values(stack, projector_ranks(stack)), 2)
         assert fit.residual > 0.01
 
 
@@ -251,17 +266,17 @@ class TestIntertwining:
     # extravalence_check's embeddings of p: rank-1 pieces that complete it.
     def test_five_embeddings_all_complete_the_projector(self):
         rng = np.random.default_rng(20)
-        p = random_rank_one(3, rng)
-        embeddings = list(gleason._embedding_pieces(p, 5, seed=21))
+        p = random_rank_ones(1, 3, rng)[0]
+        embeddings = list(gleason._embedding_pieces(p, 1, 5, seed=21))
         assert len(embeddings) == 5
         for pieces in embeddings:
             assert projector_ranks(pieces).tolist() == [1, 1]
-            check_contexts(np.concatenate([p.matrix[None], pieces]))
+            check_contexts(np.concatenate([p[None], pieces]))
 
     def test_embeddings_are_pairwise_distinct(self):
         rng = np.random.default_rng(22)
-        p = random_rank_one(3, rng)
-        embeddings = list(gleason._embedding_pieces(p, 5, seed=23))
+        p = random_rank_ones(1, 3, rng)[0]
+        embeddings = list(gleason._embedding_pieces(p, 1, 5, seed=23))
         for i in range(5):
             for j in range(i + 1, 5):
                 assert np.max(np.abs(embeddings[i] - embeddings[j])) > 1e-6
@@ -269,32 +284,32 @@ class TestIntertwining:
     def test_qubit_rank_one_has_unique_completion(self):
         rng = np.random.default_rng(24)
         with pytest.raises(ValueError, match="unique completion"):
-            extravalence_check(rank_proportional(2), random_rank_one(2, rng), 3, seed=25)
+            extravalence_check(rank_proportional(2), random_rank_ones(1, 2, rng)[0], 3, seed=25)
 
     def test_dim4_rank2_completions_pass_invariants(self):
         rng = np.random.default_rng(26)
         u = haar_unitary(4, rng)
         block = u[:, :2]
-        p = Projector(block @ block.conj().T)
-        embeddings = list(gleason._embedding_pieces(p, 3, seed=27))
+        p = block @ block.conj().T
+        embeddings = list(gleason._embedding_pieces(p, 2, 3, seed=27))
         assert len(embeddings) == 3
         for pieces in embeddings:
             assert pieces.shape == (2, 4, 4)  # two rank-1 pieces beside p
-            check_contexts(np.concatenate([p.matrix[None], pieces]))
+            check_contexts(np.concatenate([p[None], pieces]))
 
 
 class TestExtravalence:
     def test_trace_form_spread_is_tiny(self):
         rng = np.random.default_rng(28)
         rho = random_density(3, rng)
-        p = random_rank_one(3, rng)
+        p = random_rank_ones(1, 3, rng)[0]
         report = extravalence_check(FrameFunction.trace_form(rho), p, 100, seed=29)
         assert report.passed
         assert report.spread <= 1e-10
 
     def test_rank_proportional_spread_is_zero(self):
         rng = np.random.default_rng(30)
-        p = random_rank_one(3, rng)
+        p = random_rank_ones(1, 3, rng)[0]
         report = extravalence_check(rank_proportional(3), p, 50, seed=31)
         assert report.spread == 0.0
 
@@ -308,7 +323,7 @@ class TestExtravalence:
 
         m = FrameFunction(3, noisy, "hash_perturbed")
         rng = np.random.default_rng(32)
-        p = random_rank_one(3, rng)
+        p = random_rank_ones(1, 3, rng)[0]
         report = extravalence_check(m, p, 50, seed=33)
         assert not report.passed
         assert report.spread > 1e-3

@@ -31,7 +31,7 @@ from bellctx.gleason import (
     dim2_counterexample,
     extravalence_check,
     random_density,
-    random_rank_one,
+    random_rank_ones,
 )
 from bellctx.kolmogorov import (
     ClassicalProbabilitySpace,
@@ -121,7 +121,7 @@ def additivity_case(dim: int, kind: str, n_contexts: int = 40) -> str:
 def extravalence_case(dim: int) -> str:
     rng = np.random.default_rng(300 + dim)
     m = FrameFunction.trace_form(random_density(dim, rng))
-    return _dump(extravalence_check(m, random_rank_one(dim, rng), 30, 400 + dim))
+    return _dump(extravalence_check(m, random_rank_ones(1, dim, rng)[0], 30, 400 + dim))
 
 
 def additivity_keys(dims=(2, 3, 4)) -> list[tuple[int, str]]:

@@ -8,8 +8,7 @@ import pytest
 from bellctx.quantum import (
     OUTCOME_PAIRS,
     DensityOperator,
-    Projector,
-    born_probability,
+    born_probabilities,
     check_contexts,
     context_distribution,
     joint_context,
@@ -41,6 +40,11 @@ def trace_prob(rho_matrix, proj_matrix) -> float:
     return float(np.trace(np.asarray(rho_matrix) @ np.asarray(proj_matrix)).real)
 
 
+def born_value(rho, p: np.ndarray) -> float:
+    """Trace-rule value of one projector ``(d, d)``, as a one-element stack."""
+    return float(born_probabilities(rho, p[None])[0])
+
+
 def joint_table(rho, ta: float, tb: float) -> np.ndarray:
     """p(a, b) of two analyzers as a 2x2 array (index 0 is outcome +1)."""
     context = joint_context(polarization_observable(ta), polarization_observable(tb))
@@ -66,11 +70,19 @@ class TestTypeInvariants:
 
     def test_projector_rejects_non_idempotent(self):
         with pytest.raises(ValueError, match="idempotent"):
-            Projector(np.diag([0.5, 0.5]))
+            projector_ranks(np.diag([0.5, 0.5])[None])
+
+    @pytest.mark.parametrize("matrix, message", [
+        (np.array([[1.0, 1.0], [0.0, 0.0]]), "not Hermitian"),  # idempotent
+        # Idempotent within TOL entry by entry, but the trace is 1.4e-9 off 16.
+        ((1.0 + 0.9e-10) * np.eye(16), "not near an integer"),
+    ])
+    def test_projector_ranks_reject_non_projectors(self, matrix, message):
+        with pytest.raises(ValueError, match=message):
+            projector_ranks(matrix[None])
 
     def test_projector_rank_is_rounded_trace(self):
-        p = Projector(np.diag([1.0, 1.0, 0.0]))
-        assert p.rank == 2
+        assert projector_ranks(np.diag([1.0, 1.0, 0.0])[None]).tolist() == [2]
 
     def test_context_requires_orthogonality(self):
         p = np.diag([1.0, 0.0])
@@ -101,20 +113,20 @@ class TestTypeInvariants:
 class TestBornProbability:
     def test_identity_projector_gives_one(self):
         rho = random_density(3, np.random.default_rng(0))
-        assert born_probability(rho, Projector(np.eye(3))) == pytest.approx(1.0, abs=1e-12)
+        assert born_value(rho, np.eye(3)) == pytest.approx(1.0, abs=1e-12)
 
     def test_state_on_its_own_projector(self):
         rho = pure_state([1, 0])
-        assert born_probability(rho, Projector(np.diag([1.0, 0.0]))) == pytest.approx(1.0)
+        assert born_value(rho, np.diag([1.0, 0.0])) == pytest.approx(1.0)
 
     def test_maximally_mixed_dim3_gives_third(self):
         rho = maximally_mixed(3)
-        p = Projector(computational_context(3)[1])
-        assert born_probability(rho, p) == pytest.approx(1 / 3, abs=1e-12)
+        p = computational_context(3)[1]
+        assert born_value(rho, p) == pytest.approx(1 / 3, abs=1e-12)
 
     def test_dimension_mismatch_raises(self):
         with pytest.raises(ValueError, match="dimension mismatch"):
-            born_probability(maximally_mixed(2), Projector(np.eye(3)))
+            born_value(maximally_mixed(2), np.eye(3))
 
     def test_additive_on_orthogonal_projectors(self):
         rng = np.random.default_rng(1)
@@ -124,10 +136,11 @@ class TestBornProbability:
             ctx = random_context(dim, rng)
             if len(ctx) < 2:
                 continue
-            p, q = Projector(ctx[0]), Projector(ctx[1])
-            merged = Projector(p.matrix + q.matrix)
-            lhs = born_probability(rho, merged)
-            rhs = born_probability(rho, p) + born_probability(rho, q)
+            p, q = ctx[0], ctx[1]
+            merged = p + q
+            projector_ranks(np.array([p, q, merged]))
+            lhs = born_value(rho, merged)
+            rhs = born_value(rho, p) + born_value(rho, q)
             assert abs(lhs - rhs) <= 1e-10
 
     def test_complete_family_sums_to_one(self):
@@ -136,7 +149,8 @@ class TestBornProbability:
             dim = int(rng.integers(2, 5))
             rho = random_density(dim, rng)
             ctx = random_context(dim, rng)
-            total = sum(born_probability(rho, Projector(p)) for p in ctx)
+            projector_ranks(ctx)
+            total = sum(born_value(rho, p) for p in ctx)
             assert abs(total - 1.0) <= 1e-10
 
 
@@ -226,9 +240,9 @@ class TestPhotonPair:
 
     def test_hh_probability_is_half(self):
         rho = photon_pair_state()
-        hh = Projector(np.diag([1.0, 0.0, 0.0, 0.0]))
-        assert trace_prob(rho.matrix, hh.matrix) == pytest.approx(0.5)
-        assert born_probability(rho, hh) == pytest.approx(0.5)
+        hh = np.diag([1.0, 0.0, 0.0, 0.0])
+        assert trace_prob(rho.matrix, hh) == pytest.approx(0.5)
+        assert born_value(rho, hh) == pytest.approx(0.5)
 
     def test_perfect_correlation_at_equal_angles(self):
         rho = photon_pair_state()
