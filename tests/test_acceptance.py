@@ -170,15 +170,14 @@ def test_criterion_6_frame_function_suite():
 
     counterexample = dim2_counterexample()
     ps = random_rank_ones(10_000, 2, rng)
-    complements = np.eye(2) - ps
-    pair_worst = float(np.max(np.abs(counterexample.values(ps, projector_ranks(ps))
-                                     + counterexample.values(complements,
-                                                             projector_ranks(complements))
-                                     - 1.0)))
+    qs = np.eye(2) - ps
+    sums = (counterexample.values(ps, projector_ranks(ps))
+            + counterexample.values(qs, projector_ranks(qs)))
+    pair_worst = float(np.max(np.abs(sums - 1.0)))
     ce_additivity = check_orthogonal_additivity(counterexample, 1000, 2, seed=1066)
     ce_stack = random_rank_ones(200, 2, rng)
-    ce_fit = fit_trace_form(ce_stack, counterexample.values(ce_stack, projector_ranks(ce_stack)),
-                            2)
+    ce_values = counterexample.values(ce_stack, projector_ranks(ce_stack))
+    ce_fit = fit_trace_form(ce_stack, ce_values, 2)
     # "Exact" additivity: identically true in real arithmetic, so only
     # final-rounding noise (<= 1e-15) is tolerated, 13 orders below the
     # fit-residual contrast.

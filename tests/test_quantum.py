@@ -68,11 +68,8 @@ class TestTypeInvariants:
         with pytest.raises(ValueError, match="negative eigenvalue"):
             DensityOperator(np.diag([1.5, -0.5]))
 
-    def test_projector_rejects_non_idempotent(self):
-        with pytest.raises(ValueError, match="idempotent"):
-            projector_ranks(np.diag([0.5, 0.5])[None])
-
     @pytest.mark.parametrize("matrix, message", [
+        (np.diag([0.5, 0.5]), "idempotent"),
         (np.array([[1.0, 1.0], [0.0, 0.0]]), "not Hermitian"),  # idempotent
         # Idempotent within TOL entry by entry, but the trace is 1.4e-9 off 16.
         ((1.0 + 0.9e-10) * np.eye(16), "not near an integer"),
