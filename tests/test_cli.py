@@ -7,10 +7,12 @@ from pathlib import Path
 
 import pytest
 
+from bellctx.chsh import correlations
 from bellctx.cli import main
-from bellctx.config import parse_config_text
+from bellctx.config import load_experiment, parse_config_text
 from bellctx.harness import CountsTable, read_event_log
-from bellctx.models import SignallingModel
+from bellctx.models import QuantumModel, SignallingModel
+from bellctx.plotsvg import Panel
 
 CONFIGS = Path(__file__).parent.parent / "src" / "bellctx" / "configs"
 PHOTON_PAIR_TABLES = Path(__file__).parent / "golden" / "photon_pair_tables.json"
@@ -418,6 +420,24 @@ class TestPlot:
         assert main(["plot", str(config), "x.svg", "--out-dir", str(tmp_path),
                      "--sweep-start", "1.0", "--sweep-stop", "1.0"]) == 2
         assert not (tmp_path / "x.svg").exists()
+
+    @pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.cfg")))
+    def test_monte_carlo_points_sit_on_the_exact_curve(self, tmp_path, monkeypatch, name):
+        """13 points, each E within 5 SE of the exact E of context (0, 0) at
+        its analyzer gap (equal to it where SE is 0)."""
+        points = []
+        monkeypatch.setattr(Panel, "add_points", lambda self, *args: points.append(args))
+        assert main(["plot", str(CONFIGS / name), "x.svg", "--out-dir", str(tmp_path),
+                     "--mc-trials", "2000", "--quiet"]) == 0
+        (gaps, es, ses), = points
+        assert len(gaps) == len(es) == len(ses) == 13
+        cfg = load_experiment(CONFIGS / name)
+        base = cfg.settings.alice_angles[0]
+        for gap, e, se in zip(gaps, es, ses):
+            model = (QuantumModel(cfg.model.rho, (base,), (base + gap,))
+                     if isinstance(cfg.model, QuantumModel) else cfg.model)
+            exact = float(correlations(model.behaviour()[0, 0]))
+            assert abs(e - exact) <= 5 * se if se > 0 else e == exact, (gap, e, se, exact)
 
 
 # Flags a command does not read are usage errors.
