@@ -55,21 +55,20 @@ def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     return DensityOperator(rho / np.trace(rho).real)
 
 
+def _ginibres(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
+    """Stack ``(n, d, d)`` of n successive ``_ginibre`` draws."""
+    ginibre = np.empty((n, dim, dim), dtype=complex)
+    for i in range(n):
+        ginibre[i] = _ginibre(dim, rng)
+    return ginibre
+
+
 def random_rank_ones(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Stack ``(n, d, d)`` of Haar-random rank-1 projectors, drawn as n
     successive ``haar_unitary`` draws would be: each is the outer product
     of its unitary's first column, formed elementwise."""
-    ginibre = np.empty((n, dim, dim), dtype=complex)
-    for i in range(n):
-        ginibre[i] = _ginibre(dim, rng)
-    columns = _haar_unitaries(ginibre)[:, :, 0]
+    columns = _haar_unitaries(_ginibres(n, dim, rng))[:, :, 0]
     return columns[:, :, None] * columns.conj()[:, None, :]
-
-
-def _as_generator(seed) -> np.random.Generator:
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 def _context_stack(unitaries: np.ndarray, profile: tuple[int, ...]) -> np.ndarray:
@@ -94,15 +93,12 @@ class FrameFunction:
     """Total map from projectors of one dimension to [0, 1].
 
     ``rule`` maps a stack ``(m, d, d)`` of projectors and their ranks
-    ``(m,)`` to values ``(m,)``. Carries the underlying state when the
-    function is of trace form; arbitrary rules (counterexamples, negative
-    controls) leave it None.
+    ``(m,)`` to values ``(m,)``.
     """
 
     dim: int
     rule: Callable[[np.ndarray, np.ndarray], np.ndarray]
     label: str
-    rho: DensityOperator | None = None
 
     def __post_init__(self) -> None:
         zero, identity = self.values(np.multiply.outer([0.0, 1.0], np.eye(self.dim, dtype=complex)),
@@ -127,7 +123,7 @@ class FrameFunction:
 
     @classmethod
     def trace_form(cls, rho: DensityOperator) -> "FrameFunction":
-        return cls(rho.dim, lambda stack, ranks: born_probabilities(rho, stack), "trace_form", rho)
+        return cls(rho.dim, lambda stack, ranks: born_probabilities(rho, stack), "trace_form")
 
     @classmethod
     def squared_trace_form(cls, rho: DensityOperator) -> "FrameFunction":
@@ -196,7 +192,7 @@ def check_orthogonal_additivity(m: FrameFunction, n_contexts: int, dim: int,
     """
     if dim != m.dim:
         raise ValueError(f"dimension mismatch: frame function {m.dim}, requested {dim}")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     for start in range(0, n_contexts, CONTEXT_BLOCK):
         ginibre = np.empty((min(CONTEXT_BLOCK, n_contexts - start), dim, dim), dtype=complex)
@@ -290,21 +286,22 @@ def fit_trace_form(stack: np.ndarray, values, dim: int) -> TraceFormFit:
     return TraceFormFit(rho_estimate=estimate, residual=float(residual), n_samples=len(stack))
 
 
-def _embedding_pieces(p: np.ndarray, rank: int, n: int, seed):
-    """Stacks ``(k, d, d)`` of rank-1 pieces, one per embedding of the
-    projector ``p`` of the given rank: Haar-random splits of its
-    complement, of dimension k >= 2."""
+def _embedding_pieces(p: np.ndarray, rank: int, n: int, seed) -> np.ndarray:
+    """Stack ``(n, k, d, d)`` of rank-1 pieces, one context's worth per
+    embedding of the projector ``p`` of the given rank: Haar-random splits
+    of its complement, of dimension k >= 2, drawn as n successive
+    ``haar_unitary`` draws would be."""
     complement_dim = len(p) - rank
     if complement_dim < 2:
         raise ValueError(
             f"projector of rank {rank} in dimension {len(p)} has a unique completion; "
             "intertwining needs a complement of dimension >= 2")
-    rng = _as_generator(seed)
+    rng = np.random.default_rng(seed)
     eigenvalues, vectors = np.linalg.eigh(p)
     complement_basis = vectors[:, eigenvalues < 0.5]
-    for _ in range(n):
-        columns = (complement_basis @ haar_unitary(complement_dim, rng)).T
-        yield columns[:, :, None] * columns.conj()[:, None, :]
+    unitaries = _haar_unitaries(_ginibres(n, complement_dim, rng))
+    columns = (complement_basis @ unitaries).swapaxes(1, 2)
+    return columns[..., :, None] * columns.conj()[..., None, :]
 
 
 @dataclass(frozen=True)
@@ -336,11 +333,11 @@ def extravalence_check(
     rank = projector_ranks(p[None])
     value = float(m.values(p[None], rank)[0])
     target = 1.0 - value
-    residuals = []
-    for pieces in _embedding_pieces(p, int(rank[0]), n_contexts, seed):
-        ranks = projector_ranks(pieces)
-        check_contexts(np.concatenate([p[None], pieces]))
-        residuals.append(sum(m.values(pieces, ranks).tolist()))  # Python's left-to-right sum
+    pieces = _embedding_pieces(p, int(rank[0]), n_contexts, seed)
+    ranks = projector_ranks(pieces)
+    check_contexts(np.concatenate([np.broadcast_to(p, pieces[:, :1].shape), pieces], axis=1))
+    values = m.values(pieces.reshape(-1, *p.shape), ranks.ravel()).reshape(ranks.shape)
+    residuals = [sum(row) for row in values.tolist()]  # Python's left-to-right sum
     spread = max(residuals) - min(residuals)
     target_deviation = max(abs(r - target) for r in residuals)
     return ExtravalenceReport(passed=spread <= ADDITIVITY_TOL

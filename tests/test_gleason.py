@@ -27,7 +27,7 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 
 def random_context(dim: int, profile: tuple[int, ...], seed) -> np.ndarray:
     """Haar-random context ``(k, d, d)`` with the given rank profile."""
-    return gleason._context_stack(haar_unitary(dim, gleason._as_generator(seed))[None],
+    return gleason._context_stack(haar_unitary(dim, np.random.default_rng(seed))[None],
                                   profile)[0]
 
 
@@ -228,6 +228,17 @@ class TestTraceFormFit:
         eigenvalues = np.linalg.eigvalsh(fit.rho_estimate.matrix)
         assert eigenvalues.min() >= -1e-10
         assert np.trace(fit.rho_estimate.matrix).real == pytest.approx(1.0, abs=1e-12)
+
+    def test_negative_least_squares_solution_is_clipped_to_a_state(self):
+        # Uniform values fit no state: the least-squares solution here has a
+        # smallest eigenvalue of about -0.11, which only the clipping removes.
+        rng = np.random.default_rng(5)
+        stack = random_rank_ones(27, 3, rng)
+        fit = fit_trace_form(stack, rng.uniform(size=27), 3)
+        eigenvalues = np.linalg.eigvalsh(fit.rho_estimate.matrix)
+        assert eigenvalues.min() >= -1e-12
+        assert abs(eigenvalues.min()) <= 1e-12
+        assert abs(np.trace(fit.rho_estimate.matrix) - 1.0) <= 1e-12
 
 
 class TestDim2Counterexample:
