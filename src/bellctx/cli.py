@@ -55,6 +55,7 @@ from .gleason import (
 from .harness import atomic_write, by_context, estimate_report, exact_estimates, run_experiment
 from .kolmogorov import (
     ClassicalProbabilitySpace,
+    SettingsSpec,
     build_mixed_context_space_from_tables,
     szabo_chsh,
     verify_kolmogorov,
@@ -71,7 +72,7 @@ from .models import (
 )
 from .plotsvg import Panel, render_panels
 from .quantum import DensityOperator, born_probabilities, operator_from_json
-from .rng import chunk_generator
+from .rng import derive_stream_seed
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,9 +120,8 @@ def cmd_simulate(args) -> Output:
     result = run_experiment(cfg.model, cfg.n_trials, cfg.settings, cfg.master_seed,
                             cfg.chunk_size, cfg.n_workers)
     estimates = estimate_report(result.counts, cfg.combination)
-    exact = (exact_estimates(cfg.model, cfg.settings, cfg.combination)
-             if is_two_by_two(cfg.model.behaviour()) else None)
     kc, _ = _kc_summary(cfg)
+    exact = exact_estimates(cfg.model, cfg.settings, cfg.combination) if kc else None
 
     report = {
         "schema_version": REPORT_SCHEMA_VERSION,
@@ -136,7 +136,7 @@ def cmd_simulate(args) -> Output:
         "exact": None if exact is None else {
             "correlations": by_context(exact.correlations),
             "s": exact.s,
-            "s_global": exact.s_global,
+            "s_global": kc["s_prime"],
         },
         "kc": kc,
     }
@@ -150,7 +150,7 @@ def cmd_simulate(args) -> Output:
         lines += [f"S        = {estimates.s:+.4f} +/- {estimates.s_se:.4f}"
                   + (f"   (exact {exact.s:+.4f})" if exact else ""),
                   f"S_global = {estimates.s_global:+.4f} +/- {estimates.s_global_se:.4f}"
-                  + (f"   (exact {exact.s_global:+.4f})" if exact else "")]
+                  + (f"   (exact {kc['s_prime']:+.4f})" if kc else "")]
     flagged = [a for a in estimates.audits if a["flagged"]]
     lines += [f"no-signalling audit: {len(flagged)} flag(s)",
               f"wrote {event_path}, {counts_path}, {report_path}"]
@@ -335,29 +335,32 @@ def cmd_plot(args) -> Output:
     cfg = load_experiment(args.config, args.seed)
     if not is_two_by_two(cfg.model.behaviour()):
         raise ConfigError("plot needs a model with two settings per side")
-    if args.sweep_points < 2 or not (args.sweep_stop > args.sweep_start):
+    if args.sweep_points < 2 or not -math.inf < args.sweep_start < args.sweep_stop < math.inf:
         raise ConfigError(
-            f"empty sweep range: [{args.sweep_start}, {args.sweep_stop}] "
-            f"with {args.sweep_points} points")
+            f"sweep range must be finite and non-empty: [{args.sweep_start}, "
+            f"{args.sweep_stop}] with {args.sweep_points} points")
     if args.mc_trials < 100:
         raise ConfigError("mc-trials must be at least 100")
 
     base = cfg.settings.alice_angles[0]
 
-    def first_cell(gap: float) -> np.ndarray:
-        """p[0, 0] with Bob's analyzer ``gap`` away from Alice's first one."""
-        return _at_angles(cfg, (base,), (base + gap,)).behaviour()[0, 0]
+    def at_gap(gap: float) -> OutcomeModel:
+        """The model with Bob's analyzers ``gap`` away from Alice's."""
+        return _at_angles(cfg, (base, base), (base + gap, base + gap))
 
     gaps = np.linspace(0.0, np.pi, 97)
-    e_curve = [float(correlations(first_cell(g))) for g in gaps]
+    e_curve = [float(correlations(at_gap(g).behaviour()[0, 0])) for g in gaps]
+    # Each point is a run in which every trial lands in context (0, 0).
+    first_only = SettingsSpec(cfg.settings.alice_angles, (1.0, 0.0),
+                              cfg.settings.bob_angles, (1.0, 0.0))
     mc_gaps = np.linspace(0.0, np.pi, 13)
     mc_e, mc_se = [], []
     for index, gap in enumerate(mc_gaps):
-        rng = chunk_generator(cfg.master_seed, index)
-        draws = rng.multinomial(args.mc_trials, first_cell(gap).ravel())
-        e_hat = (draws[0] + draws[3] - draws[1] - draws[2]) / args.mc_trials
-        mc_e.append(float(e_hat))
-        mc_se.append(float(np.sqrt(max(0.0, 1 - e_hat ** 2) / args.mc_trials)))
+        result = run_experiment(at_gap(gap), args.mc_trials, first_only,
+                                derive_stream_seed(cfg.master_seed, index), cfg.chunk_size)
+        estimates = estimate_report(result.counts)
+        mc_e.append(float(estimates.e[0, 0]))
+        mc_se.append(float(estimates.se[0, 0]))
 
     correlation_panel = Panel(
         title=f"Correlation vs analyzer gap ({cfg.model.kind} model, "

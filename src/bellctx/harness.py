@@ -60,7 +60,7 @@ import numpy as np
 
 from .chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, chsh_value, correlations, \
     is_two_by_two, max_abs_chsh
-from .kolmogorov import SettingsSpec, build_mixed_context_space_from_tables, szabo_chsh
+from .kolmogorov import SettingsSpec
 from .models import OutcomeModel, marginals, model_description_hash
 from .rng import chunk_generator
 
@@ -650,7 +650,6 @@ class ExactEstimates:
 
     correlations: np.ndarray
     s: float
-    s_global: float
 
 
 def exact_estimates(
@@ -658,9 +657,8 @@ def exact_estimates(
     settings: SettingsSpec,
     combination: ChshCombination = DEFAULT_COMBINATION,
 ) -> ExactEstimates:
-    """E, S, and S' a run would converge to, from the behaviour; S' is
-    :func:`szabo_chsh` of the mixed space, as in the kc audit."""
-    p = model.behaviour()
-    e = correlations(p)
-    s_global = szabo_chsh(build_mixed_context_space_from_tables(p, settings), combination)
-    return ExactEstimates(correlations=e, s=chsh_value(e, combination), s_global=s_global)
+    """E and S a run would converge to, from the behaviour. Both are
+    conditional on the context, so ``settings`` does not enter; the exact
+    S', which does depend on it, is the kc audit's ``szabo_chsh``."""
+    e = correlations(model.behaviour())
+    return ExactEstimates(correlations=e, s=chsh_value(e, combination))

@@ -56,6 +56,7 @@ class TestSimulate:
         report = json.loads((tmp_path / "chsh_quantum_report.json").read_text())
         assert report["report"]["estimates"]["s"] == pytest.approx(2 * math.sqrt(2), abs=0.05)
         assert report["report"]["exact"]["s"] == pytest.approx(2 * math.sqrt(2), abs=1e-10)
+        assert report["report"]["exact"]["s_global"] == report["report"]["kc"]["s_prime"]
         assert report["report"]["kc"]["n_atoms"] == 16
         assert "wall_clock_seconds" in report["meta"]
         header, records = read_event_log(tmp_path / "chsh_quantum_events.jsonl")
@@ -413,12 +414,15 @@ class TestPlot:
         peak = float(capsys.readouterr().out.rsplit(":", 1)[1].rstrip(")\n"))
         assert peak <= 2.0 + 1e-9
 
-    def test_empty_sweep_range_exits_2(self, tmp_path):
-        config = write_quick_config(tmp_path)
-        assert main(["plot", str(config), "x.svg", "--out-dir", str(tmp_path),
-                     "--sweep-points", "1"]) == 2
-        assert main(["plot", str(config), "x.svg", "--out-dir", str(tmp_path),
-                     "--sweep-start", "1.0", "--sweep-stop", "1.0"]) == 2
+    @pytest.mark.parametrize("base", ["chsh_quantum.cfg", "chsh_lhv_uniform.cfg"])
+    @pytest.mark.parametrize("flags", [
+        ("--sweep-points", "1"), ("--sweep-start", "1.0", "--sweep-stop", "1.0"),
+        ("--sweep-stop", "inf"), ("--sweep-start=-inf",),
+    ], ids=["one-point", "start-equals-stop", "stop-inf", "start-minus-inf"])
+    def test_empty_sweep_range_exits_2(self, tmp_path, capsys, base, flags):
+        config = write_quick_config(tmp_path, base)
+        assert main(["plot", str(config), "x.svg", "--out-dir", str(tmp_path), *flags]) == 2
+        assert "Traceback" not in capsys.readouterr().err
         assert not (tmp_path / "x.svg").exists()
 
     @pytest.mark.parametrize("name", sorted(path.name for path in CONFIGS.glob("*.cfg")))
