@@ -356,9 +356,9 @@ def cmd_plot(args) -> Output:
     mc_gaps = np.linspace(0.0, np.pi, 13)
     mc_e, mc_se = [], []
     for index, gap in enumerate(mc_gaps):
-        result = run_experiment(at_gap(gap), args.mc_trials, first_only,
-                                derive_stream_seed(cfg.master_seed, index), cfg.chunk_size)
-        estimates = estimate_report(result.counts)
+        estimates = estimate_report(run_experiment(
+            at_gap(gap), args.mc_trials, first_only,
+            derive_stream_seed(cfg.master_seed, index), cfg.chunk_size).counts)
         mc_e.append(float(estimates.e[0, 0]))
         mc_se.append(float(estimates.se[0, 0]))
 
