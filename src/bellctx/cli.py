@@ -344,12 +344,13 @@ def cmd_plot(args) -> Output:
 
     base = cfg.settings.alice_angles[0]
 
-    def at_gap(gap: float) -> OutcomeModel:
-        """The model with Bob's analyzers ``gap`` away from Alice's."""
-        return _at_angles(cfg, (base, base), (base + gap, base + gap))
+    def at_gap(gap: float, n: int) -> OutcomeModel:
+        """The model with ``n`` analyzers per side, Bob's ``gap`` away from Alice's."""
+        return _at_angles(cfg, (base,) * n, (base + gap,) * n)
 
     gaps = np.linspace(0.0, np.pi, 97)
-    e_curve = [float(correlations(at_gap(g).behaviour()[0, 0])) for g in gaps]
+    # The curve reads only context (0, 0), so one analyzer per side.
+    e_curve = [float(correlations(at_gap(g, 1).behaviour()[0, 0])) for g in gaps]
     # Each point is a run in which every trial lands in context (0, 0).
     first_only = SettingsSpec(cfg.settings.alice_angles, (1.0, 0.0),
                               cfg.settings.bob_angles, (1.0, 0.0))
@@ -357,7 +358,7 @@ def cmd_plot(args) -> Output:
     mc_e, mc_se = [], []
     for index, gap in enumerate(mc_gaps):
         estimates = estimate_report(run_experiment(
-            at_gap(gap), args.mc_trials, first_only,
+            at_gap(gap, 2), args.mc_trials, first_only,
             derive_stream_seed(cfg.master_seed, index), cfg.chunk_size).counts)
         mc_e.append(float(estimates.e[0, 0]))
         mc_se.append(float(estimates.se[0, 0]))

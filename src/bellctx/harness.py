@@ -34,13 +34,15 @@ many threads as drew the trials, a bounded window of them at a time, and
 writes them in trial order. Only the draws group tiny chunks: a pool task
 draws whole chunks, ``_ENCODE_ROWS`` trials' worth or more. The reader
 takes the log in blocks of whole lines and fills an ``(n_trials, 6)``
-int64 array. It decodes a block as the writer lays one out, encodes those
-numbers again with the same row encoder and takes them if the bytes are
-equal. A block the writer did not write so (ids that skip, a setting of
-10 or more, any edit) meets the template's pattern, which names the first
-bad line, and its numbers are parsed as one comma-separated stream. One
-linear cell index orders the cells, the counts and the writer's per-cell
-bytes; every artifact is written through :func:`atomic_write`.
+array, int32 (24 bytes per trial) if every number fits and int64 if one
+is above 2^31 - 1. It decodes a block as the writer lays one out,
+encodes those numbers again with the same row encoder and takes them if
+the bytes are equal and the ids fit the array. Any other block (ids that
+skip or do not fit, a setting of 10 or more, any edit) meets the
+template's pattern, which names the first bad line, and its numbers are
+parsed as one comma-separated stream. One linear cell index orders the
+cells, the counts and the writer's per-cell bytes; every artifact is
+written through :func:`atomic_write`.
 """
 from __future__ import annotations
 
@@ -408,6 +410,9 @@ def _read_writer_block(block: bytes, out: np.ndarray) -> int:
     for place in range(n.max()):
         digit = np.minimum(buf.take(tail + place, mode="clip") - ord("0"), 10)
         chunk_ids = np.where(place < n, chunk_ids * 10 + digit, chunk_ids)
+    # Ids that out's dtype cannot hold are left to the caller.
+    if max(ids[-1], chunk_ids.max()) > np.iinfo(out.dtype).max:
+        return 0
     expected = np.concatenate([
         _encode_rows(int(ids[start]), cells[start:start + _ENCODE_ROWS],
                      chunk_ids[start:start + _ENCODE_ROWS], middles)
@@ -419,10 +424,11 @@ def _read_writer_block(block: bytes, out: np.ndarray) -> int:
 
 
 def read_event_log(path) -> tuple[dict, np.ndarray]:
-    """Parse an event log into its header and a read-only int64 array.
+    """Parse an event log into its header and a read-only integer array.
 
     The array has one row per trial and its columns in ``EVENT_FIELDS``
-    order. A header of another schema version, or a line that is not
+    order. It is int32 when every number fits and int64 when one does not:
+    the rows read before the first such number are copied once, into int64. A header of another schema version, or a line that is not
     exactly what the writer writes (outcomes +/-1 included), raises
     ValueError naming the line. A block equal to the writer's encoding of
     the numbers decoded from it is taken as it is; any other block meets
@@ -441,7 +447,7 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
         # the bytes left bound the rows; the rows not read are cut off below.
         shortest = len(_EVENT_LINE % ((0,) * len(EVENT_FIELDS)))
         rows = (os.fstat(fh.fileno()).st_size - fh.tell()) // shortest
-        records = np.empty((rows, len(EVENT_FIELDS)), dtype=np.int64)
+        records = np.empty((rows, len(EVENT_FIELDS)), dtype=np.int32)
         row = 0
         for block in iter(lambda: fh.read(_READ_BYTES) + fh.readline(), b""):
             count = _read_writer_block(block, records[row:])
@@ -455,6 +461,11 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
                 numbers = np.fromstring(block.translate(*_NUMBER_STREAM)[:-1],
                                         dtype=np.int64, sep=",").reshape(-1, len(EVENT_FIELDS))
                 count = len(numbers)
+                if numbers.max() > np.iinfo(records.dtype).max:
+                    # Widened once: only the rows read so far are copied.
+                    wide = np.empty(records.shape, dtype=np.int64)
+                    wide[:row] = records[:row]
+                    records = wide
                 records[row:row + count] = numbers
             row += count
     records.resize((row, len(EVENT_FIELDS)), refcheck=False)

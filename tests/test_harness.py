@@ -371,7 +371,7 @@ class TestEventLog:
         assert header["schema_version"] == 1
         assert header["master_seed"] == 12
         assert header["model_hash"] == result.model_hash
-        assert records.shape == (1234, 6) and records.dtype == np.int64
+        assert records.shape == (1234, 6) and records.dtype == np.int32
         assert not records.flags.writeable
         assert CountsTable.from_records(records, 2, 2) == result.counts
 
@@ -531,6 +531,24 @@ class TestEventLog:
         assert records.shape == (300_000, 6)
         assert peak < 1.5 * records.nbytes
 
+    def test_reading_holds_24_bytes_per_possible_line(self, tmp_path):
+        """int32 records, allocated for as many lines as the file could
+        hold, plus a block's work; int64 records would need twice that."""
+        cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
+        result = run_experiment(cfg.model, 400_000, cfg.settings, cfg.master_seed)
+        path = tmp_path / "events.jsonl"
+        result.write_event_log(path)
+        del result
+        shortest = len(harness._EVENT_LINE % ((0,) * len(EVENT_FIELDS)))
+        tracemalloc.start()
+        try:
+            _, records = read_event_log(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert records.shape == (400_000, 6)
+        assert peak <= 24 * (path.stat().st_size // shortest) + 3_000_000
+
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(n_trials=st.integers(1, 5000), chunk_size=st.integers(1, 700),
@@ -597,9 +615,9 @@ def read_outcome(read, path):
 READ_SIZES = (64, 97, 1000, 1 << 18)
 
 
-def assert_reads_as_reference(path, monkeypatch):
+def assert_reads_as_reference(path, monkeypatch, sizes=READ_SIZES):
     expected = read_outcome(reference_read, path)
-    for size in READ_SIZES:
+    for size in sizes:
         monkeypatch.setattr(harness, "_READ_BYTES", size)
         got = read_outcome(read_event_log, path)
         if isinstance(expected, str):
@@ -607,7 +625,10 @@ def assert_reads_as_reference(path, monkeypatch):
         else:
             assert not isinstance(got, str), (size, got)
             assert got[0] == expected[0]
-            assert got[1].dtype == np.int64 and got[1].shape == expected[1].shape
+            # int32 unless some number needs int64.
+            wide = expected[1].size and expected[1].max() >= 2**31
+            assert got[1].dtype == (np.int64 if wide else np.int32), size
+            assert got[1].shape == expected[1].shape
             assert not got[1].flags.writeable
             assert np.array_equal(got[1], expected[1]), size
     return expected
@@ -682,6 +703,23 @@ class TestReaderOracle:
         path = write_chunks(tmp_path / "events.jsonl", [(10**6 - 200, 3, 400)])
         _, records = assert_reads_as_reference(path, monkeypatch)
         assert records[0, 0] == 10**6 - 200 and len(records) == 400
+
+    @pytest.mark.parametrize("chunks, at_boundary", [
+        ([(2**31 - 200, 3, 400)], False),
+        ([(2**31 - 400, 3, 400), (2**31, 4, 400)], True),
+        ([(2**31, 3, 400)], False),
+    ], ids=["inside-a-block", "at-a-block-boundary", "from-the-first-line"])
+    def test_trial_ids_crossing_two_to_the_31(self, tmp_path, monkeypatch, chunks,
+                                              at_boundary):
+        """Records widen to int64 at the first number above 2^31 - 1."""
+        path = write_chunks(tmp_path / "events.jsonl", chunks)
+        sizes = READ_SIZES
+        if at_boundary:
+            # A first block whose last line is trial 2^31 - 1's.
+            body = path.read_bytes().partition(b"\n")[2]
+            sizes += (body.index(b'{"trial_id":%d,' % 2**31) - 1,)
+        _, records = assert_reads_as_reference(path, monkeypatch, sizes)
+        assert records.dtype == np.int64 and records[-1, 0] >= 2**31
 
     @pytest.mark.parametrize("chunks", [
         [(10**18 - 3, 7, 5)],
@@ -1054,10 +1092,9 @@ class TestConsistencyAcrossModules:
         assert exact.s == pytest.approx(
             trace_rule_s(photon_pair_state(), optimal_settings()), abs=1e-12)
 
-    def test_exact_global_matches_mixed_space_route(self):
+    def test_exact_s_matches_trace_route_under_biased_settings(self):
         """exact.s matches the trace route for random states under
-        non-uniform setting probabilities; S' comes only from the mixed
-        space of the kc audit."""
+        non-uniform setting probabilities."""
         rng = np.random.default_rng(25)
         from bellctx.gleason import random_density
         for _ in range(200):
