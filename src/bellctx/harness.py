@@ -377,7 +377,8 @@ def _read_writer_block(block: bytes, out: np.ndarray) -> int:
     """Write the trials of a block of whole lines into the first rows of
     ``out`` and return their number if the block is byte for byte what
     :func:`_encode_rows` writes for consecutive trial ids and settings below
-    10; else return 0 and leave ``out`` alone. Raises nothing on any block."""
+    10, with ids that ``out``'s dtype holds; else return 0 and leave ``out``
+    alone. Raises nothing on any block."""
     buf = np.frombuffer(block, dtype=np.uint8)
     ends = np.flatnonzero(buf == ord("\n"))
     head = len(_LINE_HEAD)
@@ -410,7 +411,6 @@ def _read_writer_block(block: bytes, out: np.ndarray) -> int:
     for place in range(n.max()):
         digit = np.minimum(buf.take(tail + place, mode="clip") - ord("0"), 10)
         chunk_ids = np.where(place < n, chunk_ids * 10 + digit, chunk_ids)
-    # Ids that out's dtype cannot hold are left to the caller.
     if max(ids[-1], chunk_ids.max()) > np.iinfo(out.dtype).max:
         return 0
     expected = np.concatenate([
@@ -428,7 +428,8 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
 
     The array has one row per trial and its columns in ``EVENT_FIELDS``
     order. It is int32 when every number fits and int64 when one does not:
-    the rows read before the first such number are copied once, into int64. A header of another schema version, or a line that is not
+    the rows read before the first such number are copied once, into
+    int64. A header of another schema version, or a line that is not
     exactly what the writer writes (outcomes +/-1 included), raises
     ValueError naming the line. A block equal to the writer's encoding of
     the numbers decoded from it is taken as it is; any other block meets
