@@ -37,7 +37,9 @@ takes the log in blocks of whole lines and fills an ``(n_trials, 6)``
 array, int32 (24 bytes per trial) if every number fits and int64 if one
 is above 2^31 - 1. It decodes a block as the writer lays one out,
 encodes those numbers again with the same row encoder and takes them if
-the bytes are equal and the ids fit the array. Any other block (ids that
+the block, scattered into the encoder's padded matrix, equals it and the
+ids fit the array; one working set of buffers, kept for the whole read,
+holds the block, the matrix and its masks. Any other block (ids that
 skip or do not fit, a setting of 10 or more, any edit) meets the
 template's pattern, which names the first bad line, and its numbers are
 parsed as one comma-separated stream. One linear cell index orders the
@@ -63,7 +65,7 @@ import numpy as np
 from .chsh import CELLS, ChshCombination, DEFAULT_COMBINATION, chsh_value, correlations, \
     is_two_by_two, max_abs_chsh
 from .kolmogorov import SettingsSpec
-from .models import OutcomeModel, marginals, model_description_hash
+from .models import OutcomeModel, marginals, model_description_hash, strict_json_loads
 from .rng import chunk_generator
 
 EVENT_LOG_SCHEMA_VERSION = 1
@@ -262,19 +264,41 @@ def _event_middles(n_alice: int, n_bob: int) -> np.ndarray:
     return middles.reshape(len(texts), width)
 
 
-def _encode_rows(first: int, cells: np.ndarray, chunk_ids: np.ndarray,
-                 middles: np.ndarray) -> np.ndarray:
+@functools.cache
+def _digit_table() -> np.ndarray:
+    """Rows "0000" to "9999", row r holding r's four digits, read-only."""
+    table = np.stack(np.indices((10,) * 4, dtype=np.uint8), axis=-1).reshape(10000, 4) + ord("0")
+    table.setflags(write=False)
+    return table
+
+
+def _buffer(work: dict | None, name: str, shape: tuple, dtype) -> np.ndarray:
+    """An uninitialised ``shape`` array, new or, given a working set, a view
+    of its flat buffer ``name``, grown to the largest request so far."""
+    size = np.prod(shape)
+    if work is None:
+        return np.empty(shape, dtype)
+    if name not in work or work[name].size < size:
+        work[name] = np.empty(size, dtype)
+    return work[name][:size].reshape(shape)
+
+
+def _encode_rows(first: int, cells: np.ndarray, chunk_ids: np.ndarray, middles: np.ndarray,
+                 work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
     """The log lines of consecutive trials from trial id ``first``, with the
-    given cells and chunk ids, as bytes.
+    given cells and chunk ids, as a padded byte matrix and its mask of line
+    bytes: ``m[mask]`` is the lines' bytes.
 
     A byte-matrix row holds one line in fixed columns: the line's head, the
     trial_id right-aligned in as many digits as the last one, the cell's
     middle from :func:`_event_middles`, and a tail laid out once per run of
     equal chunk ids: the chunk_id right-aligned in as many digits as the
-    largest, then the line's end. Leading zeros become spaces, which are
-    dropped with the middle's padding.
+    largest, then the line's end. Leading zeros become spaces, which the
+    mask drops with the middle's padding. The trial ids' last four digits
+    are one slice of :func:`_digit_table` per ten thousand ids. Given a
+    working set, the matrix and mask are its buffers until its next use.
     """
-    ids = np.arange(first, first + len(cells))
+    n = len(cells)
     runs = np.concatenate(([True], chunk_ids[1:] != chunk_ids[:-1]))
     run_ids = chunk_ids[runs]
     width = len(str(run_ids.max()))
@@ -287,19 +311,25 @@ def _encode_rows(first: int, cells: np.ndarray, chunk_ids: np.ndarray,
         if place > 1:
             tails[run_ids < place, column] = ord(" ")
     head = np.frombuffer(_LINE_HEAD.encode(), dtype=np.uint8)
-    digits = range(len(head), len(head) + len(str(ids[-1])))
+    digits = range(len(head), len(head) + len(str(first + n - 1)))
     middle = slice(digits.stop, digits.stop + middles.shape[1])
-    m = np.empty((len(ids), middle.stop + tails.shape[1]), dtype=np.uint8)
+    m = _buffer(work, "matrix", (n, middle.stop + tails.shape[1]), np.uint8)
     m[:, :digits.start] = head
-    for column in digits:
-        place = 10 ** (digits.stop - 1 - column)
-        m[:, column] = ids // place % 10 + ord("0")
+    low = slice(max(digits.start, digits.stop - 4), digits.stop)
+    # Rows from each id whose last four digits are 0000, and the last row.
+    starts = [0, *range((-first - 1) % 10000 + 1, n, 10000), n]
+    for start, stop in zip(starts, starts[1:]):
+        above, below = divmod(first + start, 10000)
+        m[start:stop, low] = _digit_table()[below:below + stop - start, low.start - low.stop:]
+        if low.start > digits.start:
+            m[start:stop, digits.start:low.start] = np.frombuffer(
+                b"%0*d" % (low.start - digits.start, above), dtype=np.uint8)
+    for column in digits[:-1]:
         # The ids ascend, so those below place are the first rows.
-        if column != digits[-1]:
-            m[:max(0, place - first), column] = ord(" ")
+        m[:max(0, 10 ** (digits.stop - 1 - column) - first), column] = ord(" ")
     m[:, middle] = middles.take(cells, axis=0)
     m[:, middle.stop:] = tails if len(tails) == 1 else tails.take(np.cumsum(runs) - 1, axis=0)
-    return m[m != ord(" ")]
+    return m, np.not_equal(m, ord(" "), out=_buffer(work, "mask", m.shape, bool))
 
 
 @dataclass(frozen=True)
@@ -339,8 +369,9 @@ class ExperimentResult:
 
         def encode(trials: range) -> np.ndarray:
             chunk_ids = np.arange(trials.start, trials.stop) // self.chunk_size
-            return _encode_rows(trials.start, self.cells[trials.start:trials.stop], chunk_ids,
-                                middles)
+            m, mask = _encode_rows(trials.start, self.cells[trials.start:trials.stop],
+                                   chunk_ids, middles)
+            return m[mask]
 
         def pieces(pool: ThreadPoolExecutor) -> Iterator:
             yield (header + "\n").encode()
@@ -373,20 +404,26 @@ def _reader_middles() -> tuple[np.ndarray, np.ndarray, list[int]]:
     return middles, widths, [end - 1 for end in ends]
 
 
-def _read_writer_block(block: bytes, out: np.ndarray) -> int:
+def _read_writer_block(block: bytes | memoryview, out: np.ndarray,
+                       work: dict | None = None) -> int:
     """Write the trials of a block of whole lines into the first rows of
     ``out`` and return their number if the block is byte for byte what
     :func:`_encode_rows` writes for consecutive trial ids and settings below
     10, with ids that ``out``'s dtype holds; else return 0 and leave ``out``
-    alone. Raises nothing on any block."""
+    alone. Raises nothing on any block. Lines are the encoder's iff its mask
+    holds as many bytes and the lines, scattered into its matrix's layout,
+    equal the matrix; with a working set ``work`` (a dict kept across
+    blocks) no array the size of the block is allocated.
+    """
     buf = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
+    ends = np.flatnonzero(np.equal(buf, ord("\n"), out=_buffer(work, "mask", buf.shape, bool)))
     head = len(_LINE_HEAD)
-    comma = block.find(b",", head, head + 19)
+    opening = bytes(block[:head + 19])
+    comma = opening.find(b",", head)
     # The first trial_id in plain decimal, as the writer writes it.
-    first = block[head:comma]
-    if not (len(ends) and block.startswith(_LINE_HEAD.encode()) and comma > 0
-            and first.isdigit() and b"%d" % int(first) == first
+    first = opening[head:comma]
+    if not (len(ends) and ends[-1] == len(buf) - 1 and opening.startswith(_LINE_HEAD.encode())
+            and comma > 0 and first.isdigit() and b"%d" % int(first) == first
             and int(first) + len(ends) <= 10 ** 18):
         return 0
     middles, widths, (x_at, y_at, a_at, b_at) = _reader_middles()
@@ -413,14 +450,35 @@ def _read_writer_block(block: bytes, out: np.ndarray) -> int:
         chunk_ids = np.where(place < n, chunk_ids * 10 + digit, chunk_ids)
     if max(ids[-1], chunk_ids.max()) > np.iinfo(out.dtype).max:
         return 0
-    expected = np.concatenate([
-        _encode_rows(int(ids[start]), cells[start:start + _ENCODE_ROWS],
-                     chunk_ids[start:start + _ENCODE_ROWS], middles)
-        for start in range(0, len(ends), _ENCODE_ROWS)])
-    if expected.tobytes() != block:
-        return 0
-    out[:len(ids)].T[:] = ids, x, y, 1 - 2 * a, 1 - 2 * b, chunk_ids
+    for start in range(0, len(ends), _ENCODE_ROWS):
+        rows = slice(start, start + _ENCODE_ROWS)
+        m, mask = _encode_rows(int(ids[start]), cells[rows], chunk_ids[rows], middles, work)
+        lines = buf[ends[start - 1] + 1 if start else 0:ends[rows][-1] + 1]
+        if np.count_nonzero(mask) != len(lines):
+            return 0
+        spread = _buffer(work, "spread", m.shape, np.uint8)
+        spread.fill(ord(" "))
+        spread[mask] = lines
+        if not np.equal(spread, m, out=mask).all():
+            return 0
+    for column, values in zip(out[:len(ids)].T, (ids, x, y, 1 - 2 * a, 1 - 2 * b, chunk_ids)):
+        column[:] = values
     return len(ids)
+
+
+def _blocks(fh, work: dict) -> Iterator[memoryview]:
+    """The rest of the file in blocks of whole lines, each ``_READ_BYTES``
+    bytes and the rest of the line they end in, read into the working set's
+    buffer "block" and valid until the next block is read."""
+    while True:
+        got = fh.readinto(_buffer(work, "block", (_READ_BYTES,), np.uint8))
+        line = np.frombuffer(fh.readline(), dtype=np.uint8)
+        if not got + len(line):
+            return
+        if got + len(line) > work["block"].size:
+            work["block"] = np.concatenate((work["block"][:got], line))
+        work["block"][got:got + len(line)] = line
+        yield memoryview(work["block"][:got + len(line)])
 
 
 def read_event_log(path) -> tuple[dict, np.ndarray]:
@@ -429,19 +487,20 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
     The array has one row per trial and its columns in ``EVENT_FIELDS``
     order. It is int32 when every number fits and int64 when one does not:
     the rows read before the first such number are copied once, into
-    int64. A header of another schema version, or a line that is not
-    exactly what the writer writes (outcomes +/-1 included), raises
-    ValueError naming the line. A block equal to the writer's encoding of
+    int64. A header with a repeated key or a schema_version other than the
+    int ``EVENT_LOG_SCHEMA_VERSION``, or a line that is not exactly what
+    the writer writes (outcomes +/-1 included), raises ValueError naming
+    the line. A block equal to the writer's encoding of
     the numbers decoded from it is taken as it is; any other block meets
     ``_EVENT_LINES``, so both kinds give the same records and errors.
     """
     with open(path, "rb") as fh:
         try:
-            header = json.loads(fh.readline())
+            header = strict_json_loads(fh.readline())
             version = header["schema_version"]
         except (ValueError, TypeError, KeyError):
             raise ValueError(f"{path}: line 1 is not an event log header") from None
-        if version != EVENT_LOG_SCHEMA_VERSION:
+        if type(version) is not int or version != EVENT_LOG_SCHEMA_VERSION:
             raise ValueError(f"{path}: event log schema_version {version!r} is not "
                              f"{EVENT_LOG_SCHEMA_VERSION}")
         # No trial line is shorter than the template with one-digit numbers, so
@@ -449,10 +508,11 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
         shortest = len(_EVENT_LINE % ((0,) * len(EVENT_FIELDS)))
         rows = (os.fstat(fh.fileno()).st_size - fh.tell()) // shortest
         records = np.empty((rows, len(EVENT_FIELDS)), dtype=np.int32)
-        row = 0
-        for block in iter(lambda: fh.read(_READ_BYTES) + fh.readline(), b""):
-            count = _read_writer_block(block, records[row:])
+        row, work = 0, {}
+        for block in _blocks(fh, work):
+            count = _read_writer_block(block, records[row:], work)
             if not count:
+                block = bytes(block)
                 valid = _EVENT_LINES.match(block).end()
                 if valid < len(block):
                     bad = block.count(b"\n", 0, valid)

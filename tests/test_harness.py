@@ -347,6 +347,12 @@ def reference_lines(first: int, cells, chunk_ids, n_bob: int) -> bytes:
                    for values in rows).encode()
 
 
+def encoded_lines(first: int, cells, chunk_ids, middles) -> bytes:
+    """The row encoder's lines: its byte matrix under its mask."""
+    m, mask = harness._encode_rows(first, cells, chunk_ids, middles)
+    return m[mask].tobytes()
+
+
 def reference_log(result) -> bytes:
     """The event log with one json.dumps per trial: the oracle for the writer."""
     header = {"schema_version": EVENT_LOG_SCHEMA_VERSION, "master_seed": result.master_seed,
@@ -402,11 +408,18 @@ class TestEventLog:
          "line 2 is not an event record"),
         (HEADER.replace('"schema_version": 1', '"schema_version": 2') + RECORD,
          "schema_version 2 is not 1"),
+        (HEADER.replace('"master_seed": 0', '"master_seed": 5, "master_seed": 7') + RECORD,
+         "line 1 is not an event log header"),
+        (HEADER.replace('"schema_version": 1', '"schema_version": 1.0') + RECORD,
+         "schema_version 1.0 is not 1"),
+        (HEADER.replace('"schema_version": 1', '"schema_version": true') + RECORD,
+         "schema_version True is not 1"),
         ("[1]\n" + RECORD, "line 1 is not an event log header"),
         ("not json\n", "line 1 is not an event log header"),
         ("", "line 1 is not an event log header"),
     ], ids=["outcome-a-2", "outcome-b-0", "spaced", "renamed-field", "blank-line", "truncated",
-            "negative-trial-id", "trial-id-20-digits", "schema-2", "header-list", "header-not-json", "empty"])
+            "negative-trial-id", "trial-id-20-digits", "schema-2", "header-repeated-key",
+            "schema-1.0", "schema-true", "header-list", "header-not-json", "empty"])
     def test_malformed_log_rejected(self, tmp_path, text, message):
         path = tmp_path / "events.jsonl"
         path.write_text(text)
@@ -500,14 +513,23 @@ class TestEventLog:
         (12345, 40, 300),
         (0, 0, 1),
         (9, 999_999, 1),
-    ], ids=["slice-crosses-1e6", "five-digit-chunk-id", "trial-0-alone", "one-trial"])
+        (1, 9_995, 8192),
+        (2, 19_996, 8192),
+        (9, 99_995, 8192),
+        (12, 10**8 - 3, 8192),
+        (10**16, 10**17 - 5, 8192),
+        (10**17 - 1, 10**18 - 8193, 8192),
+        (4, 9_990, 25_000),
+    ], ids=["slice-crosses-1e6", "five-digit-chunk-id", "trial-0-alone", "one-trial",
+            "crosses-1e4", "crosses-2e4", "crosses-1e5", "crosses-1e8", "crosses-1e17",
+            "ends-at-1e18-minus-1", "crosses-three-ten-thousands"])
     def test_hand_built_chunk_matches_reference_encoder(self, chunk_id, start_trial, n_trials):
         rng = np.random.default_rng(chunk_id)
         indices, outcomes = rng.integers(0, 2, (2, n_trials)), rng.choice([1, -1], (2, n_trials))
         cells = harness._cell_index(*indices, *outcomes, 2).astype(np.uint8)
         chunk_ids = np.full(n_trials, chunk_id)
-        encoded = harness._encode_rows(start_trial, cells, chunk_ids, harness._event_middles(2, 2))
-        assert encoded.tobytes() == reference_lines(start_trial, cells, chunk_ids, 2)
+        encoded = encoded_lines(start_trial, cells, chunk_ids, harness._event_middles(2, 2))
+        assert encoded == reference_lines(start_trial, cells, chunk_ids, 2)
 
     def test_two_digit_setting_index_matches_reference_encoder(self, tmp_path):
         spec = SettingsSpec.uniform(np.linspace(0.0, np.pi, 12), (0.1, 0.7, 1.3))
@@ -548,6 +570,33 @@ class TestEventLog:
             tracemalloc.stop()
         assert records.shape == (400_000, 6)
         assert peak <= 24 * (path.stat().st_size // shortest) + 3_000_000
+
+    def test_a_writer_block_after_the_first_allocates_under_640_kib(self, tmp_path,
+                                                                    monkeypatch):
+        """Checking a block works in buffers kept across blocks, so a block
+        after the first allocates little more than its decoded columns."""
+        cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
+        result = run_experiment(cfg.model, 20_000, cfg.settings, cfg.master_seed)
+        path = tmp_path / "events.jsonl"
+        result.write_event_log(path)
+        read_block, blocks = harness._read_writer_block, []
+
+        def measured(block, *args):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            count = read_block(block, *args)
+            blocks.append((len(block), count, tracemalloc.get_traced_memory()[1] - before))
+            return count
+
+        monkeypatch.setattr(harness, "_read_writer_block", measured)
+        tracemalloc.start()
+        try:
+            read_event_log(path)
+        finally:
+            tracemalloc.stop()
+        size, count, transient = blocks[1]
+        assert size >= harness._READ_BYTES and count > 0
+        assert transient <= 640 * 1024
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -646,9 +695,9 @@ def write_chunks(path, chunks, n_alice=2, n_bob=2) -> Path:
     assert starts == tuple(np.cumsum((starts[0],) + sizes[:-1]))
     cells = np.concatenate([rng.integers(0, n_alice * n_bob * 4, size).astype(np.uint16)
                             for size in sizes])
-    lines = harness._encode_rows(starts[0], cells, np.repeat(chunk_ids, sizes),
-                                 harness._event_middles(n_alice, n_bob))
-    path.write_bytes(b"".join(header[:2]) + lines.tobytes())
+    lines = encoded_lines(starts[0], cells, np.repeat(chunk_ids, sizes),
+                          harness._event_middles(n_alice, n_bob))
+    path.write_bytes(b"".join(header[:2]) + lines)
     return path
 
 
@@ -755,11 +804,19 @@ class TestReaderOracle:
         [(5, 1, 1, 1, -1, 3), b"\n"],
         *([(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":'
            + field + b"}\n"] for field in (b":" * 18, b"\xff" * 18, b"/" + b"9" * 17)),
+        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a": 1,"b":1,"chunk_id":3}\n',
+         (7, 0, 1, -1, -1, 3)],
+        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":3}{\n',
+         b'"trial_id":7,"x_index":0,"y_index":1,"a":-1,"b":-1,"chunk_id":3}\n'],
+        [(5, 1, 1, 1, -1, 10), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":05}\n',
+         (7, 0, 1, -1, -1, 10)],
     ], ids=["id-key-alone", "id-without-number", "id-leading-zero",
             "id-leading-zeros-before-more-lines", "chunk-id-leading-zero",
             "chunk-id-widths-vary", "chunk-id-19-digits", "setting-10", "ids-skip",
             "outcome-plus-sign", "chunk-id-not-digits", "chunk-id-empty", "brace-alone",
-            "blank", "chunk-id-18-colons", "chunk-id-18-ff-bytes", "chunk-id-slash-17-digits"])
+            "blank", "chunk-id-18-colons", "chunk-id-18-ff-bytes", "chunk-id-slash-17-digits",
+            "outcome-minus-as-space", "a-byte-moved-across-a-newline",
+            "chunk-id-leading-zero-beside-two-digits"])
     def test_hand_written_lines(self, tmp_path, monkeypatch, lines):
         path = tmp_path / "events.jsonl"
         body = b"".join(line if isinstance(line, bytes) else (harness._EVENT_LINE % line).encode()
