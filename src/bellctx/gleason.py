@@ -125,12 +125,6 @@ class FrameFunction:
     def trace_form(cls, rho: DensityOperator) -> "FrameFunction":
         return cls(rho.dim, lambda stack, ranks: born_probabilities(rho, stack), "trace_form")
 
-    @classmethod
-    def squared_trace_form(cls, rho: DensityOperator) -> "FrameFunction":
-        """Negative control: [Tr(rho P)]^2 is normalized but not additive."""
-        return cls(rho.dim, lambda stack, ranks: np.array(  # Python's pow, as in the cubic
-            [v ** 2 for v in born_probabilities(rho, stack).tolist()]), "squared_trace_form")
-
 
 def dim2_counterexample() -> FrameFunction:
     """Additive-but-not-linear frame function on qubit projectors.

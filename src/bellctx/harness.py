@@ -24,31 +24,26 @@ Simulated spacelike separation is bookkeeping only: setting draws never
 feed the model's hidden state (the superdeterministic kind conditions on
 them by design, which is its point).
 
-On disk a trial is one event log line: ``EVENT_FIELDS`` names its
-numbers and one line template fixes the line. One row encoder lays
-consecutive trials out as rows of a byte matrix cut from that template,
-each row's middle looked up by the trial's cell index and its tail by the
-run of equal chunk ids it is in. The writer encodes the column in fixed
-slices of ``_ENCODE_ROWS`` trials, whatever the chunk boundaries, on as
-many threads as drew the trials, a bounded window of them at a time, and
-writes them in trial order. Only the draws group tiny chunks: a pool task
-draws whole chunks, ``_ENCODE_ROWS`` trials' worth or more. The reader
-takes the log in blocks of whole lines and fills an ``(n_trials, 6)``
-array, int32 (24 bytes per trial) if every number fits and int64 if one
-is above 2^31 - 1. It decodes a block as the writer lays one out,
-encodes those numbers again with the same row encoder and takes them if
-the block, scattered into the encoder's padded matrix, equals it and the
-ids fit the array; one working set of buffers, kept for the whole read,
-holds the block, the matrix and its masks. Any other block (ids that
-skip or do not fit, a setting of 10 or more, any edit) meets the
-template's pattern, which names the first bad line, and its numbers are
-parsed as one comma-separated stream. One linear cell index orders the
-cells, the counts and the writer's per-cell bytes; every artifact is
-written through :func:`atomic_write`.
+On disk a trial is one event log line: ``EVENT_FIELDS`` names its four
+numbers, the trial's context and outcome, and one line template fixes the
+line, so a line depends on its cell alone; trial t is the t-th line after
+the header and in chunk t // chunk_size. The encoder is a ``take`` of the
+per-cell lines, padded to one width, and one mask compress that drops the
+padding. The writer encodes the column in fixed slices of
+``_ENCODE_ROWS`` trials on the calling thread and writes them in trial
+order. The reader takes the log in blocks of whole lines and fills an
+``(n_trials, 4)`` int32 array, 16 bytes per trial, sized by the header's
+``n_trials``; a log with another number of trial lines is refused. It
+reads a block's numbers at the writer's offsets, encodes them again and
+takes them if that gives the block's bytes. Any other block (a setting
+of 10 or more, any edit) meets the template's pattern, which names the
+first bad line, and its numbers are parsed as one comma-separated
+stream. One linear cell index orders the cells, the counts and the
+writer's per-cell lines; every artifact is written through
+:func:`atomic_write`.
 """
 from __future__ import annotations
 
-import collections
 import functools
 import itertools
 import json
@@ -58,7 +53,7 @@ import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator
+from typing import Iterable
 
 import numpy as np
 
@@ -68,39 +63,38 @@ from .kolmogorov import SettingsSpec
 from .models import OutcomeModel, marginals, model_description_hash, strict_json_loads
 from .rng import chunk_generator
 
-EVENT_LOG_SCHEMA_VERSION = 1
+EVENT_LOG_SCHEMA_VERSION = 2
 
 # A trial's columns, in log-line order and in read_event_log's column order.
-EVENT_FIELDS = ("trial_id", "x_index", "y_index", "a", "b", "chunk_id")
+EVENT_FIELDS = ("x_index", "y_index", "a", "b")
 
 # One log line; the writer fills it and the reader matches the pattern below.
 _EVENT_LINE = "{" + ",".join(f'"{name}":%d' for name in EVENT_FIELDS) + "}\n"
 
 # The template's literal text with each %d replaced by its field's values:
-# outcomes are +/-1, every other field a non-negative integer as %d writes it,
-# of at most 18 digits, so below 2^63 and exact in int64.
+# outcomes are +/-1, settings non-negative integers as %d writes them, of at
+# most 9 digits, so below 2^31 and exact in int32.
 # A block of such lines matches _EVENT_LINES up to its first bad line.
 _EVENT_LINE_TEXT = [re.escape(part) for part in _EVENT_LINE.encode().split(b"%d")]
 _EVENT_LINES = re.compile(b"(?:" + _EVENT_LINE_TEXT[0] + b"".join(
-    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]{0,17})") + text
+    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]{0,8})") + text
     for name, text in zip(EVENT_FIELDS, _EVENT_LINE_TEXT[1:])) + b")*")
 
-# The line around its first and last field, trial_id and chunk_id, which
-# the encoder fills per trial and per run of equal chunk ids; the middle
-# depends on the cell.
-_LINE_HEAD, _LINE_MIDDLE, _LINE_END = re.fullmatch(
-    r"(.*?)%d(.*)%d(.*)", _EVENT_LINE, re.DOTALL).groups()
+# No trial line is shorter than the template with one-digit numbers.
+_SHORTEST_LINE = len(_EVENT_LINE % ((0,) * len(EVENT_FIELDS)))
 
 # Maps a matched block's line ends to commas and drops all but its numbers.
 _NUMBER_STREAM = bytes.maketrans(b"\n", b","), bytes(set(range(256)) - set(b"-0123456789,\n"))
 
-# Trials per encoded byte matrix and per counted block, the least a draw
-# task holds in whole chunks, and bytes per block read before its last line
-# is completed: memory does not grow with the log.
+# Trials per encoded slice and per counted block, the least a draw task
+# holds in whole chunks, and bytes per block read before its last line is
+# completed: memory does not grow with the log.
 # A block that meets the pattern keeps a backtracking stack of about eight
-# times its size; the writer's blocks skip the pattern.
+# times its size; the writer's blocks skip the pattern. At 64 KiB each of a
+# block's arrays stays below glibc's 128 KiB mmap threshold, so the heap
+# reuses them instead of mapping fresh pages for every block.
 _ENCODE_ROWS = _COUNT_ROWS = 8192
-_READ_BYTES = 1 << 18
+_READ_BYTES = 1 << 16
 
 # |z| above which a no-signalling row is flagged.
 Z_THRESHOLD = 5.0
@@ -134,7 +128,7 @@ def atomic_write(path, pieces: Iterable[bytes]) -> None:
 def _cell_index(x, y, a, b, n_bob: int) -> np.ndarray:
     """The linear cell index ((x * n_bob + y) * 2 + ia) * 2 + ib of trials
     (x, y, a, b) with outcomes +/-1, ia and ib 0 for +1 and 1 for -1: the
-    cell order of the counts table and of the log writer's middles."""
+    cell order of the counts table and of the log writer's lines."""
     return ((x.astype(np.intp) * n_bob + y) * 2 + (a < 0)) * 2 + (b < 0)
 
 
@@ -166,7 +160,7 @@ class CountsTable:
 
     @classmethod
     def from_records(cls, records, n_alice: int, n_bob: int) -> "CountsTable":
-        """Counts of an ``(n, 6)`` trial array with columns in ``EVENT_FIELDS`` order."""
+        """Counts of an ``(n, 4)`` trial array with columns in ``EVENT_FIELDS`` order."""
         records = np.asarray(records)
         if records.ndim != 2 or records.shape[1] != len(EVENT_FIELDS):
             raise ValueError(f"records must have shape (n, {len(EVENT_FIELDS)}), "
@@ -174,7 +168,7 @@ class CountsTable:
         if records.dtype.kind not in "iu" or not np.can_cast(records.dtype, np.int64):
             raise ValueError(f"records must be an integer array, got dtype {records.dtype}")
         blocks = np.split(records, range(_COUNT_ROWS, len(records), _COUNT_ROWS))
-        return cls(sum(_cell_counts(*block.T[1:5], n_alice, n_bob) for block in blocks))
+        return cls(sum(_cell_counts(*block.T, n_alice, n_bob) for block in blocks))
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, CountsTable) and bool(np.array_equal(self.counts, other.counts))
@@ -250,86 +244,22 @@ def _sample_cells(
     return np.bincount(out, minlength=cell_cums.size)
 
 
-def _event_middles(n_alice: int, n_bob: int) -> np.ndarray:
-    """The log line between its trial_id and chunk_id numbers, per cell.
-
-    An (n_cells, width) byte matrix, one row per cell in :func:`_cell_index`
-    order, each middle left-aligned and padded with spaces to the longest;
-    no log line holds a space.
-    """
-    texts = [(_LINE_MIDDLE % cell).encode() for cell in itertools.product(
+def _cell_lines(n_alice: int, n_bob: int) -> np.ndarray:
+    """The log line of each cell, as an (n_cells, width) byte matrix, one
+    row per cell in :func:`_cell_index` order, each line left-aligned and
+    padded with spaces to the longest; no log line holds a space."""
+    texts = [(_EVENT_LINE % cell).encode() for cell in itertools.product(
         range(n_alice), range(n_bob), (1, -1), (1, -1))]
     width = max(map(len, texts))
-    middles = np.frombuffer(b"".join(text.ljust(width) for text in texts), dtype=np.uint8)
-    return middles.reshape(len(texts), width)
+    lines = np.frombuffer(b"".join(text.ljust(width) for text in texts), dtype=np.uint8)
+    return lines.reshape(len(texts), width)
 
 
-@functools.cache
-def _digit_table() -> np.ndarray:
-    """Rows "0000" to "9999", row r holding r's four digits, read-only."""
-    table = np.stack(np.indices((10,) * 4, dtype=np.uint8), axis=-1).reshape(10000, 4) + ord("0")
-    table.setflags(write=False)
-    return table
-
-
-def _buffer(work: dict | None, name: str, shape: tuple, dtype) -> np.ndarray:
-    """An uninitialised ``shape`` array, new or, given a working set, a view
-    of its flat buffer ``name``, grown to the largest request so far."""
-    size = np.prod(shape)
-    if work is None:
-        return np.empty(shape, dtype)
-    if name not in work or work[name].size < size:
-        work[name] = np.empty(size, dtype)
-    return work[name][:size].reshape(shape)
-
-
-def _encode_rows(first: int, cells: np.ndarray, chunk_ids: np.ndarray, middles: np.ndarray,
-                 work: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """The log lines of consecutive trials from trial id ``first``, with the
-    given cells and chunk ids, as a padded byte matrix and its mask of line
-    bytes: ``m[mask]`` is the lines' bytes.
-
-    A byte-matrix row holds one line in fixed columns: the line's head, the
-    trial_id right-aligned in as many digits as the last one, the cell's
-    middle from :func:`_event_middles`, and a tail laid out once per run of
-    equal chunk ids: the chunk_id right-aligned in as many digits as the
-    largest, then the line's end. Leading zeros become spaces, which the
-    mask drops with the middle's padding. The trial ids' last four digits
-    are one slice of :func:`_digit_table` per ten thousand ids. Given a
-    working set, the matrix and mask are its buffers until its next use.
-    """
-    n = len(cells)
-    runs = np.concatenate(([True], chunk_ids[1:] != chunk_ids[:-1]))
-    run_ids = chunk_ids[runs]
-    width = len(str(run_ids.max()))
-    tails = np.empty((len(run_ids), width + len(_LINE_END)), dtype=np.uint8)
-    tails[:, width:] = np.frombuffer(_LINE_END.encode(), dtype=np.uint8)
-    for column in range(width):
-        place = 10 ** (width - 1 - column)
-        tails[:, column] = run_ids // place % 10 + ord("0")
-        # By value: the chunk ids a reader decodes need not ascend.
-        if place > 1:
-            tails[run_ids < place, column] = ord(" ")
-    head = np.frombuffer(_LINE_HEAD.encode(), dtype=np.uint8)
-    digits = range(len(head), len(head) + len(str(first + n - 1)))
-    middle = slice(digits.stop, digits.stop + middles.shape[1])
-    m = _buffer(work, "matrix", (n, middle.stop + tails.shape[1]), np.uint8)
-    m[:, :digits.start] = head
-    low = slice(max(digits.start, digits.stop - 4), digits.stop)
-    # Rows from each id whose last four digits are 0000, and the last row.
-    starts = [0, *range((-first - 1) % 10000 + 1, n, 10000), n]
-    for start, stop in zip(starts, starts[1:]):
-        above, below = divmod(first + start, 10000)
-        m[start:stop, low] = _digit_table()[below:below + stop - start, low.start - low.stop:]
-        if low.start > digits.start:
-            m[start:stop, digits.start:low.start] = np.frombuffer(
-                b"%0*d" % (low.start - digits.start, above), dtype=np.uint8)
-    for column in digits[:-1]:
-        # The ids ascend, so those below place are the first rows.
-        m[:max(0, 10 ** (digits.stop - 1 - column) - first), column] = ord(" ")
-    m[:, middle] = middles.take(cells, axis=0)
-    m[:, middle.stop:] = tails if len(tails) == 1 else tails.take(np.cumsum(runs) - 1, axis=0)
-    return m, np.not_equal(m, ord(" "), out=_buffer(work, "mask", m.shape, bool))
+def _encode(cells: np.ndarray, lines: np.ndarray) -> np.ndarray:
+    """The log lines of trials with the given cells, as one byte array: the
+    cells' rows of :func:`_cell_lines` without their padding."""
+    m = lines.take(cells, axis=0)
+    return m[m != ord(" ")]
 
 
 @dataclass(frozen=True)
@@ -345,7 +275,7 @@ class ExperimentResult:
     chunk_size: int
     model_hash: str
     settings: SettingsSpec
-    # Threads that generated the chunks and that encode the log.
+    # Threads that generated the chunks; the log is encoded on the caller's.
     n_threads: int
 
     @property
@@ -354,144 +284,67 @@ class ExperimentResult:
         return range(0, self.n_trials, self.chunk_size)
 
     def write_event_log(self, path) -> None:
-        """Line-delimited JSON: one header line, then one line per trial.
-
-        Slices of _ENCODE_ROWS trials, whatever the chunk boundaries, are
-        encoded on ``n_threads`` threads, one slice per task and at most two
-        tasks per thread in flight, and written in trial order.
-        """
+        """Line-delimited JSON: one header line, then one line per trial,
+        encoded in slices of _ENCODE_ROWS trials."""
         header = json.dumps({
             "schema_version": EVENT_LOG_SCHEMA_VERSION,
             "master_seed": self.master_seed,
             "model_hash": self.model_hash,
+            "n_trials": self.n_trials,
+            "chunk_size": self.chunk_size,
         })
-        middles = _event_middles(self.settings.n_alice, self.settings.n_bob)
-
-        def encode(trials: range) -> np.ndarray:
-            chunk_ids = np.arange(trials.start, trials.stop) // self.chunk_size
-            m, mask = _encode_rows(trials.start, self.cells[trials.start:trials.stop],
-                                   chunk_ids, middles)
-            return m[mask]
-
-        def pieces(pool: ThreadPoolExecutor) -> Iterator:
-            yield (header + "\n").encode()
-            window = collections.deque()
-            trials = range(self.n_trials)
-            for start in trials[::_ENCODE_ROWS]:
-                if len(window) == 2 * self.n_threads:
-                    yield window.popleft().result()
-                window.append(pool.submit(encode, trials[start:start + _ENCODE_ROWS]))
-            while window:
-                yield window.popleft().result()
-
-        pool = ThreadPoolExecutor(max_workers=self.n_threads)
-        try:
-            atomic_write(path, pieces(pool))
-        finally:
-            # After a failure no slice not yet started is encoded.
-            pool.shutdown(cancel_futures=True)
+        lines = _cell_lines(self.settings.n_alice, self.settings.n_bob)
+        atomic_write(path, itertools.chain([(header + "\n").encode()], (
+            _encode(self.cells[start:start + _ENCODE_ROWS], lines)
+            for start in range(0, self.n_trials, _ENCODE_ROWS))))
 
 
 @functools.cache
-def _reader_middles() -> tuple[np.ndarray, np.ndarray, list[int]]:
-    """The writer's middles of a 10x10 settings grid and their lengths, both
-    read-only, and the offsets of x, y, a and b in a middle with a = +1."""
-    middles = _event_middles(10, 10)
-    widths = (middles != ord(" ")).sum(axis=1)
-    for table in (middles, widths):
-        table.setflags(write=False)
-    ends = itertools.accumulate(len(text) + 1 for text in _LINE_MIDDLE.split("%d")[:-1])
-    return middles, widths, [end - 1 for end in ends]
+def _reader_lines() -> tuple[np.ndarray, list[int]]:
+    """The writer's lines of a 10x10 settings grid, read-only, and the
+    offsets of x, y, a and b in a line with a = +1."""
+    lines = _cell_lines(10, 10)
+    lines.setflags(write=False)
+    ends = itertools.accumulate(len(text) + 1 for text in _EVENT_LINE.split("%d")[:-1])
+    return lines, [end - 1 for end in ends]
 
 
-def _read_writer_block(block: bytes | memoryview, out: np.ndarray,
-                       work: dict | None = None) -> int:
+def _read_writer_block(block: bytes | memoryview, out: np.ndarray) -> int:
     """Write the trials of a block of whole lines into the first rows of
     ``out`` and return their number if the block is byte for byte what
-    :func:`_encode_rows` writes for consecutive trial ids and settings below
-    10, with ids that ``out``'s dtype holds; else return 0 and leave ``out``
-    alone. Raises nothing on any block. Lines are the encoder's iff its mask
-    holds as many bytes and the lines, scattered into its matrix's layout,
-    equal the matrix; with a working set ``work`` (a dict kept across
-    blocks) no array the size of the block is allocated.
-    """
+    :func:`_encode` writes for settings below 10 and ``out`` has room for
+    them; else return 0 and leave ``out`` alone. Raises nothing on any
+    block. Each line's numbers are read at the writer's offsets, and the
+    block is the writer's iff encoding them again gives its bytes."""
     buf = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(np.equal(buf, ord("\n"), out=_buffer(work, "mask", buf.shape, bool)))
-    head = len(_LINE_HEAD)
-    opening = bytes(block[:head + 19])
-    comma = opening.find(b",", head)
-    # The first trial_id in plain decimal, as the writer writes it.
-    first = opening[head:comma]
-    if not (len(ends) and ends[-1] == len(buf) - 1 and opening.startswith(_LINE_HEAD.encode())
-            and comma > 0 and first.isdigit() and b"%d" % int(first) == first
-            and int(first) + len(ends) <= 10 ** 18):
+    ends = np.flatnonzero(buf == ord("\n"))
+    if not 0 < len(ends) <= len(out):
         return 0
-    middles, widths, (x_at, y_at, a_at, b_at) = _reader_middles()
-    ids = int(first) + np.arange(len(ends))
-    # Each line's middle starts after the head and its trial id's digits.
-    mid = np.concatenate(([0], ends[:-1] + 1)) + comma
-    for power in range(comma - head, len(str(ids[-1]))):
-        mid += ids >= 10 ** power
-    x, y = (np.minimum(buf.take(mid + at, mode="clip") - ord("0"), 9) for at in (x_at, y_at))
-    a = buf.take(mid + a_at, mode="clip") == ord("-")
-    b = buf.take(mid + b_at + a, mode="clip") == ord("-")
-    cells = ((x.astype(np.intp) * 10 + y) * 2 + a) * 2 + b
-    # The chunk_id's n digits lie between the middle and the line's "}\n".
-    tail = mid + widths[cells]
-    n = ends - 1 - tail
-    if not 1 <= n.min() <= n.max() <= 18:
+    lines, (x_at, y_at, a_at, b_at) = _reader_lines()
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    # Any byte but a digit reads as 9 and any but a minus as +1; the bytes
+    # encoded again then differ from the block's.
+    x, y = (np.minimum(buf.take(starts + at, mode="clip") - ord("0"), 9) for at in (x_at, y_at))
+    a = buf.take(starts + a_at, mode="clip") == ord("-")
+    b = buf.take(starts + b_at + a, mode="clip") == ord("-")
+    if not np.array_equal(_encode(((x.astype(np.intp) * 10 + y) * 2 + a) * 2 + b, lines), buf):
         return 0
-    # Any byte but a digit reads as the digit 10, so the id stays below
-    # 2^63 and its encoding differs from the block's bytes, as does a
-    # leading zero's.
-    chunk_ids = np.zeros(len(ends), dtype=np.int64)
-    for place in range(n.max()):
-        digit = np.minimum(buf.take(tail + place, mode="clip") - ord("0"), 10)
-        chunk_ids = np.where(place < n, chunk_ids * 10 + digit, chunk_ids)
-    if max(ids[-1], chunk_ids.max()) > np.iinfo(out.dtype).max:
-        return 0
-    for start in range(0, len(ends), _ENCODE_ROWS):
-        rows = slice(start, start + _ENCODE_ROWS)
-        m, mask = _encode_rows(int(ids[start]), cells[rows], chunk_ids[rows], middles, work)
-        lines = buf[ends[start - 1] + 1 if start else 0:ends[rows][-1] + 1]
-        if np.count_nonzero(mask) != len(lines):
-            return 0
-        spread = _buffer(work, "spread", m.shape, np.uint8)
-        spread.fill(ord(" "))
-        spread[mask] = lines
-        if not np.equal(spread, m, out=mask).all():
-            return 0
-    for column, values in zip(out[:len(ids)].T, (ids, x, y, 1 - 2 * a, 1 - 2 * b, chunk_ids)):
+    for column, values in zip(out[:len(ends)].T, (x, y, 1 - 2 * a, 1 - 2 * b)):
         column[:] = values
-    return len(ids)
-
-
-def _blocks(fh, work: dict) -> Iterator[memoryview]:
-    """The rest of the file in blocks of whole lines, each ``_READ_BYTES``
-    bytes and the rest of the line they end in, read into the working set's
-    buffer "block" and valid until the next block is read."""
-    while True:
-        got = fh.readinto(_buffer(work, "block", (_READ_BYTES,), np.uint8))
-        line = np.frombuffer(fh.readline(), dtype=np.uint8)
-        if not got + len(line):
-            return
-        if got + len(line) > work["block"].size:
-            work["block"] = np.concatenate((work["block"][:got], line))
-        work["block"][got:got + len(line)] = line
-        yield memoryview(work["block"][:got + len(line)])
+    return len(ends)
 
 
 def read_event_log(path) -> tuple[dict, np.ndarray]:
-    """Parse an event log into its header and a read-only integer array.
+    """Parse an event log into its header and a read-only int32 array.
 
     The array has one row per trial and its columns in ``EVENT_FIELDS``
-    order. It is int32 when every number fits and int64 when one does not:
-    the rows read before the first such number are copied once, into
-    int64. A header with a repeated key or a schema_version other than the
-    int ``EVENT_LOG_SCHEMA_VERSION``, or a line that is not exactly what
-    the writer writes (outcomes +/-1 included), raises ValueError naming
-    the line. A block equal to the writer's encoding of
-    the numbers decoded from it is taken as it is; any other block meets
+    order. A header with a repeated key, a schema_version other than the
+    int ``EVENT_LOG_SCHEMA_VERSION``, or an n_trials that is not a count
+    or that the rest of the file is too short to hold, a line that is not
+    exactly what the writer writes (outcomes +/-1 included), or a number of
+    trial lines other than n_trials raises ValueError naming the line or
+    both counts. A block equal to the writer's encoding of the numbers
+    decoded from it is taken as it is; any other block meets
     ``_EVENT_LINES``, so both kinds give the same records and errors.
     """
     with open(path, "rb") as fh:
@@ -503,16 +356,19 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
         if type(version) is not int or version != EVENT_LOG_SCHEMA_VERSION:
             raise ValueError(f"{path}: event log schema_version {version!r} is not "
                              f"{EVENT_LOG_SCHEMA_VERSION}")
-        # No trial line is shorter than the template with one-digit numbers, so
-        # the bytes left bound the rows; the rows not read are cut off below.
-        shortest = len(_EVENT_LINE % ((0,) * len(EVENT_FIELDS)))
-        rows = (os.fstat(fh.fileno()).st_size - fh.tell()) // shortest
-        records = np.empty((rows, len(EVENT_FIELDS)), dtype=np.int32)
-        row, work = 0, {}
-        for block in _blocks(fh, work):
-            count = _read_writer_block(block, records[row:], work)
+        n_trials = header.get("n_trials")
+        if type(n_trials) is not int or n_trials < 0:
+            raise ValueError(f"{path}: event log n_trials {n_trials!r} is not a count")
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if n_trials * _SHORTEST_LINE > left:
+            raise ValueError(f"{path}: event log n_trials {n_trials} needs at least "
+                             f"{n_trials * _SHORTEST_LINE} bytes of lines, not {left}")
+        records = np.empty((n_trials, len(EVENT_FIELDS)), dtype=np.int32)
+        row = 0
+        # Blocks of whole lines: _READ_BYTES bytes and the rest of their last line.
+        for block in iter(lambda: fh.read(_READ_BYTES) + fh.readline(), b""):
+            count = _read_writer_block(block, records[row:])
             if not count:
-                block = bytes(block)
                 valid = _EVENT_LINES.match(block).end()
                 if valid < len(block):
                     bad = block.count(b"\n", 0, valid)
@@ -522,14 +378,13 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
                 numbers = np.fromstring(block.translate(*_NUMBER_STREAM)[:-1],
                                         dtype=np.int64, sep=",").reshape(-1, len(EVENT_FIELDS))
                 count = len(numbers)
-                if numbers.max() > np.iinfo(records.dtype).max:
-                    # Widened once: only the rows read so far are copied.
-                    wide = np.empty(records.shape, dtype=np.int64)
-                    wide[:row] = records[:row]
-                    records = wide
-                records[row:row + count] = numbers
+                # Past n_trials the lines are only counted.
+                kept = records[row:row + count]
+                kept[:] = numbers[:len(kept)]
             row += count
-    records.resize((row, len(EVENT_FIELDS)), refcheck=False)
+    if row != n_trials:
+        raise ValueError(f"{path}: event log has {row} trial lines, but its header's "
+                         f"n_trials is {n_trials}")
     records.setflags(write=False)
     return header, records
 

@@ -38,8 +38,3 @@ def derive_stream_seed(master_seed: int, chunk_id: int) -> int:
 def chunk_generator(master_seed: int, chunk_id: int) -> np.random.Generator:
     """Fresh PCG64 generator for one (master_seed, chunk_id) pair."""
     return np.random.Generator(np.random.PCG64(derive_stream_seed(master_seed, chunk_id)))
-
-
-def stream_label(master_seed: int, chunk_id: int) -> str:
-    """Opaque tag recording which derived stream produced a record."""
-    return f"pcg64:{derive_stream_seed(master_seed, chunk_id):016x}"

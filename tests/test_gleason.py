@@ -127,8 +127,9 @@ class TestOrthogonalAdditivity:
 
     def test_squared_trace_fails_big(self):
         rho = DensityOperator(np.diag([1.0, 0.0, 0.0]))
-        report = check_orthogonal_additivity(
-            FrameFunction.squared_trace_form(rho), 100, 3, seed=10)
+        squared = FrameFunction(3, lambda stack, ranks: np.array(
+            [v ** 2 for v in born_probabilities(rho, stack).tolist()]), "squared_trace_form")
+        report = check_orthogonal_additivity(squared, 100, 3, seed=10)
         assert not report.passed
         assert report.worst_violation > 0.1
 

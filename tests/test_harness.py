@@ -9,7 +9,6 @@ import stat
 import sys
 import threading
 import tracemalloc
-from concurrent.futures import Future
 from pathlib import Path
 
 import numpy as np
@@ -126,15 +125,15 @@ class TestCountsTable:
             CountsTable.from_csv(text)
 
     def test_from_records_rejects_settings_off_the_grid(self):
-        records = np.array([[0, 0, 2, 1, 1, 0]])
+        records = np.array([[0, 2, 1, 1]])
         with pytest.raises(ValueError, match="outside the 2x2 settings grid"):
             CountsTable.from_records(records, 2, 2)
 
     @pytest.mark.parametrize("records", [
-        np.zeros((0, 6)),
-        np.array([[0, 0, 1, 1, 1, 0]], dtype=float),
-        np.array([[0, 0, 1, 1, 1, 0]], dtype=object),
-        np.array([[0, 0, 1, 1, 1, 0]], dtype=np.uint64),
+        np.zeros((0, 4)),
+        np.array([[0, 1, 1, 1]], dtype=float),
+        np.array([[0, 1, 1, 1]], dtype=object),
+        np.array([[0, 1, 1, 1]], dtype=np.uint64),
     ], ids=["empty-float", "float", "object", "uint64"])
     def test_from_records_rejects_non_integer_arrays(self, records):
         with pytest.raises(ValueError, match=f"integer array, got dtype {records.dtype}"):
@@ -142,16 +141,15 @@ class TestCountsTable:
 
     def test_counts_do_not_depend_on_the_count_block(self, monkeypatch):
         rng = np.random.default_rng(7)
-        records = np.column_stack([np.arange(5000), rng.integers(0, 3, 5000),
-                                   rng.integers(0, 4, 5000), rng.choice([1, -1], (2, 5000)).T,
-                                   np.zeros(5000, dtype=np.int64)])
+        records = np.column_stack([rng.integers(0, 3, 5000), rng.integers(0, 4, 5000),
+                                   rng.choice([1, -1], (2, 5000)).T])
         whole = CountsTable.from_records(records, 3, 4)
         monkeypatch.setattr(harness, "_COUNT_ROWS", 37)
         assert CountsTable.from_records(records, 3, 4) == whole
         assert whole.counts.sum() == 5000
         assert whole.counts.tolist() == [[[[int(np.sum(
-            (records[:, 1] == x) & (records[:, 2] == y) & (records[:, 3] == a)
-            & (records[:, 4] == b))) for b in (1, -1)] for a in (1, -1)]
+            (records[:, 0] == x) & (records[:, 1] == y) & (records[:, 2] == a)
+            & (records[:, 3] == b))) for b in (1, -1)] for a in (1, -1)]
             for y in range(4)] for x in range(3)]
 
 
@@ -205,14 +203,6 @@ class TestRunExperiment:
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
-            def submit(self, fn, *args):
-                future = Future()
-                future.set_result(fn(*args))
-                return future
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
-
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
         threads = threading.enumerate()
         result = run_experiment(quantum_pair_model(), 300, optimal_settings(), master_seed=7,
@@ -220,15 +210,15 @@ class TestRunExperiment:
         assert requested == [3]
         assert list(result.chunks) == [0, 100, 200]
         assert result.counts.counts.sum() == 300
-        # The encoder pool gets the same count.
+        # The writer encodes on the calling thread.
         assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
-        assert requested == [3, 3]
+        assert requested == [3]
         assert threading.enumerate() == threads
 
     def test_tiny_chunks_share_a_pool_task(self, tmp_path, monkeypatch):
         """One generation task per run of consecutive chunks holding at least
-        _ENCODE_ROWS trials, the last run excepted, and one encoding task per
-        _ENCODE_ROWS trials whatever the chunk boundaries."""
+        _ENCODE_ROWS trials, the last run excepted, and no pool task to
+        write the log."""
         tasks = []
 
         class RecordingExecutor:
@@ -244,16 +234,8 @@ class TestRunExperiment:
                 return False
 
             def map(self, fn, items):
-                return [self.submit(fn, task).result() for task in items]
-
-            def submit(self, fn, task):
-                tasks.append(len(task))
-                future = Future()
-                future.set_result(fn(task))
-                return future
-
-            def shutdown(self, wait=True, cancel_futures=False):
-                pass
+                tasks.extend(len(task) for task in items)
+                return map(fn, items)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
         for n_trials, chunk_size, per_task in [
@@ -265,7 +247,7 @@ class TestRunExperiment:
             assert tasks == per_task
             tasks.clear()
             assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
-            assert tasks == [min(8192, n_trials - start) for start in range(0, n_trials, 8192)]
+            assert tasks == []
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_drawing_holds_a_byte_per_trial_and_a_few_mb_per_thread(self, workers):
@@ -309,13 +291,14 @@ class TestRunExperiment:
             observed = result.counts.counts[index] / n
             assert abs(observed - p_joint) <= 5 * sigma
 
-    def test_trial_ids_are_contiguous(self, tmp_path):
+    def test_records_are_the_trials_in_order(self, tmp_path):
+        """Trial t is the t-th record, and the header gives its chunk."""
         result = run_experiment(quantum_pair_model(), 2500, optimal_settings(),
                                 master_seed=11, chunk_size=1000)
         result.write_event_log(tmp_path / "events.jsonl")
-        _, records = read_event_log(tmp_path / "events.jsonl")
-        assert records[:, 0].tolist() == list(range(2500))
-        assert set(records[:, 5].tolist()) == {0, 1, 2}
+        header, records = read_event_log(tmp_path / "events.jsonl")
+        assert np.array_equal(records, np.column_stack(cell_columns(result.cells, 2)))
+        assert (header["n_trials"], header["chunk_size"]) == (2500, 1000)
 
     def test_settings_shape_mismatch_rejected(self):
         model = QuantumModel(photon_pair_state(), (0.0,), (0.0,))
@@ -338,46 +321,49 @@ def log_bytes(result, path: Path) -> bytes:
     return path.read_bytes()
 
 
-def reference_lines(first: int, cells, chunk_ids, n_bob: int) -> bytes:
-    """The log lines of consecutive trials from trial id ``first``, one
-    json.dumps each: the oracle for the row encoder."""
-    columns = (column.tolist() for column in cell_columns(cells, n_bob))
-    rows = zip(range(first, first + len(cells)), *columns, chunk_ids.tolist())
+def reference_lines(cells, n_bob: int) -> bytes:
+    """The log lines of trials with the given cells, one json.dumps each:
+    the oracle for the encoder."""
+    rows = zip(*(column.tolist() for column in cell_columns(cells, n_bob)))
     return "".join(json.dumps(dict(zip(EVENT_FIELDS, values)), separators=(",", ":")) + "\n"
                    for values in rows).encode()
-
-
-def encoded_lines(first: int, cells, chunk_ids, middles) -> bytes:
-    """The row encoder's lines: its byte matrix under its mask."""
-    m, mask = harness._encode_rows(first, cells, chunk_ids, middles)
-    return m[mask].tobytes()
 
 
 def reference_log(result) -> bytes:
     """The event log with one json.dumps per trial: the oracle for the writer."""
     header = {"schema_version": EVENT_LOG_SCHEMA_VERSION, "master_seed": result.master_seed,
-              "model_hash": result.model_hash}
-    chunk_ids = np.arange(result.n_trials) // result.chunk_size
-    return (json.dumps(header) + "\n").encode() + reference_lines(
-        0, result.cells, chunk_ids, result.settings.n_bob)
+              "model_hash": result.model_hash, "n_trials": result.n_trials,
+              "chunk_size": result.chunk_size}
+    return (json.dumps(header) + "\n").encode() + reference_lines(result.cells,
+                                                                  result.settings.n_bob)
+
+
+def header_line(n_trials: int) -> str:
+    """A valid header for n_trials trial lines, edited by the malformed-log cases below."""
+    return ('{"schema_version": 2, "master_seed": 0, "model_hash": "h", '
+            f'"n_trials": {n_trials}, "chunk_size": 65536}}\n')
 
 
 # A valid one-trial log, edited by the malformed-log cases below.
-HEADER = '{"schema_version": 1, "master_seed": 0, "model_hash": "h"}\n'
-RECORD = '{"trial_id":0,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n'
+HEADER = header_line(1)
+RECORD = '{"x_index":1,"y_index":0,"a":-1,"b":1}\n'
+# A format-1 log of one trial.
+FORMAT_1_LOG = ('{"schema_version": 1, "master_seed": 0, "model_hash": "h"}\n'
+                '{"trial_id":0,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n')
 
 
 class TestEventLog:
     def test_round_trip_and_header(self, tmp_path):
         model = quantum_pair_model()
-        result = run_experiment(model, 1234, optimal_settings(), master_seed=12)
+        result = run_experiment(model, 1234, optimal_settings(), master_seed=12,
+                                chunk_size=500)
         path = tmp_path / "events.jsonl"
         result.write_event_log(path)
         header, records = read_event_log(path)
-        assert header["schema_version"] == 1
-        assert header["master_seed"] == 12
-        assert header["model_hash"] == result.model_hash
-        assert records.shape == (1234, 6) and records.dtype == np.int32
+        assert header == {"schema_version": 2, "master_seed": 12,
+                          "model_hash": result.model_hash, "n_trials": 1234,
+                          "chunk_size": 500}
+        assert records.shape == (1234, 4) and records.dtype == np.int32
         assert not records.flags.writeable
         assert CountsTable.from_records(records, 2, 2) == result.counts
 
@@ -385,46 +371,127 @@ class TestEventLog:
         result = run_experiment(quantum_pair_model(), 3, optimal_settings(), master_seed=13)
         lines = log_bytes(result, tmp_path / "events.jsonl").decode().splitlines()
         record = json.loads(lines[1])
-        assert list(record) == list(EVENT_FIELDS)
+        assert list(record) == list(EVENT_FIELDS) == ["x_index", "y_index", "a", "b"]
+
+    def test_a_line_depends_on_its_cell_alone(self, tmp_path):
+        result = run_experiment(quantum_pair_model(), 2000, optimal_settings(), master_seed=14,
+                                chunk_size=300)
+        lines = log_bytes(result, tmp_path / "events.jsonl").splitlines(keepends=True)[1:]
+        by_cell = dict(zip(result.cells.tolist(), lines))
+        assert len(by_cell) == 16
+        assert lines == [by_cell[cell] for cell in result.cells.tolist()]
+        assert by_cell[0b0101] == b'{"x_index":0,"y_index":1,"a":1,"b":-1}\n'
 
     def test_valid_hand_written_log_parses(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        # The longest number a field may hold has 18 digits.
-        path.write_text(HEADER + RECORD + RECORD.replace('"trial_id":0', '"trial_id":1')
-                        + RECORD.replace('"trial_id":0', '"trial_id":999999999999999999'))
+        # The longest number a setting may hold has 9 digits.
+        path.write_text(header_line(3) + RECORD + RECORD.replace('"x_index":1', '"x_index":0')
+                        + RECORD.replace('"x_index":1', '"x_index":999999999'))
         _, records = read_event_log(path)
-        assert records.tolist() == [[0, 1, 0, -1, 1, 0], [1, 1, 0, -1, 1, 0],
-                                    [999_999_999_999_999_999, 1, 0, -1, 1, 0]]
+        assert records.dtype == np.int32
+        assert records.tolist() == [[1, 0, -1, 1], [0, 0, -1, 1], [999_999_999, 0, -1, 1]]
+
+    def test_an_empty_run_reads_as_no_records(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(header_line(0))
+        header, records = read_event_log(path)
+        assert header["n_trials"] == 0 and records.shape == (0, 4)
 
     @pytest.mark.parametrize("text, message", [
         (HEADER + RECORD.replace('"a":-1', '"a":2'), "line 2 is not an event record"),
         (HEADER + RECORD.replace('"b":1', '"b":0'), "line 2 is not an event record"),
-        (HEADER + RECORD + RECORD.replace(",", ", "), "line 3 is not an event record"),
-        (HEADER + RECORD + RECORD.replace('"chunk_id"', '"chunk"'), "line 3 is not"),
+        (header_line(2) + RECORD + RECORD.replace(",", ", "), "line 3 is not an event record"),
+        (header_line(2) + RECORD + RECORD.replace('"b"', '"B"'), "line 3 is not"),
         (HEADER + RECORD + "\n", "line 3 is not an event record"),
-        (HEADER + RECORD + RECORD.rstrip("\n"), "line 3 is not an event record"),
-        (HEADER + RECORD.replace('"trial_id":0', '"trial_id":-5'), "line 2 is not"),
-        (HEADER + RECORD.replace('"trial_id":0', '"trial_id":99999999999999999999'),
+        (header_line(2) + RECORD + RECORD.rstrip("\n"), "line 3 is not an event record"),
+        (HEADER + RECORD.replace('"x_index":1', '"x_index":-5'), "line 2 is not"),
+        (HEADER + RECORD.replace('"x_index":1', '"x_index":1000000000'),
          "line 2 is not an event record"),
-        (HEADER.replace('"schema_version": 1', '"schema_version": 2') + RECORD,
-         "schema_version 2 is not 1"),
+        (HEADER.replace('"schema_version": 2', '"schema_version": 1') + RECORD,
+         "schema_version 1 is not 2"),
         (HEADER.replace('"master_seed": 0', '"master_seed": 5, "master_seed": 7') + RECORD,
          "line 1 is not an event log header"),
-        (HEADER.replace('"schema_version": 1', '"schema_version": 1.0') + RECORD,
-         "schema_version 1.0 is not 1"),
-        (HEADER.replace('"schema_version": 1', '"schema_version": true') + RECORD,
-         "schema_version True is not 1"),
+        (HEADER.replace('"schema_version": 2', '"schema_version": 2.0') + RECORD,
+         "schema_version 2.0 is not 2"),
+        (HEADER.replace('"schema_version": 2', '"schema_version": true') + RECORD,
+         "schema_version True is not 2"),
         ("[1]\n" + RECORD, "line 1 is not an event log header"),
         ("not json\n", "line 1 is not an event log header"),
         ("", "line 1 is not an event log header"),
+        (HEADER.replace('"n_trials": 1, ', "") + RECORD, "n_trials None is not a count"),
+        (HEADER.replace('"n_trials": 1', '"n_trials": -1') + RECORD,
+         "n_trials -1 is not a count"),
+        (HEADER.replace('"n_trials": 1', '"n_trials": 1.0') + RECORD,
+         "n_trials 1.0 is not a count"),
+        (HEADER.replace('"n_trials": 1', '"n_trials": true') + RECORD,
+         "n_trials True is not a count"),
+        (HEADER + RECORD + RECORD, "has 2 trial lines, but its header's n_trials is 1"),
     ], ids=["outcome-a-2", "outcome-b-0", "spaced", "renamed-field", "blank-line", "truncated",
-            "negative-trial-id", "trial-id-20-digits", "schema-2", "header-repeated-key",
-            "schema-1.0", "schema-true", "header-list", "header-not-json", "empty"])
+            "negative-setting", "setting-10-digits", "schema-1", "header-repeated-key",
+            "schema-2.0", "schema-true", "header-list", "header-not-json", "empty",
+            "n-trials-missing", "n-trials-negative", "n-trials-float", "n-trials-true",
+            "extra-line"])
     def test_malformed_log_rejected(self, tmp_path, text, message):
         path = tmp_path / "events.jsonl"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_event_log(path)
+
+    def test_a_format_1_log_is_refused(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(FORMAT_1_LOG)
+        with pytest.raises(ValueError) as error:
+            read_event_log(path)
+        assert str(error.value) == f"{path}: event log schema_version 1 is not 2"
+
+    def test_a_dropped_line_is_refused(self, tmp_path):
+        result = run_experiment(quantum_pair_model(), 1200, optimal_settings(), master_seed=15)
+        lines = log_bytes(result, tmp_path / "events.jsonl").splitlines(keepends=True)
+        path = tmp_path / "dropped.jsonl"
+        path.write_bytes(b"".join(lines[:600] + lines[601:]))
+        with pytest.raises(ValueError) as error:
+            read_event_log(path)
+        assert str(error.value) == (f"{path}: event log has 1199 trial lines, but its "
+                                    f"header's n_trials is 1200")
+
+    def test_a_duplicated_line_is_refused(self, tmp_path):
+        """A 20-trial log with one line duplicated and two lines swapped."""
+        result = run_experiment(quantum_pair_model(), 20, optimal_settings(), master_seed=16)
+        lines = log_bytes(result, tmp_path / "events.jsonl").splitlines(keepends=True)
+        lines.insert(9, lines[4])
+        lines[2], lines[15] = lines[15], lines[2]
+        path = tmp_path / "duplicated.jsonl"
+        path.write_bytes(b"".join(lines))
+        with pytest.raises(ValueError) as error:
+            read_event_log(path)
+        assert str(error.value) == (f"{path}: event log has 21 trial lines, but its "
+                                    f"header's n_trials is 20")
+
+    def test_swapped_lines_read_without_error(self, tmp_path):
+        """The reader checks each line and their number, not their order."""
+        result = run_experiment(quantum_pair_model(), 20, optimal_settings(), master_seed=16)
+        lines = log_bytes(result, tmp_path / "events.jsonl").splitlines(keepends=True)
+        lines[2], lines[15] = lines[15], lines[2]
+        path = tmp_path / "swapped.jsonl"
+        path.write_bytes(b"".join(lines))
+        _, records = read_event_log(path)
+        expected = np.column_stack(cell_columns(result.cells, 2))
+        expected[[1, 14]] = expected[[14, 1]]
+        assert np.array_equal(records, expected)
+
+    @pytest.mark.parametrize("n_trials", [3, 10**12])
+    def test_an_oversized_n_trials_is_refused_before_allocating(self, tmp_path, n_trials):
+        """Two lines of the shortest kind, 76 bytes, hold two trials and no
+        more; 10^12 int32 records would need 16 TB."""
+        line = '{"x_index":0,"y_index":0,"a":1,"b":1}\n'
+        path = tmp_path / "events.jsonl"
+        path.write_text(header_line(n_trials) + 2 * line)
+        with pytest.raises(ValueError) as error:
+            read_event_log(path)
+        assert str(error.value) == (f"{path}: event log n_trials {n_trials} needs at least "
+                                    f"{38 * n_trials} bytes of lines, not 76")
+        path.write_text(header_line(2) + 2 * line)
+        assert read_event_log(path)[1].tolist() == [[0, 0, 1, 1]] * 2
 
     @pytest.mark.parametrize("piece", [16, 64, 97, 1000])
     def test_small_pieces_read_the_same_records(self, tmp_path, monkeypatch, piece):
@@ -437,23 +504,24 @@ class TestEventLog:
         small_header, small_records = read_event_log(path)
         assert small_header == header
         assert np.array_equal(small_records, records)
-        assert small_records.shape == (700, 6) and not small_records.flags.writeable
+        assert small_records.shape == (700, 4) and not small_records.flags.writeable
 
     @pytest.mark.parametrize("shift", [-1, 0, 1], ids=["before", "at", "after"])
     @pytest.mark.parametrize("case", ["bad-line", "truncated", "longer-than-a-piece"])
     def test_a_bad_line_at_a_piece_boundary_is_named(self, tmp_path, monkeypatch, case,
                                                       shift):
-        lines = [RECORD.replace('"trial_id":0', f'"trial_id":{i}') for i in range(8)]
+        lines = [harness._EVENT_LINE % (i % 2, i // 2 % 2, 1 - 2 * (i % 3 == 0), -1)
+                 for i in range(8)]
         if case == "bad-line":
-            lines[5] = lines[5].replace('"b":1', '"b":2')
+            lines[5] = lines[5].replace('"b":-1', '"b":2')
         elif case == "truncated":
             lines[5:] = [lines[5].rstrip("\n")]
         else:
-            lines[5] = lines[5].replace('"chunk_id"', " " * 400 + '"chunk_id"')
+            lines[5] = lines[5].replace('"b"', " " * 400 + '"b"')
         path = tmp_path / "events.jsonl"
-        path.write_text(HEADER + "".join(lines))
+        path.write_text(header_line(len(lines)) + "".join(lines))
         # The trial lines start a new piece at line 7, the sixth record, give
-        # or take one byte; a record line is longer than 64 bytes.
+        # or take one byte; the longer line is also longer than 64 bytes.
         boundary = len("".join(lines[:5])) + shift
         expected = f"{path}: line 7 is not an event record: {lines[5].encode()[:200]!r}"
         for piece in (boundary, 64) if case == "longer-than-a-piece" else (boundary,):
@@ -465,26 +533,24 @@ class TestEventLog:
     def test_failed_write_leaves_no_log_and_no_temp_file(self, tmp_path, monkeypatch):
         result = run_experiment(quantum_pair_model(), 30_000, optimal_settings(),
                                 master_seed=27, chunk_size=10_000, n_workers=2)
-        encode = harness._encode_rows
-        main_thread = threading.get_ident()
+        encode, slices = harness._encode, []
 
-        def fail_after_first_slice(first, *args):
-            assert threading.get_ident() != main_thread
-            if first != 0:
+        def fail_after_first_slice(cells, lines):
+            slices.append(len(cells))
+            if len(slices) > 1:
                 raise RuntimeError("encoder failed")
-            return encode(first, *args)
+            return encode(cells, lines)
 
-        monkeypatch.setattr(harness, "_encode_rows", fail_after_first_slice)
-        threads = len(threading.enumerate())
+        monkeypatch.setattr(harness, "_encode", fail_after_first_slice)
         with pytest.raises(RuntimeError, match="encoder failed"):
             result.write_event_log(tmp_path / "events.jsonl")
         assert list(tmp_path.iterdir()) == []
-        # No pool thread outlives the call.
-        assert len(threading.enumerate()) == threads
+        # The slices are encoded as they are written: none after the failure.
+        assert slices == [8192, 8192]
 
-    def test_many_threads_write_blocks_in_order(self, tmp_path):
-        """More encoder threads than CPUs and a short switch interval, so
-        blocks finish out of order and the in-order window wraps often."""
+    def test_many_drawing_threads_give_the_reference_log(self, tmp_path):
+        """More drawing threads than CPUs and a short switch interval, so
+        tasks finish out of order; the log is still written in trial order."""
         result = run_experiment(quantum_pair_model(), 60_000, optimal_settings(),
                                 master_seed=30, chunk_size=1000, n_workers=8)
         interval = sys.getswitchinterval()
@@ -496,40 +562,32 @@ class TestEventLog:
         assert result.n_threads == 8
         assert written == reference_log(result)
 
-    def test_cell_middles_follow_the_cell_index(self):
-        """Each cell's middle is the template's, at the cell's counts-table index,
-        and no line holds a space, the middles' padding byte."""
+    def test_cell_lines_follow_the_cell_index(self):
+        """Each cell's line is the template's, at the cell's counts-table index,
+        and no line holds a space, the lines' padding byte."""
         n_alice, n_bob = 12, 11
-        middles = harness._event_middles(n_alice, n_bob)
+        lines = harness._cell_lines(n_alice, n_bob)
         for x, y, a, b in itertools.product(range(n_alice), range(n_bob), (1, -1), (1, -1)):
             cell = harness._cell_index(*np.array([[x], [y], [a], [b]]), n_bob)[0]
             assert cell == np.ravel_multi_index((x, y, a < 0, b < 0), (n_alice, n_bob, 2, 2))
-            assert (middles[cell].tobytes().rstrip(b" ")
-                    == (harness._LINE_MIDDLE % (x, y, a, b)).encode())
-            assert b" " not in (harness._EVENT_LINE % (10**17, x, y, a, b, 10**17)).encode()
+            assert (lines[cell].tobytes().rstrip(b" ")
+                    == (harness._EVENT_LINE % (x, y, a, b)).encode())
+            assert b" " not in (harness._EVENT_LINE % (10**8, 10**8, a, b)).encode()
 
-    @pytest.mark.parametrize("chunk_id,start_trial,n_trials", [
-        (3, 10**6 - 5000, 9000),
-        (12345, 40, 300),
-        (0, 0, 1),
-        (9, 999_999, 1),
-        (1, 9_995, 8192),
-        (2, 19_996, 8192),
-        (9, 99_995, 8192),
-        (12, 10**8 - 3, 8192),
-        (10**16, 10**17 - 5, 8192),
-        (10**17 - 1, 10**18 - 8193, 8192),
-        (4, 9_990, 25_000),
-    ], ids=["slice-crosses-1e6", "five-digit-chunk-id", "trial-0-alone", "one-trial",
-            "crosses-1e4", "crosses-2e4", "crosses-1e5", "crosses-1e8", "crosses-1e17",
-            "ends-at-1e18-minus-1", "crosses-three-ten-thousands"])
-    def test_hand_built_chunk_matches_reference_encoder(self, chunk_id, start_trial, n_trials):
-        rng = np.random.default_rng(chunk_id)
-        indices, outcomes = rng.integers(0, 2, (2, n_trials)), rng.choice([1, -1], (2, n_trials))
-        cells = harness._cell_index(*indices, *outcomes, 2).astype(np.uint8)
-        chunk_ids = np.full(n_trials, chunk_id)
-        encoded = encoded_lines(start_trial, cells, chunk_ids, harness._event_middles(2, 2))
-        assert encoded == reference_lines(start_trial, cells, chunk_ids, 2)
+    @pytest.mark.parametrize("n_alice,n_bob,n_trials", [
+        (2, 2, 1),
+        (2, 2, 8192),
+        (2, 2, 25_000),
+        (1, 1, 5),
+        (3, 4, 300),
+        (10, 10, 9000),
+        (12, 11, 5000),
+    ], ids=["one-trial", "one-slice", "three-slices", "one-context", "3x4", "10x10", "12x11"])
+    def test_random_cells_match_reference_encoder(self, n_alice, n_bob, n_trials):
+        rng = np.random.default_rng(n_trials)
+        cells = rng.integers(0, n_alice * n_bob * 4, n_trials).astype(np.uint16)
+        encoded = harness._encode(cells, harness._cell_lines(n_alice, n_bob)).tobytes()
+        assert encoded == reference_lines(cells, n_bob)
 
     def test_two_digit_setting_index_matches_reference_encoder(self, tmp_path):
         spec = SettingsSpec.uniform(np.linspace(0.0, np.pi, 12), (0.1, 0.7, 1.3))
@@ -550,31 +608,29 @@ class TestEventLog:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert records.shape == (300_000, 6)
+        assert records.shape == (300_000, 4)
         assert peak < 1.5 * records.nbytes
 
-    def test_reading_holds_24_bytes_per_possible_line(self, tmp_path):
-        """int32 records, allocated for as many lines as the file could
-        hold, plus a block's work; int64 records would need twice that."""
+    def test_reading_holds_16_bytes_per_trial(self, tmp_path):
+        """int32 records, allocated for the header's n_trials, plus a
+        block's work; int64 records would need twice that."""
         cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
         result = run_experiment(cfg.model, 400_000, cfg.settings, cfg.master_seed)
         path = tmp_path / "events.jsonl"
         result.write_event_log(path)
         del result
-        shortest = len(harness._EVENT_LINE % ((0,) * len(EVENT_FIELDS)))
         tracemalloc.start()
         try:
             _, records = read_event_log(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert records.shape == (400_000, 6)
-        assert peak <= 24 * (path.stat().st_size // shortest) + 3_000_000
+        assert records.shape == (400_000, 4)
+        assert peak <= 16 * 400_000 + 3_000_000
 
-    def test_a_writer_block_after_the_first_allocates_under_640_kib(self, tmp_path,
-                                                                    monkeypatch):
-        """Checking a block works in buffers kept across blocks, so a block
-        after the first allocates little more than its decoded columns."""
+    def test_a_writer_block_allocates_under_four_times_its_size(self, tmp_path, monkeypatch):
+        """Checking a block holds its padded re-encoding, that matrix's mask,
+        the encoded bytes and a few per-line columns, and no more."""
         cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
         result = run_experiment(cfg.model, 20_000, cfg.settings, cfg.master_seed)
         path = tmp_path / "events.jsonl"
@@ -596,7 +652,7 @@ class TestEventLog:
             tracemalloc.stop()
         size, count, transient = blocks[1]
         assert size >= harness._READ_BYTES and count > 0
-        assert transient <= 640 * 1024
+        assert transient <= 4 * size
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -616,13 +672,15 @@ class TestEventLog:
 
 
 # The reader as first written, kept as the oracle for read_event_log: the
-# line pattern over every block, its error text, then one number stream.
+# line pattern over every block, its error text, then one number stream,
+# with the header's n_trials checked against the bytes left and the lines.
 _REFERENCE_TEXT = [re.escape(part) for part in harness._EVENT_LINE.encode().split(b"%d")]
 _REFERENCE_LINES = re.compile(b"(?:" + _REFERENCE_TEXT[0] + b"".join(
-    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]{0,17})") + text
+    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]{0,8})") + text
     for name, text in zip(EVENT_FIELDS, _REFERENCE_TEXT[1:])) + b")*")
 _REFERENCE_STREAM = (bytes.maketrans(b"\n", b","),
                      bytes(set(range(256)) - set(b"-0123456789,\n")))
+_REFERENCE_SHORTEST = len(b'{"x_index":0,"y_index":0,"a":1,"b":1}\n')
 
 
 def reference_read(path) -> tuple[dict, np.ndarray]:
@@ -635,6 +693,13 @@ def reference_read(path) -> tuple[dict, np.ndarray]:
         if version != EVENT_LOG_SCHEMA_VERSION:
             raise ValueError(f"{path}: event log schema_version {version!r} is not "
                              f"{EVENT_LOG_SCHEMA_VERSION}")
+        n_trials = header.get("n_trials")
+        if type(n_trials) is not int or n_trials < 0:
+            raise ValueError(f"{path}: event log n_trials {n_trials!r} is not a count")
+        left = os.path.getsize(path) - fh.tell()
+        if n_trials * _REFERENCE_SHORTEST > left:
+            raise ValueError(f"{path}: event log n_trials {n_trials} needs at least "
+                             f"{n_trials * _REFERENCE_SHORTEST} bytes of lines, not {left}")
         blocks, row = [], 0
         for block in iter(lambda: fh.read(1 << 18) + fh.readline(), b""):
             valid = _REFERENCE_LINES.match(block).end()
@@ -647,6 +712,9 @@ def reference_read(path) -> tuple[dict, np.ndarray]:
                                     sep=",").reshape(-1, len(EVENT_FIELDS))
             blocks.append(numbers)
             row += len(numbers)
+    if row != n_trials:
+        raise ValueError(f"{path}: event log has {row} trial lines, but its header's "
+                         f"n_trials is {n_trials}")
     records = np.concatenate(blocks) if blocks else np.empty((0, len(EVENT_FIELDS)), np.int64)
     records.setflags(write=False)
     return header, records
@@ -660,8 +728,8 @@ def read_outcome(read, path):
         return str(error)
 
 
-# The block sizes each oracle case is read at; 1 << 18 is the default.
-READ_SIZES = (64, 97, 1000, 1 << 18)
+# The block sizes each oracle case is read at; 1 << 16 is the default.
+READ_SIZES = (64, 97, 1000, 1 << 16, 1 << 18)
 
 
 def assert_reads_as_reference(path, monkeypatch, sizes=READ_SIZES):
@@ -674,31 +742,11 @@ def assert_reads_as_reference(path, monkeypatch, sizes=READ_SIZES):
         else:
             assert not isinstance(got, str), (size, got)
             assert got[0] == expected[0]
-            # int32 unless some number needs int64.
-            wide = expected[1].size and expected[1].max() >= 2**31
-            assert got[1].dtype == (np.int64 if wide else np.int32), size
+            assert got[1].dtype == np.int32, size
             assert got[1].shape == expected[1].shape
             assert not got[1].flags.writeable
             assert np.array_equal(got[1], expected[1]), size
     return expected
-
-
-def write_chunks(path, chunks, n_alice=2, n_bob=2) -> Path:
-    """A writer's header and the row encoder's lines of consecutive
-    hand-built chunks of (start_trial, chunk_id, n_trials), each with seeded
-    random cells on an n_alice x n_bob grid, encoded as one run of trials."""
-    rng = np.random.default_rng(len(chunks))
-    spec = SettingsSpec.uniform(np.linspace(0.0, 1.0, n_alice), np.linspace(0.0, 1.0, n_bob))
-    model = QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles)
-    header = reference_log(run_experiment(model, 1, spec, master_seed=5)).partition(b"\n")
-    starts, chunk_ids, sizes = zip(*chunks)
-    assert starts == tuple(np.cumsum((starts[0],) + sizes[:-1]))
-    cells = np.concatenate([rng.integers(0, n_alice * n_bob * 4, size).astype(np.uint16)
-                            for size in sizes])
-    lines = encoded_lines(starts[0], cells, np.repeat(chunk_ids, sizes),
-                          harness._event_middles(n_alice, n_bob))
-    path.write_bytes(b"".join(header[:2]) + lines)
-    return path
 
 
 def edited(text: bytes, kind: str, rng) -> bytes:
@@ -723,6 +771,12 @@ def edited(text: bytes, kind: str, rng) -> bytes:
     return b"".join(lines)
 
 
+def grid_model(n_alice: int, n_bob: int) -> tuple[QuantumModel, SettingsSpec]:
+    """A photon-pair model on an n_alice x n_bob grid of uniform settings."""
+    spec = SettingsSpec.uniform(np.linspace(0.0, np.pi, n_alice), np.linspace(0.1, 1.3, n_bob))
+    return QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles), spec
+
+
 class TestReaderOracle:
     """read_event_log gives the records or the error text of reference_read,
     at every block size, on writer logs and on edits of them."""
@@ -740,92 +794,52 @@ class TestReaderOracle:
             assert CountsTable.from_records(records, cfg.settings.n_alice,
                                             cfg.settings.n_bob) == result.counts
 
-    def test_two_digit_setting_grid(self, tmp_path, monkeypatch):
-        spec = SettingsSpec.uniform(np.linspace(0.0, np.pi, 12), (0.1, 0.7, 1.3))
-        model = QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles)
+    @pytest.mark.parametrize("n_alice, n_bob", [(12, 3), (10, 10), (11, 11)])
+    def test_setting_grids(self, tmp_path, monkeypatch, n_alice, n_bob):
+        model, spec = grid_model(n_alice, n_bob)
         result = run_experiment(model, 1500, spec, master_seed=28, chunk_size=500)
         result.write_event_log(tmp_path / "events.jsonl")
         _, records = assert_reads_as_reference(tmp_path / "events.jsonl", monkeypatch)
-        assert records[:, 1].max() == 11
-
-    def test_trial_ids_crossing_a_power_of_ten(self, tmp_path, monkeypatch):
-        path = write_chunks(tmp_path / "events.jsonl", [(10**6 - 200, 3, 400)])
-        _, records = assert_reads_as_reference(path, monkeypatch)
-        assert records[0, 0] == 10**6 - 200 and len(records) == 400
-
-    @pytest.mark.parametrize("chunks, at_boundary", [
-        ([(2**31 - 200, 3, 400)], False),
-        ([(2**31 - 400, 3, 400), (2**31, 4, 400)], True),
-        ([(2**31, 3, 400)], False),
-    ], ids=["inside-a-block", "at-a-block-boundary", "from-the-first-line"])
-    def test_trial_ids_crossing_two_to_the_31(self, tmp_path, monkeypatch, chunks,
-                                              at_boundary):
-        """Records widen to int64 at the first number above 2^31 - 1."""
-        path = write_chunks(tmp_path / "events.jsonl", chunks)
-        sizes = READ_SIZES
-        if at_boundary:
-            # A first block whose last line is trial 2^31 - 1's.
-            body = path.read_bytes().partition(b"\n")[2]
-            sizes += (body.index(b'{"trial_id":%d,' % 2**31) - 1,)
-        _, records = assert_reads_as_reference(path, monkeypatch, sizes)
-        assert records.dtype == np.int64 and records[-1, 0] >= 2**31
-
-    @pytest.mark.parametrize("chunks", [
-        [(10**18 - 3, 7, 5)],
-        [(40, 10**18 - 1, 3), (43, 10**18, 3)],
-    ], ids=["trial-id", "chunk-id"])
-    def test_ids_of_nineteen_digits_fail_at_their_line(self, tmp_path, monkeypatch, chunks):
-        path = write_chunks(tmp_path / "events.jsonl", chunks)
-        error = assert_reads_as_reference(path, monkeypatch)
-        assert isinstance(error, str) and "line 5 is not an event record" in error
-
-    @pytest.mark.parametrize("first_chunk", [7, 97])
-    def test_chunk_ids_gaining_a_digit_in_one_block(self, tmp_path, monkeypatch, first_chunk):
-        chunks = [(5 * k, first_chunk + k, 5) for k in range(5)]
-        path = write_chunks(tmp_path / "events.jsonl", chunks)
-        _, records = assert_reads_as_reference(path, monkeypatch)
-        assert records[:, 5].tolist() == [first_chunk + k // 5 for k in range(25)]
+        assert records[:, 0].max() == n_alice - 1 and records[:, 1].max() == n_bob - 1
 
     @pytest.mark.parametrize("lines", [
-        [(0, 1, 0, -1, 1, 0), b'{"trial_id"\n'],
-        [(0, 1, 0, -1, 1, 0), b'{"trial_id":\n', (2, 0, 0, 1, 1, 0)],
-        [b'{"trial_id":07,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n'],
-        [b'{"trial_id":007,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n',
-         *((i, 0, 1, -1, -1, 0) for i in range(8, 20))],
-        [(7, 1, 0, -1, 1, 0), b'{"trial_id":8,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":05}\n'],
-        [(5, 1, 1, 1, -1, 0), (6, 0, 1, -1, -1, 10), (7, 1, 0, 1, 1, 5), (8, 0, 0, 1, 1, 100)],
-        [(5, 1, 1, 1, -1, 3), (6, 0, 1, -1, -1, 10**18)],
-        [(5, 1, 1, 1, -1, 3), (6, 10, 1, -1, -1, 3), (7, 0, 1, -1, -1, 3)],
-        [(5, 1, 1, 1, -1, 3), (7, 0, 1, -1, -1, 3)],
-        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":+1,"b":1,"chunk_id":3}\n'],
-        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":1a}\n'],
-        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":}\n'],
-        [(5, 1, 1, 1, -1, 3), b"}\n", (7, 0, 1, -1, -1, 3)],
-        [(5, 1, 1, 1, -1, 3), b"\n"],
-        *([(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":'
-           + field + b"}\n"] for field in (b":" * 18, b"\xff" * 18, b"/" + b"9" * 17)),
-        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a": 1,"b":1,"chunk_id":3}\n',
-         (7, 0, 1, -1, -1, 3)],
-        [(5, 1, 1, 1, -1, 3), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":3}{\n',
-         b'"trial_id":7,"x_index":0,"y_index":1,"a":-1,"b":-1,"chunk_id":3}\n'],
-        [(5, 1, 1, 1, -1, 10), b'{"trial_id":6,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":05}\n',
-         (7, 0, 1, -1, -1, 10)],
-    ], ids=["id-key-alone", "id-without-number", "id-leading-zero",
-            "id-leading-zeros-before-more-lines", "chunk-id-leading-zero",
-            "chunk-id-widths-vary", "chunk-id-19-digits", "setting-10", "ids-skip",
-            "outcome-plus-sign", "chunk-id-not-digits", "chunk-id-empty", "brace-alone",
-            "blank", "chunk-id-18-colons", "chunk-id-18-ff-bytes", "chunk-id-slash-17-digits",
+        [(1, 0, -1, 1), b'{"x_index"\n'],
+        [(1, 0, -1, 1), b'{"x_index":\n', (0, 0, 1, 1)],
+        [b'{"x_index":07,"y_index":0,"a":-1,"b":1}\n'],
+        [b'{"x_index":007,"y_index":0,"a":-1,"b":1}\n', *[(0, 1, -1, -1)] * 12],
+        [(1, 0, -1, 1), b'{"x_index":1,"y_index":05,"a":-1,"b":1}\n'],
+        [(1, 1, 1, -1), (0, 10, -1, -1), (1, 5, 1, 1), (0, 100, 1, 1)],
+        [(1, 1, 1, -1), (0, 10**9, -1, -1)],
+        [(1, 1, 1, -1), (999_999_999, 1, -1, -1), (0, 1, -1, -1)],
+        [(1, 1, 1, -1), (10, 1, -1, -1), (0, 1, -1, -1)],
+        [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a":+1,"b":1}\n'],
+        [(1, 1, 1, -1), b'{"x_index":1,"y_index":1a,"a":-1,"b":1}\n'],
+        [(1, 1, 1, -1), b'{"x_index":1,"y_index":,"a":-1,"b":1}\n'],
+        [(1, 1, 1, -1), b"}\n", (0, 1, -1, -1)],
+        [(1, 1, 1, -1), b"\n"],
+        *([(1, 1, 1, -1), b'{"x_index":1,"y_index":' + field + b',"a":-1,"b":1}\n']
+          for field in (b":" * 9, b"\xff" * 9, b"/" + b"9" * 8)),
+        [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a": 1,"b":1}\n', (0, 1, -1, -1)],
+        [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a":-1,"b":1}{\n',
+         b'"x_index":0,"y_index":1,"a":-1,"b":-1}\n'],
+        [(10, 1, 1, -1), b'{"x_index":05,"y_index":0,"a":-1,"b":1}\n', (10, 0, -1, -1)],
+        [b'{"trial_id":0,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n'],
+    ], ids=["key-alone", "key-without-number", "setting-leading-zero",
+            "setting-leading-zeros-before-more-lines", "y-leading-zero",
+            "setting-widths-vary", "setting-10-digits", "setting-9-digits", "setting-10",
+            "outcome-plus-sign", "setting-not-digits", "setting-empty", "brace-alone",
+            "blank", "setting-9-colons", "setting-9-ff-bytes", "setting-slash-8-digits",
             "outcome-minus-as-space", "a-byte-moved-across-a-newline",
-            "chunk-id-leading-zero-beside-two-digits"])
+            "leading-zero-beside-two-digits", "format-1-line"])
     def test_hand_written_lines(self, tmp_path, monkeypatch, lines):
         path = tmp_path / "events.jsonl"
         body = b"".join(line if isinstance(line, bytes) else (harness._EVENT_LINE % line).encode()
                         for line in lines)
-        path.write_bytes(HEADER.encode() + body)
+        path.write_bytes(header_line(len(lines)).encode() + body)
         if isinstance(assert_reads_as_reference(path, monkeypatch), str):
             # The writer's block reader refuses, and raises nothing on, what
             # the pattern rejects.
-            out = np.zeros((len(lines), len(EVENT_FIELDS)), dtype=np.int64)
+            out = np.zeros((len(lines), len(EVENT_FIELDS)), dtype=np.int32)
             assert harness._read_writer_block(body, out) == 0 and not out.any()
 
     @pytest.mark.parametrize("kind", ["byte-swap", "insertion", "deletion", "swapped-lines",
@@ -859,14 +873,24 @@ class TestWriterBlocks:
         result.write_event_log(path)
         expected_header, expected = reference_read(path)
         monkeypatch.setattr(harness, "_EVENT_LINES", RaisingPattern())
-        for size in (97, 1 << 18):
+        for size in (97, 1 << 16):
             monkeypatch.setattr(harness, "_READ_BYTES", size)
             header, records = read_event_log(path)
             assert header == expected_header and np.array_equal(records, expected)
 
+    def test_a_ten_by_ten_grid_skips_the_line_pattern(self, tmp_path, monkeypatch):
+        model, spec = grid_model(10, 10)
+        result = run_experiment(model, 3000, spec, master_seed=31)
+        path = tmp_path / "events.jsonl"
+        result.write_event_log(path)
+        expected_header, expected = reference_read(path)
+        monkeypatch.setattr(harness, "_EVENT_LINES", RaisingPattern())
+        header, records = read_event_log(path)
+        assert header == expected_header and np.array_equal(records, expected)
+
     def test_other_blocks_still_meet_the_pattern(self, tmp_path, monkeypatch):
         path = tmp_path / "events.jsonl"
-        path.write_text(HEADER + RECORD + RECORD)
+        path.write_text(header_line(2) + RECORD + RECORD.replace('"x_index":1', '"x_index":10'))
         monkeypatch.setattr(harness, "_EVENT_LINES", RaisingPattern())
         with pytest.raises(AssertionError, match="the line pattern was asked"):
             read_event_log(path)

@@ -41,6 +41,7 @@ from bellctx.kolmogorov import (
     verify_kolmogorov,
 )
 from bellctx.models import QuantumModel
+from bellctx.quantum import born_probabilities
 
 PINS = Path(__file__).parent / "kolmogorov_pins.json"
 CONFIGS = Path(__file__).parent.parent / "src" / "bellctx" / "configs"
@@ -109,11 +110,17 @@ def audit_case(name: str) -> str:
 FRAME_FUNCTIONS = ("trace_form", "squared_trace_form", "counterexample")
 
 
+def squared_trace_form(rho) -> FrameFunction:
+    """Negative control: [Tr(rho P)]^2 is normalized but not additive."""
+    return FrameFunction(rho.dim, lambda stack, ranks: np.array(  # Python's pow
+        [v ** 2 for v in born_probabilities(rho, stack).tolist()]), "squared_trace_form")
+
+
 def additivity_case(dim: int, kind: str, n_contexts: int = 40) -> str:
     rng = np.random.default_rng(100 + dim)
     rho = random_density(dim, rng)
     m = {"trace_form": lambda: FrameFunction.trace_form(rho),
-         "squared_trace_form": lambda: FrameFunction.squared_trace_form(rho),
+         "squared_trace_form": lambda: squared_trace_form(rho),
          "counterexample": dim2_counterexample}[kind]()
     return _dump(check_orthogonal_additivity(m, n_contexts, dim, 200 + dim))
 

@@ -7,7 +7,7 @@ not a bug in the test.
 
 import numpy as np
 
-from bellctx.rng import chunk_generator, derive_stream_seed, mix64, stream_label
+from bellctx.rng import chunk_generator, derive_stream_seed, mix64
 
 # mix64(0 + 1*GAMMA) is the first output of the reference SplitMix64
 # sequence for seed 0.
@@ -46,7 +46,3 @@ def test_streams_are_deterministic_and_distinct():
     assert np.array_equal(first, again)
     assert not np.array_equal(first, other_chunk)
     assert not np.array_equal(first, other_master)
-
-
-def test_stream_label_encodes_derived_seed():
-    assert stream_label(42, 0) == "pcg64:bdd732262feb6e95"
