@@ -43,11 +43,6 @@ def _haar_unitaries(ginibre: np.ndarray) -> np.ndarray:
     return q * phases[:, None, :]
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar-distributed unitary via QR of a complex Gaussian with phase fix."""
-    return _haar_unitaries(_ginibre(dim, rng)[None])[0]
-
-
 def random_density(dim: int, rng: np.random.Generator) -> DensityOperator:
     """Random full-rank state from the Ginibre ensemble."""
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
@@ -64,9 +59,9 @@ def _ginibres(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_rank_ones(n: int, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack ``(n, d, d)`` of Haar-random rank-1 projectors, drawn as n
-    successive ``haar_unitary`` draws would be: each is the outer product
-    of its unitary's first column, formed elementwise."""
+    """Stack ``(n, d, d)`` of Haar-random rank-1 projectors from n successive
+    ``_ginibre`` draws: each is the outer product of the first column of
+    its draw's Haar unitary, formed elementwise."""
     columns = _haar_unitaries(_ginibres(n, dim, rng))[:, :, 0]
     return columns[:, :, None] * columns.conj()[:, None, :]
 
@@ -283,8 +278,8 @@ def fit_trace_form(stack: np.ndarray, values, dim: int) -> TraceFormFit:
 def _embedding_pieces(p: np.ndarray, rank: int, n: int, seed) -> np.ndarray:
     """Stack ``(n, k, d, d)`` of rank-1 pieces, one context's worth per
     embedding of the projector ``p`` of the given rank: Haar-random splits
-    of its complement, of dimension k >= 2, drawn as n successive
-    ``haar_unitary`` draws would be."""
+    of its complement, of dimension k >= 2, from n successive ``_ginibre``
+    draws as :func:`random_rank_ones` makes them."""
     complement_dim = len(p) - rank
     if complement_dim < 2:
         raise ValueError(

@@ -24,31 +24,29 @@ Simulated spacelike separation is bookkeeping only: setting draws never
 feed the model's hidden state (the superdeterministic kind conditions on
 them by design, which is its point).
 
-On disk a trial is one event log line: ``EVENT_FIELDS`` names its four
-numbers, the trial's context and outcome, and one line template fixes the
-line, so a line depends on its cell alone; trial t is the t-th line after
-the header and in chunk t // chunk_size. The encoder is a ``take`` of the
-per-cell lines, padded to one width, and one mask compress that drops the
-padding. The writer encodes the column in fixed slices of
-``_ENCODE_ROWS`` trials on the calling thread and writes them in trial
-order. The reader takes the log in blocks of whole lines and fills an
-``(n_trials, 4)`` int32 array, 16 bytes per trial, sized by the header's
-``n_trials``; a log with another number of trial lines is refused. It
-reads a block's numbers at the writer's offsets, encodes them again and
-takes them if that gives the block's bytes. Any other block (a setting
-of 10 or more, any edit) meets the template's pattern, which names the
-first bad line, and its numbers are parsed as one comma-separated
-stream. One linear cell index orders the cells, the counts and the
-writer's per-cell lines; every artifact is written through
-:func:`atomic_write`.
+On disk a run is an event log (format 3): a JSON header line, then one
+JSON line per trial. ``EVENT_FIELDS`` names a line's four numbers, the
+trial's context and outcome. A setting is right-aligned with spaces to the
+digit width of its side's largest index and an outcome takes two columns
+(``"a": 1`` or ``"a":-1``), so a line depends on its cell alone and all
+trial lines of a log have one width W: 40 bytes on any grid below 10x10.
+The header holds the grid (``n_alice``, ``n_bob``) that fixes W, so trial
+t starts at byte len(header line) + t * W and is in chunk t // chunk_size.
+The writer encodes the column in fixed slices of ``_ENCODE_ROWS`` trials
+on the calling thread, each a ``take`` of the per-cell lines, and writes
+them in trial order. The reader views blocks of whole lines as matrices of
+W-byte rows, decodes each row's cell from fixed columns and takes the
+block iff the cells' lines give its bytes; the first row that differs is
+the first bad line. It fills an ``(n_trials, 4)`` int32 array, 16 bytes per
+trial, and refuses a log with another number of trial lines. One linear
+cell index orders the cells, the counts and the per-cell lines; every
+artifact is written through :func:`atomic_write`.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 import json
 import os
-import re
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -63,38 +61,39 @@ from .kolmogorov import SettingsSpec
 from .models import OutcomeModel, marginals, model_description_hash, strict_json_loads
 from .rng import chunk_generator
 
-EVENT_LOG_SCHEMA_VERSION = 2
+EVENT_LOG_SCHEMA_VERSION = 3
 
 # A trial's columns, in log-line order and in read_event_log's column order.
 EVENT_FIELDS = ("x_index", "y_index", "a", "b")
 
-# One log line; the writer fills it and the reader matches the pattern below.
-_EVENT_LINE = "{" + ",".join(f'"{name}":%d' for name in EVENT_FIELDS) + "}\n"
+# One log line. A setting is right-aligned with spaces to the digit width of
+# its grid's largest index (the %*d width) and an outcome takes two columns,
+# " 1" or "-1", so all lines of one grid's log have one width.
+_EVENT_LINE = "{" + ",".join(f'"{name}":%{2 if name in ("a", "b") else "*"}d'
+                             for name in EVENT_FIELDS) + "}\n"
 
-# The template's literal text with each %d replaced by its field's values:
-# outcomes are +/-1, settings non-negative integers as %d writes them, of at
-# most 9 digits, so below 2^31 and exact in int32.
-# A block of such lines matches _EVENT_LINES up to its first bad line.
-_EVENT_LINE_TEXT = [re.escape(part) for part in _EVENT_LINE.encode().split(b"%d")]
-_EVENT_LINES = re.compile(b"(?:" + _EVENT_LINE_TEXT[0] + b"".join(
-    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]{0,8})") + text
-    for name, text in zip(EVENT_FIELDS, _EVENT_LINE_TEXT[1:])) + b")*")
-
-# No trial line is shorter than the template with one-digit numbers.
-_SHORTEST_LINE = len(_EVENT_LINE % ((0,) * len(EVENT_FIELDS)))
-
-# Maps a matched block's line ends to commas and drops all but its numbers.
-_NUMBER_STREAM = bytes.maketrans(b"\n", b","), bytes(set(range(256)) - set(b"-0123456789,\n"))
+# The header's fields after schema_version, in the writer's order, each with
+# its type, its least value and what the reader's error says it must be.
+_HEADER_FIELDS = (
+    ("master_seed", int, 0, "a non-negative int"),
+    ("model_hash", str, None, "a str"),
+    ("n_trials", int, 0, "a count"),
+    ("chunk_size", int, 1, "a positive int"),
+    ("n_alice", int, 1, "a positive int"),
+    ("n_bob", int, 1, "a positive int"),
+)
 
 # Trials per encoded slice and per counted block, the least a draw task
-# holds in whole chunks, and bytes per block read before its last line is
-# completed: memory does not grow with the log.
-# A block that meets the pattern keeps a backtracking stack of about eight
-# times its size; the writer's blocks skip the pattern. At 64 KiB each of a
-# block's arrays stays below glibc's 128 KiB mmap threshold, so the heap
-# reuses them instead of mapping fresh pages for every block.
+# holds in whole chunks, and the most bytes of whole lines the reader takes
+# at once: memory does not grow with the log. At 64 KiB each of a block's
+# arrays stays below glibc's 128 KiB mmap threshold, so the heap reuses
+# them instead of mapping fresh pages for every block.
 _ENCODE_ROWS = _COUNT_ROWS = 8192
 _READ_BYTES = 1 << 16
+
+# The reader builds a grid's cell lines only if there are at most this many
+# or no more than the log has lines of that grid's width.
+_TABLE_CELLS = 1 << 16
 
 # |z| above which a no-signalling row is flagged.
 Z_THRESHOLD = 5.0
@@ -244,22 +243,49 @@ def _sample_cells(
     return np.bincount(out, minlength=cell_cums.size)
 
 
+def _grid_cells(n_alice: int, n_bob: int) -> list[tuple[int, int, int, int]]:
+    """Every cell (x, y, a, b) of the settings grid, in :func:`_cell_index` order."""
+    return list(itertools.product(range(n_alice), range(n_bob), (1, -1), (1, -1)))
+
+
+def _field_widths(n_alice: int, n_bob: int) -> tuple[int, int, int, int]:
+    """The columns each of ``EVENT_FIELDS`` takes in a line of the grid's log."""
+    return len(str(n_alice - 1)), len(str(n_bob - 1)), 2, 2
+
+
 def _cell_lines(n_alice: int, n_bob: int) -> np.ndarray:
     """The log line of each cell, as an (n_cells, width) byte matrix, one
-    row per cell in :func:`_cell_index` order, each line left-aligned and
-    padded with spaces to the longest; no log line holds a space."""
-    texts = [(_EVENT_LINE % cell).encode() for cell in itertools.product(
-        range(n_alice), range(n_bob), (1, -1), (1, -1))]
-    width = max(map(len, texts))
-    lines = np.frombuffer(b"".join(text.ljust(width) for text in texts), dtype=np.uint8)
-    return lines.reshape(len(texts), width)
+    row per cell in :func:`_cell_index` order; the lines have one width."""
+    wx, wy, _, _ = _field_widths(n_alice, n_bob)
+    text = "".join(_EVENT_LINE % (wx, x, wy, y, a, b)
+                   for x, y, a, b in _grid_cells(n_alice, n_bob))
+    return np.frombuffer(text.encode(), dtype=np.uint8).reshape(4 * n_alice * n_bob, -1)
+
+
+def _cell_decoder(n_alice: int, n_bob: int) -> list[tuple[int, np.ndarray]]:
+    """(column, table) pairs that read the cell index of a line of the grid's
+    log as the sum of ``table[line[column]]``: a setting's digits times their
+    place, an outcome's sign column 1 for a minus, each times the field's
+    stride in :func:`_cell_index`. Spaces and other bytes read as 0, so any
+    line gives some number and a writer's line gives its cell."""
+    byte = np.arange(256)
+    digit = np.where((byte >= ord("0")) & (byte <= ord("9")), byte - ord("0"), 0)
+    decoder, end = [], 0
+    for name, width, stride in zip(EVENT_FIELDS, _field_widths(n_alice, n_bob),
+                                   (4 * n_bob, 4, 2, 1)):
+        # Each field follows "{" or ",", its quoted name and ":".
+        end += len(name) + 4 + width
+        if name in ("a", "b"):
+            decoder.append((end - width, (byte == ord("-")) * stride))
+        else:
+            decoder += [(end - k - 1, digit * stride * 10 ** k) for k in range(width)]
+    return decoder
 
 
 def _encode(cells: np.ndarray, lines: np.ndarray) -> np.ndarray:
-    """The log lines of trials with the given cells, as one byte array: the
-    cells' rows of :func:`_cell_lines` without their padding."""
-    m = lines.take(cells, axis=0)
-    return m[m != ord(" ")]
+    """The log lines of trials with the given cells: their rows of
+    :func:`_cell_lines`, as one byte matrix."""
+    return lines.take(cells, axis=0)
 
 
 @dataclass(frozen=True)
@@ -292,6 +318,8 @@ class ExperimentResult:
             "model_hash": self.model_hash,
             "n_trials": self.n_trials,
             "chunk_size": self.chunk_size,
+            "n_alice": self.settings.n_alice,
+            "n_bob": self.settings.n_bob,
         })
         lines = _cell_lines(self.settings.n_alice, self.settings.n_bob)
         atomic_write(path, itertools.chain([(header + "\n").encode()], (
@@ -299,53 +327,19 @@ class ExperimentResult:
             for start in range(0, self.n_trials, _ENCODE_ROWS))))
 
 
-@functools.cache
-def _reader_lines() -> tuple[np.ndarray, list[int]]:
-    """The writer's lines of a 10x10 settings grid, read-only, and the
-    offsets of x, y, a and b in a line with a = +1."""
-    lines = _cell_lines(10, 10)
-    lines.setflags(write=False)
-    ends = itertools.accumulate(len(text) + 1 for text in _EVENT_LINE.split("%d")[:-1])
-    return lines, [end - 1 for end in ends]
-
-
-def _read_writer_block(block: bytes | memoryview, out: np.ndarray) -> int:
-    """Write the trials of a block of whole lines into the first rows of
-    ``out`` and return their number if the block is byte for byte what
-    :func:`_encode` writes for settings below 10 and ``out`` has room for
-    them; else return 0 and leave ``out`` alone. Raises nothing on any
-    block. Each line's numbers are read at the writer's offsets, and the
-    block is the writer's iff encoding them again gives its bytes."""
-    buf = np.frombuffer(block, dtype=np.uint8)
-    ends = np.flatnonzero(buf == ord("\n"))
-    if not 0 < len(ends) <= len(out):
-        return 0
-    lines, (x_at, y_at, a_at, b_at) = _reader_lines()
-    starts = np.concatenate(([0], ends[:-1] + 1))
-    # Any byte but a digit reads as 9 and any but a minus as +1; the bytes
-    # encoded again then differ from the block's.
-    x, y = (np.minimum(buf.take(starts + at, mode="clip") - ord("0"), 9) for at in (x_at, y_at))
-    a = buf.take(starts + a_at, mode="clip") == ord("-")
-    b = buf.take(starts + b_at + a, mode="clip") == ord("-")
-    if not np.array_equal(_encode(((x.astype(np.intp) * 10 + y) * 2 + a) * 2 + b, lines), buf):
-        return 0
-    for column, values in zip(out[:len(ends)].T, (x, y, 1 - 2 * a, 1 - 2 * b)):
-        column[:] = values
-    return len(ends)
-
-
 def read_event_log(path) -> tuple[dict, np.ndarray]:
     """Parse an event log into its header and a read-only int32 array.
 
     The array has one row per trial and its columns in ``EVENT_FIELDS``
     order. A header with a repeated key, a schema_version other than the
-    int ``EVENT_LOG_SCHEMA_VERSION``, or an n_trials that is not a count
-    or that the rest of the file is too short to hold, a line that is not
-    exactly what the writer writes (outcomes +/-1 included), or a number of
-    trial lines other than n_trials raises ValueError naming the line or
-    both counts. A block equal to the writer's encoding of the numbers
-    decoded from it is taken as it is; any other block meets
-    ``_EVENT_LINES``, so both kinds give the same records and errors.
+    int ``EVENT_LOG_SCHEMA_VERSION`` or a field of ``_HEADER_FIELDS`` that
+    is missing or not what it must be, a line that is not exactly what the
+    writer writes for the header's grid, or a number of trial lines other
+    than n_trials raises ValueError naming the field, the first bad line or
+    both counts. The lines are read in blocks of whole lines, each viewed as
+    a matrix of one row per line; a block is taken iff it equals the cell
+    lines of the cells decoded from its fixed columns. The records are
+    allocated for no more trials than the file has lines.
     """
     with open(path, "rb") as fh:
         try:
@@ -356,34 +350,43 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
         if type(version) is not int or version != EVENT_LOG_SCHEMA_VERSION:
             raise ValueError(f"{path}: event log schema_version {version!r} is not "
                              f"{EVENT_LOG_SCHEMA_VERSION}")
-        n_trials = header.get("n_trials")
-        if type(n_trials) is not int or n_trials < 0:
-            raise ValueError(f"{path}: event log n_trials {n_trials!r} is not a count")
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if n_trials * _SHORTEST_LINE > left:
-            raise ValueError(f"{path}: event log n_trials {n_trials} needs at least "
-                             f"{n_trials * _SHORTEST_LINE} bytes of lines, not {left}")
-        records = np.empty((n_trials, len(EVENT_FIELDS)), dtype=np.int32)
-        row = 0
-        # Blocks of whole lines: _READ_BYTES bytes and the rest of their last line.
-        for block in iter(lambda: fh.read(_READ_BYTES) + fh.readline(), b""):
-            count = _read_writer_block(block, records[row:])
-            if not count:
-                valid = _EVENT_LINES.match(block).end()
-                if valid < len(block):
-                    bad = block.count(b"\n", 0, valid)
-                    line, newline, _ = block[valid:].partition(b"\n")
-                    raise ValueError(f"{path}: line {row + bad + 2} is not an event "
-                                     f"record: {(line + newline)[:200]!r}")
-                numbers = np.fromstring(block.translate(*_NUMBER_STREAM)[:-1],
-                                        dtype=np.int64, sep=",").reshape(-1, len(EVENT_FIELDS))
-                count = len(numbers)
-                # Past n_trials the lines are only counted.
-                kept = records[row:row + count]
-                kept[:] = numbers[:len(kept)]
-            row += count
-    if row != n_trials:
-        raise ValueError(f"{path}: event log has {row} trial lines, but its header's "
+        for name, kind, least, what in _HEADER_FIELDS:
+            value = header.get(name)
+            if type(value) is not kind or least is not None and value < least:
+                raise ValueError(f"{path}: event log {name} {value!r} is not {what}")
+        n_trials, n_alice, n_bob = header["n_trials"], header["n_alice"], header["n_bob"]
+        start = fh.tell()
+        left = os.fstat(fh.fileno()).st_size - start
+        wx, wy, _, _ = _field_widths(n_alice, n_bob)
+        width = len(_EVENT_LINE % (wx, 0, wy, 0, 1, 1))
+        rows, n_cells = left // width, 4 * n_alice * n_bob
+        if n_cells > max(rows, _TABLE_CELLS):
+            raise ValueError(f"{path}: event log grid {n_alice}x{n_bob} has {n_cells} cells, "
+                             f"more than {_TABLE_CELLS} or its {rows} lines of {width} bytes")
+        lines, decoder = _cell_lines(n_alice, n_bob), _cell_decoder(n_alice, n_bob)
+        cell_records = np.array(_grid_cells(n_alice, n_bob), dtype=np.int32)
+        records = np.empty((min(n_trials, rows), len(EVENT_FIELDS)), dtype=np.int32)
+        step = max(1, _READ_BYTES // width)
+        # A part line after the whole ones is the first bad line if they are good.
+        bad = rows if left % width else None
+        for first in range(0, rows, step):
+            block = fh.read(min(step, rows - first) * width)
+            matrix = np.frombuffer(block, dtype=np.uint8).reshape(-1, width)
+            cells = sum(table.take(matrix[:, column]) for column, table in decoder)
+            expected = lines.take(cells, axis=0, mode="clip")
+            if expected.tobytes() != block:
+                bad = first + int(np.argmax((expected != matrix).any(axis=1)))
+                break
+            # Past n_trials the lines are only checked and counted. The cells
+            # are on the grid here; "clip" spares take a buffered copy.
+            kept = records[first:first + len(matrix)]
+            cell_records.take(cells[:len(kept)], axis=0, out=kept, mode="clip")
+        if bad is not None:
+            fh.seek(start + bad * width)
+            raise ValueError(f"{path}: line {bad + 2} is not an event record: "
+                             f"{fh.readline(200)!r}")
+    if rows != n_trials:
+        raise ValueError(f"{path}: event log has {rows} trial lines, but its header's "
                          f"n_trials is {n_trials}")
     records.setflags(write=False)
     return header, records

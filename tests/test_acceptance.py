@@ -22,7 +22,6 @@ from bellctx.gleason import (
     dim2_counterexample,
     fit_trace_form,
     _context_stack,
-    haar_unitary,
     random_density,
     random_rank_ones,
     random_rank_profile,
@@ -45,6 +44,8 @@ from bellctx.models import (
 )
 from bellctx.quantum import born_probabilities, context_distribution, photon_pair_state, \
     polarization_observable, projector_ranks
+
+from haar import haar_unitary
 
 RT2 = math.sqrt(2.0)
 CONFIGS = Path(__file__).parent.parent / "src" / "bellctx" / "configs"

@@ -13,7 +13,6 @@ from bellctx.gleason import (
     dim2_counterexample,
     extravalence_check,
     fit_trace_form,
-    haar_unitary,
     random_density,
     random_rank_ones,
     random_rank_profile,
@@ -21,6 +20,8 @@ from bellctx.gleason import (
 from bellctx.quantum import (DensityOperator, born_probabilities, check_contexts,
                              context_distribution, maximally_mixed, operator_to_json,
                              projector_ranks)
+
+from haar import haar_unitary
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
 

@@ -1,10 +1,10 @@
 """Tests for the chunked Monte Carlo harness and its estimators."""
 
+import io
 import itertools
 import json
 import math
 import os
-import re
 import stat
 import sys
 import threading
@@ -37,6 +37,7 @@ from bellctx.models import (
     QuantumModel,
     SignallingModel,
     enumerate_deterministic_strategies,
+    strict_json_loads,
     superdeterministic_s4_example,
 )
 from bellctx.quantum import photon_pair_state
@@ -321,35 +322,59 @@ def log_bytes(result, path: Path) -> bytes:
     return path.read_bytes()
 
 
-def reference_lines(cells, n_bob: int) -> bytes:
-    """The log lines of trials with the given cells, one json.dumps each:
-    the oracle for the encoder."""
+def reference_line(x: int, y: int, a: int, b: int, n_alice: int, n_bob: int) -> str:
+    """One trial's log line in an n_alice x n_bob grid's log, written field
+    by field: each setting right-aligned to the digits of its side's largest
+    index, each outcome to two columns. The oracle for the writer's lines."""
+    wx, wy = len(str(n_alice - 1)), len(str(n_bob - 1))
+    return f'{{"x_index":{x:>{wx}},"y_index":{y:>{wy}},"a":{a:>2},"b":{b:>2}}}\n'
+
+
+def reference_lines(cells, n_alice: int, n_bob: int) -> bytes:
+    """The log lines of trials with the given cells: the oracle for the encoder."""
     rows = zip(*(column.tolist() for column in cell_columns(cells, n_bob)))
-    return "".join(json.dumps(dict(zip(EVENT_FIELDS, values)), separators=(",", ":")) + "\n"
-                   for values in rows).encode()
+    return "".join(reference_line(*values, n_alice, n_bob) for values in rows).encode()
 
 
 def reference_log(result) -> bytes:
-    """The event log with one json.dumps per trial: the oracle for the writer."""
+    """The event log with one reference_line per trial: the oracle for the writer."""
+    spec = result.settings
     header = {"schema_version": EVENT_LOG_SCHEMA_VERSION, "master_seed": result.master_seed,
               "model_hash": result.model_hash, "n_trials": result.n_trials,
-              "chunk_size": result.chunk_size}
-    return (json.dumps(header) + "\n").encode() + reference_lines(result.cells,
-                                                                  result.settings.n_bob)
+              "chunk_size": result.chunk_size, "n_alice": spec.n_alice, "n_bob": spec.n_bob}
+    return (json.dumps(header) + "\n").encode() + reference_lines(result.cells, spec.n_alice,
+                                                                  spec.n_bob)
 
 
-def header_line(n_trials: int) -> str:
+def header_line(n_trials: int, n_alice: int = 2, n_bob: int = 2) -> str:
     """A valid header for n_trials trial lines, edited by the malformed-log cases below."""
-    return ('{"schema_version": 2, "master_seed": 0, "model_hash": "h", '
-            f'"n_trials": {n_trials}, "chunk_size": 65536}}\n')
+    return ('{"schema_version": 3, "master_seed": 0, "model_hash": "h", '
+            f'"n_trials": {n_trials}, "chunk_size": 65536, "n_alice": {n_alice}, '
+            f'"n_bob": {n_bob}}}\n')
 
 
 # A valid one-trial log, edited by the malformed-log cases below.
 HEADER = header_line(1)
-RECORD = '{"x_index":1,"y_index":0,"a":-1,"b":1}\n'
-# A format-1 log of one trial.
+RECORD = '{"x_index":1,"y_index":0,"a":-1,"b": 1}\n'
+# That trial in a format-1 log and in a format-2 log.
 FORMAT_1_LOG = ('{"schema_version": 1, "master_seed": 0, "model_hash": "h"}\n'
                 '{"trial_id":0,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n')
+FORMAT_2_LOG = ('{"schema_version": 2, "master_seed": 0, "model_hash": "h", "n_trials": 1, '
+                '"chunk_size": 65536}\n{"x_index":1,"y_index":0,"a":-1,"b":1}\n')
+
+
+def read_allocations(path) -> tuple[int, object]:
+    """The peak bytes tracemalloc sees while reading the log, and what the
+    read returned or raised."""
+    tracemalloc.start()
+    try:
+        try:
+            outcome = read_event_log(path)
+        except ValueError as error:
+            outcome = error
+        return tracemalloc.get_traced_memory()[1], outcome
+    finally:
+        tracemalloc.stop()
 
 
 class TestEventLog:
@@ -360,9 +385,9 @@ class TestEventLog:
         path = tmp_path / "events.jsonl"
         result.write_event_log(path)
         header, records = read_event_log(path)
-        assert header == {"schema_version": 2, "master_seed": 12,
+        assert header == {"schema_version": 3, "master_seed": 12,
                           "model_hash": result.model_hash, "n_trials": 1234,
-                          "chunk_size": 500}
+                          "chunk_size": 500, "n_alice": 2, "n_bob": 2}
         assert records.shape == (1234, 4) and records.dtype == np.int32
         assert not records.flags.writeable
         assert CountsTable.from_records(records, 2, 2) == result.counts
@@ -380,16 +405,36 @@ class TestEventLog:
         by_cell = dict(zip(result.cells.tolist(), lines))
         assert len(by_cell) == 16
         assert lines == [by_cell[cell] for cell in result.cells.tolist()]
-        assert by_cell[0b0101] == b'{"x_index":0,"y_index":1,"a":1,"b":-1}\n'
+        assert by_cell[0b0101] == b'{"x_index":0,"y_index":1,"a": 1,"b":-1}\n'
+
+    @pytest.mark.parametrize("n_alice, n_bob, width", [(2, 2, 40), (12, 3, 41)])
+    def test_trial_t_starts_at_the_header_plus_t_line_widths(self, tmp_path, n_alice, n_bob,
+                                                             width):
+        """Every trial line has one width W, trial t's line starts at byte
+        len(header) + t * W and is its cell's line, and the file is the
+        header and n_trials lines of W bytes."""
+        model, spec = grid_model(n_alice, n_bob)
+        result = run_experiment(model, 3000, spec, master_seed=32, chunk_size=700)
+        assert result.counts.counts[n_alice - 1].sum() > 0
+        data = log_bytes(result, tmp_path / "events.jsonl")
+        header = data[:data.index(b"\n") + 1]
+        lines = harness._cell_lines(n_alice, n_bob)
+        assert lines.shape == (4 * n_alice * n_bob, width)
+        assert {len(line) for line in data.splitlines(keepends=True)[1:]} == {width}
+        assert len(data) == len(header) + result.n_trials * width
+        for t, cell in enumerate(result.cells.tolist()):
+            start = len(header) + t * width
+            assert data[start:start + width] == lines[cell].tobytes()
 
     def test_valid_hand_written_log_parses(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        # The longest number a setting may hold has 9 digits.
-        path.write_text(header_line(3) + RECORD + RECORD.replace('"x_index":1', '"x_index":0')
-                        + RECORD.replace('"x_index":1', '"x_index":999999999'))
+        # A 12-setting side right-aligns its settings to two columns.
+        path.write_text(header_line(3, 12, 1) + '{"x_index": 1,"y_index":0,"a":-1,"b": 1}\n'
+                        '{"x_index": 0,"y_index":0,"a":-1,"b": 1}\n'
+                        '{"x_index":11,"y_index":0,"a":-1,"b": 1}\n')
         _, records = read_event_log(path)
         assert records.dtype == np.int32
-        assert records.tolist() == [[1, 0, -1, 1], [0, 0, -1, 1], [999_999_999, 0, -1, 1]]
+        assert records.tolist() == [[1, 0, -1, 1], [0, 0, -1, 1], [11, 0, -1, 1]]
 
     def test_an_empty_run_reads_as_no_records(self, tmp_path):
         path = tmp_path / "events.jsonl"
@@ -398,8 +443,10 @@ class TestEventLog:
         assert header["n_trials"] == 0 and records.shape == (0, 4)
 
     @pytest.mark.parametrize("text, message", [
-        (HEADER + RECORD.replace('"a":-1', '"a":2'), "line 2 is not an event record"),
-        (HEADER + RECORD.replace('"b":1', '"b":0'), "line 2 is not an event record"),
+        (HEADER + RECORD.replace('"a":-1', '"a": 2'), "line 2 is not an event record"),
+        (HEADER + RECORD.replace('"b": 1', '"b": 0'), "line 2 is not an event record"),
+        (HEADER + RECORD.replace('"b": 1', '"b":+1'), "line 2 is not an event record"),
+        (HEADER + RECORD.replace('"b": 1', '"b":1 '), "line 2 is not an event record"),
         (header_line(2) + RECORD + RECORD.replace(",", ", "), "line 3 is not an event record"),
         (header_line(2) + RECORD + RECORD.replace('"b"', '"B"'), "line 3 is not"),
         (HEADER + RECORD + "\n", "line 3 is not an event record"),
@@ -407,17 +454,31 @@ class TestEventLog:
         (HEADER + RECORD.replace('"x_index":1', '"x_index":-5'), "line 2 is not"),
         (HEADER + RECORD.replace('"x_index":1', '"x_index":1000000000'),
          "line 2 is not an event record"),
-        (HEADER.replace('"schema_version": 2', '"schema_version": 1') + RECORD,
-         "schema_version 1 is not 2"),
+        (HEADER + RECORD.replace('"x_index":1', '"x_index":2'), "line 2 is not an event record"),
+        (HEADER.replace('"n_alice": 2', '"n_alice": 12') + RECORD,
+         "line 2 is not an event record"),
+        (HEADER.replace('"schema_version": 3', '"schema_version": 2') + RECORD,
+         "schema_version 2 is not 3"),
         (HEADER.replace('"master_seed": 0', '"master_seed": 5, "master_seed": 7') + RECORD,
          "line 1 is not an event log header"),
-        (HEADER.replace('"schema_version": 2', '"schema_version": 2.0') + RECORD,
-         "schema_version 2.0 is not 2"),
-        (HEADER.replace('"schema_version": 2', '"schema_version": true') + RECORD,
-         "schema_version True is not 2"),
+        (HEADER.replace('"schema_version": 3', '"schema_version": 3.0') + RECORD,
+         "schema_version 3.0 is not 3"),
+        (HEADER.replace('"schema_version": 3', '"schema_version": true') + RECORD,
+         "schema_version True is not 3"),
         ("[1]\n" + RECORD, "line 1 is not an event log header"),
         ("not json\n", "line 1 is not an event log header"),
         ("", "line 1 is not an event log header"),
+        (HEADER.replace('"master_seed": 0, ', "") + RECORD,
+         "master_seed None is not a non-negative int"),
+        (HEADER.replace('"master_seed": 0', '"master_seed": -1') + RECORD,
+         "master_seed -1 is not a non-negative int"),
+        (HEADER.replace('"master_seed": 0', '"master_seed": 0.0') + RECORD,
+         "master_seed 0.0 is not a non-negative int"),
+        (HEADER.replace('"master_seed": 0', '"master_seed": false') + RECORD,
+         "master_seed False is not a non-negative int"),
+        (HEADER.replace('"model_hash": "h", ', "") + RECORD, "model_hash None is not a str"),
+        (HEADER.replace('"model_hash": "h"', '"model_hash": 5') + RECORD,
+         "model_hash 5 is not a str"),
         (HEADER.replace('"n_trials": 1, ', "") + RECORD, "n_trials None is not a count"),
         (HEADER.replace('"n_trials": 1', '"n_trials": -1') + RECORD,
          "n_trials -1 is not a count"),
@@ -425,24 +486,49 @@ class TestEventLog:
          "n_trials 1.0 is not a count"),
         (HEADER.replace('"n_trials": 1', '"n_trials": true') + RECORD,
          "n_trials True is not a count"),
+        (HEADER.replace('"chunk_size": 65536, ', "") + RECORD,
+         "chunk_size None is not a positive int"),
+        (HEADER.replace('"chunk_size": 65536', '"chunk_size": 0') + RECORD,
+         "chunk_size 0 is not a positive int"),
+        (HEADER.replace('"chunk_size": 65536', '"chunk_size": 65536.0') + RECORD,
+         "chunk_size 65536.0 is not a positive int"),
+        (HEADER.replace('"chunk_size": 65536', '"chunk_size": true') + RECORD,
+         "chunk_size True is not a positive int"),
+        (HEADER.replace('"n_alice": 2, ', "") + RECORD, "n_alice None is not a positive int"),
+        (HEADER.replace('"n_alice": 2', '"n_alice": 0') + RECORD,
+         "n_alice 0 is not a positive int"),
+        (HEADER.replace('"n_bob": 2', '"n_bob": -2') + RECORD, "n_bob -2 is not a positive int"),
+        (HEADER.replace('"n_bob": 2', '"n_bob": "2"') + RECORD,
+         "n_bob '2' is not a positive int"),
+        (HEADER.replace('"n_bob": 2', '"n_bob": true') + RECORD,
+         "n_bob True is not a positive int"),
+        (HEADER.replace('"n_alice": 2', '"n_alice": 100000') + RECORD,
+         "grid 100000x2 has 800000 cells, more than 65536 or its 0 lines of 44 bytes"),
         (HEADER + RECORD + RECORD, "has 2 trial lines, but its header's n_trials is 1"),
-    ], ids=["outcome-a-2", "outcome-b-0", "spaced", "renamed-field", "blank-line", "truncated",
-            "negative-setting", "setting-10-digits", "schema-1", "header-repeated-key",
-            "schema-2.0", "schema-true", "header-list", "header-not-json", "empty",
+    ], ids=["outcome-a-2", "outcome-b-0", "outcome-plus-sign", "outcome-left-aligned",
+            "spaced", "renamed-field", "blank-line", "truncated", "negative-setting",
+            "setting-10-digits", "setting-off-the-grid", "lines-of-a-narrower-grid",
+            "schema-2", "header-repeated-key", "schema-3.0", "schema-true", "header-list",
+            "header-not-json", "empty", "master-seed-missing", "master-seed-negative",
+            "master-seed-float", "master-seed-false", "model-hash-missing", "model-hash-int",
             "n-trials-missing", "n-trials-negative", "n-trials-float", "n-trials-true",
-            "extra-line"])
+            "chunk-size-missing", "chunk-size-0", "chunk-size-float", "chunk-size-true",
+            "n-alice-missing", "n-alice-0", "n-bob-negative", "n-bob-str", "n-bob-true",
+            "grid-too-large", "extra-line"])
     def test_malformed_log_rejected(self, tmp_path, text, message):
         path = tmp_path / "events.jsonl"
         path.write_text(text)
         with pytest.raises(ValueError, match=message):
             read_event_log(path)
 
-    def test_a_format_1_log_is_refused(self, tmp_path):
+    @pytest.mark.parametrize("text, version", [(FORMAT_1_LOG, 1), (FORMAT_2_LOG, 2)],
+                             ids=["format-1", "format-2"])
+    def test_an_older_format_is_refused(self, tmp_path, text, version):
         path = tmp_path / "events.jsonl"
-        path.write_text(FORMAT_1_LOG)
+        path.write_text(text)
         with pytest.raises(ValueError) as error:
             read_event_log(path)
-        assert str(error.value) == f"{path}: event log schema_version 1 is not 2"
+        assert str(error.value) == f"{path}: event log schema_version {version} is not 3"
 
     def test_a_dropped_line_is_refused(self, tmp_path):
         result = run_experiment(quantum_pair_model(), 1200, optimal_settings(), master_seed=15)
@@ -481,17 +567,42 @@ class TestEventLog:
 
     @pytest.mark.parametrize("n_trials", [3, 10**12])
     def test_an_oversized_n_trials_is_refused_before_allocating(self, tmp_path, n_trials):
-        """Two lines of the shortest kind, 76 bytes, hold two trials and no
-        more; 10^12 int32 records would need 16 TB."""
-        line = '{"x_index":0,"y_index":0,"a":1,"b":1}\n'
+        """Two lines, 80 bytes, hold two trials and no more: the records are
+        allocated for no more trials than the file has lines, and 10^12 int32
+        records would need 16 TB."""
+        line = '{"x_index":0,"y_index":0,"a": 1,"b": 1}\n'
         path = tmp_path / "events.jsonl"
         path.write_text(header_line(n_trials) + 2 * line)
-        with pytest.raises(ValueError) as error:
-            read_event_log(path)
-        assert str(error.value) == (f"{path}: event log n_trials {n_trials} needs at least "
-                                    f"{38 * n_trials} bytes of lines, not 76")
+        peak, error = read_allocations(path)
+        assert str(error) == (f"{path}: event log has 2 trial lines, but its header's "
+                              f"n_trials is {n_trials}")
+        assert peak < 1 << 20
         path.write_text(header_line(2) + 2 * line)
         assert read_event_log(path)[1].tolist() == [[0, 0, 1, 1]] * 2
+
+    @pytest.mark.parametrize("lines, refused", [(23, True), (24, False)])
+    def test_a_grid_above_the_table_floor_needs_as_many_lines(self, tmp_path, monkeypatch,
+                                                              lines, refused):
+        """With a floor of 16 cells, a 3x2 grid's 24 cells need 24 lines."""
+        monkeypatch.setattr(harness, "_TABLE_CELLS", 16)
+        path = tmp_path / "events.jsonl"
+        path.write_text(header_line(lines, 3, 2) + lines * reference_line(2, 1, -1, 1, 3, 2))
+        if refused:
+            with pytest.raises(ValueError) as error:
+                read_event_log(path)
+            assert str(error.value) == (f"{path}: event log grid 3x2 has 24 cells, more "
+                                        f"than 16 or its 23 lines of 40 bytes")
+        else:
+            assert read_event_log(path)[1].tolist() == [[2, 1, -1, 1]] * 24
+
+    def test_an_oversized_grid_is_refused_before_allocating(self, tmp_path):
+        """A 10^9 x 10^9 grid's cell lines would need 2e20 bytes."""
+        path = tmp_path / "events.jsonl"
+        path.write_text(header_line(1, 10**9, 10**9) + RECORD)
+        peak, error = read_allocations(path)
+        assert str(error) == (f"{path}: event log grid {10**9}x{10**9} has {4 * 10**18} "
+                              f"cells, more than 65536 or its 0 lines of 56 bytes")
+        assert peak < 1 << 20
 
     @pytest.mark.parametrize("piece", [16, 64, 97, 1000])
     def test_small_pieces_read_the_same_records(self, tmp_path, monkeypatch, piece):
@@ -510,10 +621,10 @@ class TestEventLog:
     @pytest.mark.parametrize("case", ["bad-line", "truncated", "longer-than-a-piece"])
     def test_a_bad_line_at_a_piece_boundary_is_named(self, tmp_path, monkeypatch, case,
                                                       shift):
-        lines = [harness._EVENT_LINE % (i % 2, i // 2 % 2, 1 - 2 * (i % 3 == 0), -1)
+        lines = [reference_line(i % 2, i // 2 % 2, 1 - 2 * (i % 3 == 0), -1, 2, 2)
                  for i in range(8)]
         if case == "bad-line":
-            lines[5] = lines[5].replace('"b":-1', '"b":2')
+            lines[5] = lines[5].replace('"b":-1', '"b": 2')
         elif case == "truncated":
             lines[5:] = [lines[5].rstrip("\n")]
         else:
@@ -563,16 +674,15 @@ class TestEventLog:
         assert written == reference_log(result)
 
     def test_cell_lines_follow_the_cell_index(self):
-        """Each cell's line is the template's, at the cell's counts-table index,
-        and no line holds a space, the lines' padding byte."""
+        """Each cell's line is its reference line, at the cell's counts-table
+        index, and a grid's lines have one width."""
         n_alice, n_bob = 12, 11
         lines = harness._cell_lines(n_alice, n_bob)
+        assert lines.shape == (4 * n_alice * n_bob, 42)
         for x, y, a, b in itertools.product(range(n_alice), range(n_bob), (1, -1), (1, -1)):
             cell = harness._cell_index(*np.array([[x], [y], [a], [b]]), n_bob)[0]
             assert cell == np.ravel_multi_index((x, y, a < 0, b < 0), (n_alice, n_bob, 2, 2))
-            assert (lines[cell].tobytes().rstrip(b" ")
-                    == (harness._EVENT_LINE % (x, y, a, b)).encode())
-            assert b" " not in (harness._EVENT_LINE % (10**8, 10**8, a, b)).encode()
+            assert lines[cell].tobytes() == reference_line(x, y, a, b, n_alice, n_bob).encode()
 
     @pytest.mark.parametrize("n_alice,n_bob,n_trials", [
         (2, 2, 1),
@@ -587,7 +697,7 @@ class TestEventLog:
         rng = np.random.default_rng(n_trials)
         cells = rng.integers(0, n_alice * n_bob * 4, n_trials).astype(np.uint16)
         encoded = harness._encode(cells, harness._cell_lines(n_alice, n_bob)).tobytes()
-        assert encoded == reference_lines(cells, n_bob)
+        assert encoded == reference_lines(cells, n_alice, n_bob)
 
     def test_two_digit_setting_index_matches_reference_encoder(self, tmp_path):
         spec = SettingsSpec.uniform(np.linspace(0.0, np.pi, 12), (0.1, 0.7, 1.3))
@@ -602,12 +712,7 @@ class TestEventLog:
         path = tmp_path / "events.jsonl"
         result.write_event_log(path)
         del result
-        tracemalloc.start()
-        try:
-            _, records = read_event_log(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (_, records) = read_allocations(path)
         assert records.shape == (300_000, 4)
         assert peak < 1.5 * records.nbytes
 
@@ -619,40 +724,20 @@ class TestEventLog:
         path = tmp_path / "events.jsonl"
         result.write_event_log(path)
         del result
-        tracemalloc.start()
-        try:
-            _, records = read_event_log(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak, (_, records) = read_allocations(path)
         assert records.shape == (400_000, 4)
         assert peak <= 16 * 400_000 + 3_000_000
 
-    def test_a_writer_block_allocates_under_four_times_its_size(self, tmp_path, monkeypatch):
-        """Checking a block holds its padded re-encoding, that matrix's mask,
-        the encoded bytes and a few per-line columns, and no more."""
+    def test_a_block_allocates_under_four_times_its_size(self, tmp_path):
+        """Beside the records, reading holds a block, its cells' lines and
+        their bytes, and a few per-line columns, and no more."""
         cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
         result = run_experiment(cfg.model, 20_000, cfg.settings, cfg.master_seed)
         path = tmp_path / "events.jsonl"
         result.write_event_log(path)
-        read_block, blocks = harness._read_writer_block, []
-
-        def measured(block, *args):
-            tracemalloc.reset_peak()
-            before = tracemalloc.get_traced_memory()[0]
-            count = read_block(block, *args)
-            blocks.append((len(block), count, tracemalloc.get_traced_memory()[1] - before))
-            return count
-
-        monkeypatch.setattr(harness, "_read_writer_block", measured)
-        tracemalloc.start()
-        try:
-            read_event_log(path)
-        finally:
-            tracemalloc.stop()
-        size, count, transient = blocks[1]
-        assert size >= harness._READ_BYTES and count > 0
-        assert transient <= 4 * size
+        peak, (_, records) = read_allocations(path)
+        assert records.shape == (20_000, 4)
+        assert peak - records.nbytes <= 4 * harness._READ_BYTES
 
     @settings(max_examples=50, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -671,51 +756,46 @@ class TestEventLog:
                                         cfg.settings.n_bob) == result.counts
 
 
-# The reader as first written, kept as the oracle for read_event_log: the
-# line pattern over every block, its error text, then one number stream,
-# with the header's n_trials checked against the bytes left and the lines.
-_REFERENCE_TEXT = [re.escape(part) for part in harness._EVENT_LINE.encode().split(b"%d")]
-_REFERENCE_LINES = re.compile(b"(?:" + _REFERENCE_TEXT[0] + b"".join(
-    (rb"-?1" if name in ("a", "b") else rb"(?:0|[1-9][0-9]{0,8})") + text
-    for name, text in zip(EVENT_FIELDS, _REFERENCE_TEXT[1:])) + b")*")
-_REFERENCE_STREAM = (bytes.maketrans(b"\n", b","),
-                     bytes(set(range(256)) - set(b"-0123456789,\n")))
-_REFERENCE_SHORTEST = len(b'{"x_index":0,"y_index":0,"a":1,"b":1}\n')
-
-
 def reference_read(path) -> tuple[dict, np.ndarray]:
-    with open(path, "rb") as fh:
-        try:
-            header = json.loads(fh.readline())
-            version = header["schema_version"]
-        except (ValueError, TypeError, KeyError):
-            raise ValueError(f"{path}: line 1 is not an event log header") from None
-        if version != EVENT_LOG_SCHEMA_VERSION:
-            raise ValueError(f"{path}: event log schema_version {version!r} is not "
-                             f"{EVENT_LOG_SCHEMA_VERSION}")
-        n_trials = header.get("n_trials")
-        if type(n_trials) is not int or n_trials < 0:
-            raise ValueError(f"{path}: event log n_trials {n_trials!r} is not a count")
-        left = os.path.getsize(path) - fh.tell()
-        if n_trials * _REFERENCE_SHORTEST > left:
-            raise ValueError(f"{path}: event log n_trials {n_trials} needs at least "
-                             f"{n_trials * _REFERENCE_SHORTEST} bytes of lines, not {left}")
-        blocks, row = [], 0
-        for block in iter(lambda: fh.read(1 << 18) + fh.readline(), b""):
-            valid = _REFERENCE_LINES.match(block).end()
-            if valid < len(block):
-                bad = block.count(b"\n", 0, valid)
-                line, newline, _ = block[valid:].partition(b"\n")
-                raise ValueError(f"{path}: line {row + bad + 2} is not an event "
-                                 f"record: {(line + newline)[:200]!r}")
-            numbers = np.fromstring(block.translate(*_REFERENCE_STREAM)[:-1], dtype=np.int64,
-                                    sep=",").reshape(-1, len(EVENT_FIELDS))
-            blocks.append(numbers)
-            row += len(numbers)
-    if row != n_trials:
-        raise ValueError(f"{path}: event log has {row} trial lines, but its header's "
-                         f"n_trials is {n_trials}")
-    records = np.concatenate(blocks) if blocks else np.empty((0, len(EVENT_FIELDS)), np.int64)
+    """The oracle for read_event_log: the header checked field by field, then
+    the file split at its newlines and each line looked up among the
+    reference lines of the header's grid."""
+    header_text, _, body = Path(path).read_bytes().partition(b"\n")
+    try:
+        header = strict_json_loads(header_text)
+        version = header["schema_version"]
+    except (ValueError, TypeError, KeyError):
+        raise ValueError(f"{path}: line 1 is not an event log header") from None
+    if type(version) is not int or version != 3:
+        raise ValueError(f"{path}: event log schema_version {version!r} is not 3")
+
+    def need(name, ok, what):
+        if not ok(header.get(name)):
+            raise ValueError(f"{path}: event log {name} {header.get(name)!r} is not {what}")
+
+    need("master_seed", lambda v: type(v) is int and v >= 0, "a non-negative int")
+    need("model_hash", lambda v: isinstance(v, str), "a str")
+    need("n_trials", lambda v: type(v) is int and v >= 0, "a count")
+    for name in ("chunk_size", "n_alice", "n_bob"):
+        need(name, lambda v: type(v) is int and v > 0, "a positive int")
+    n_alice, n_bob = header["n_alice"], header["n_bob"]
+    width = len(reference_line(0, 0, 1, 1, n_alice, n_bob))
+    if 4 * n_alice * n_bob > max(len(body) // width, harness._TABLE_CELLS):
+        raise ValueError(f"{path}: event log grid {n_alice}x{n_bob} has {4 * n_alice * n_bob} "
+                         f"cells, more than {harness._TABLE_CELLS} or its "
+                         f"{len(body) // width} lines of {width} bytes")
+    cells = {reference_line(*cell, n_alice, n_bob).encode(): cell for cell in
+             itertools.product(range(n_alice), range(n_bob), (1, -1), (1, -1))}
+    *lines, last = body.split(b"\n")
+    records = []
+    for number, line in enumerate([line + b"\n" for line in lines] + [last] * bool(last), 2):
+        if line not in cells:
+            raise ValueError(f"{path}: line {number} is not an event record: {line[:200]!r}")
+        records.append(cells[line])
+    if len(records) != header["n_trials"]:
+        raise ValueError(f"{path}: event log has {len(records)} trial lines, but its "
+                         f"header's n_trials is {header['n_trials']}")
+    records = np.array(records, dtype=np.int64).reshape(-1, len(EVENT_FIELDS))
     records.setflags(write=False)
     return header, records
 
@@ -777,6 +857,11 @@ def grid_model(n_alice: int, n_bob: int) -> tuple[QuantumModel, SettingsSpec]:
     return QuantumModel(photon_pair_state(), spec.alice_angles, spec.bob_angles), spec
 
 
+def setting_line(x: bytes, y: bytes = b"0") -> bytes:
+    """A line with the given setting fields and outcomes -1, +1."""
+    return b'{"x_index":' + x + b',"y_index":' + y + b',"a":-1,"b": 1}\n'
+
+
 class TestReaderOracle:
     """read_event_log gives the records or the error text of reference_read,
     at every block size, on writer logs and on edits of them."""
@@ -802,45 +887,46 @@ class TestReaderOracle:
         _, records = assert_reads_as_reference(tmp_path / "events.jsonl", monkeypatch)
         assert records[:, 0].max() == n_alice - 1 and records[:, 1].max() == n_bob - 1
 
-    @pytest.mark.parametrize("lines", [
-        [(1, 0, -1, 1), b'{"x_index"\n'],
-        [(1, 0, -1, 1), b'{"x_index":\n', (0, 0, 1, 1)],
-        [b'{"x_index":07,"y_index":0,"a":-1,"b":1}\n'],
-        [b'{"x_index":007,"y_index":0,"a":-1,"b":1}\n', *[(0, 1, -1, -1)] * 12],
-        [(1, 0, -1, 1), b'{"x_index":1,"y_index":05,"a":-1,"b":1}\n'],
-        [(1, 1, 1, -1), (0, 10, -1, -1), (1, 5, 1, 1), (0, 100, 1, 1)],
-        [(1, 1, 1, -1), (0, 10**9, -1, -1)],
-        [(1, 1, 1, -1), (999_999_999, 1, -1, -1), (0, 1, -1, -1)],
-        [(1, 1, 1, -1), (10, 1, -1, -1), (0, 1, -1, -1)],
-        [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a":+1,"b":1}\n'],
-        [(1, 1, 1, -1), b'{"x_index":1,"y_index":1a,"a":-1,"b":1}\n'],
-        [(1, 1, 1, -1), b'{"x_index":1,"y_index":,"a":-1,"b":1}\n'],
-        [(1, 1, 1, -1), b"}\n", (0, 1, -1, -1)],
-        [(1, 1, 1, -1), b"\n"],
-        *([(1, 1, 1, -1), b'{"x_index":1,"y_index":' + field + b',"a":-1,"b":1}\n']
-          for field in (b":" * 9, b"\xff" * 9, b"/" + b"9" * 8)),
-        [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a": 1,"b":1}\n', (0, 1, -1, -1)],
-        [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a":-1,"b":1}{\n',
-         b'"x_index":0,"y_index":1,"a":-1,"b":-1}\n'],
-        [(10, 1, 1, -1), b'{"x_index":05,"y_index":0,"a":-1,"b":1}\n', (10, 0, -1, -1)],
-        [b'{"trial_id":0,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n'],
-    ], ids=["key-alone", "key-without-number", "setting-leading-zero",
-            "setting-leading-zeros-before-more-lines", "y-leading-zero",
-            "setting-widths-vary", "setting-10-digits", "setting-9-digits", "setting-10",
-            "outcome-plus-sign", "setting-not-digits", "setting-empty", "brace-alone",
-            "blank", "setting-9-colons", "setting-9-ff-bytes", "setting-slash-8-digits",
-            "outcome-minus-as-space", "a-byte-moved-across-a-newline",
-            "leading-zero-beside-two-digits", "format-1-line"])
-    def test_hand_written_lines(self, tmp_path, monkeypatch, lines):
+    @pytest.mark.parametrize("grid, lines", [
+        ((2, 2), [(1, 0, -1, 1), b'{"x_index"\n']),
+        ((2, 2), [(1, 0, -1, 1), b'{"x_index":\n', (0, 0, 1, 1)]),
+        ((12, 3), [setting_line(b"07")]),
+        ((12, 3), [setting_line(b"7 "), *[(0, 1, -1, -1)] * 12]),
+        ((12, 3), [(1, 0, -1, 1), setting_line(b" 1", b"05")]),
+        ((2, 2), [(1, 1, 1, -1), (0, 10, -1, -1), (1, 5, 1, 1), (0, 100, 1, 1)]),
+        ((2, 2), [(1, 1, 1, -1), (0, 10**9, -1, -1)]),
+        ((12, 3), [(1, 1, 1, -1), (11, 2, -1, -1), (10, 0, 1, 1)]),
+        ((12, 3), [(1, 1, 1, -1), setting_line(b"12"), (0, 1, -1, -1)]),
+        ((12, 3), [(1, 1, 1, -1), setting_line(b"1")]),
+        ((2, 2), [(1, 1, 1, -1), setting_line(b"2")]),
+        ((2, 2), [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a":+1,"b": 1}\n']),
+        ((2, 2), [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a":1 ,"b": 1}\n']),
+        ((2, 2), [(1, 1, 1, -1), setting_line(b"1", b"a")]),
+        ((2, 2), [(1, 1, 1, -1), setting_line(b"1", b" ")]),
+        ((2, 2), [(1, 1, 1, -1), b"}\n", (0, 1, -1, -1)]),
+        ((2, 2), [(1, 1, 1, -1), b"\n"]),
+        *(((2, 2), [(1, 1, 1, -1), setting_line(b"1", field)]) for field in (b":", b"\xff", b"/")),
+        ((2, 2), [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a":-1,"b": 1}\r']),
+        ((2, 2), [(1, 1, 1, -1), b'{"y_index":0,"x_index":1,"a":-1,"b": 1}\n']),
+        ((2, 2), [(1, 1, 1, -1), b'{"x_index":1,"y_index":0,"a":-1,"b": 1}{\n',
+                  b'"x_index":0,"y_index":1,"a":-1,"b":-1}\n']),
+        ((10, 10), [(9, 9, -1, -1), (0, 5, 1, 1), (5, 0, 1, -1)]),
+        ((2, 2), [b'{"x_index":1,"y_index":0,"a":-1,"b":1}\n']),
+        ((2, 2), [b'{"trial_id":0,"x_index":1,"y_index":0,"a":-1,"b":1,"chunk_id":0}\n']),
+    ], ids=["key-alone", "key-without-number", "setting-zero-padded",
+            "setting-left-aligned-before-more-lines", "y-zero-padded",
+            "setting-widths-vary", "setting-10-digits", "two-digit-settings",
+            "setting-12-of-12", "setting-one-column-of-two", "setting-2-of-2",
+            "outcome-plus-sign", "outcome-left-aligned", "setting-not-digits",
+            "setting-space", "brace-alone", "blank", "setting-colon", "setting-ff-byte",
+            "setting-slash", "carriage-return", "fields-swapped",
+            "a-byte-moved-across-a-newline", "ten-by-ten", "format-2-line", "format-1-line"])
+    def test_hand_written_lines(self, tmp_path, monkeypatch, grid, lines):
         path = tmp_path / "events.jsonl"
-        body = b"".join(line if isinstance(line, bytes) else (harness._EVENT_LINE % line).encode()
+        body = b"".join(line if isinstance(line, bytes) else reference_line(*line, *grid).encode()
                         for line in lines)
-        path.write_bytes(header_line(len(lines)).encode() + body)
-        if isinstance(assert_reads_as_reference(path, monkeypatch), str):
-            # The writer's block reader refuses, and raises nothing on, what
-            # the pattern rejects.
-            out = np.zeros((len(lines), len(EVENT_FIELDS)), dtype=np.int32)
-            assert harness._read_writer_block(body, out) == 0 and not out.any()
+        path.write_bytes(header_line(len(lines), *grid).encode() + body)
+        assert_reads_as_reference(path, monkeypatch)
 
     @pytest.mark.parametrize("kind", ["byte-swap", "insertion", "deletion", "swapped-lines",
                                       "duplicated-line", "crlf", "no-final-newline"])
@@ -855,45 +941,83 @@ class TestReaderOracle:
             assert_reads_as_reference(path, monkeypatch)
 
 
-class RaisingPattern:
-    """Stands in for the line pattern where no block may need it."""
+class RecordingReader(io.BufferedReader):
+    """The log file as the reader opens it, recording each read and readline."""
 
-    def match(self, block):
-        raise AssertionError(f"the line pattern was asked to match {block[:80]!r}")
+    def __init__(self, path, mode):
+        super().__init__(io.FileIO(path, mode.replace("b", "")))
+        self.calls = []
+
+    def read(self, size=-1):
+        self.calls.append(("read", size))
+        return super().read(size)
+
+    def readline(self, size=-1):
+        self.calls.append(("readline", size))
+        return super().readline(size)
 
 
-class TestWriterBlocks:
+class TestWholeRows:
+    """After the header a log is read in whole lines of its one width,
+    without a search for newlines."""
+
+    @staticmethod
+    def recorded_read(path, monkeypatch):
+        opened = []
+
+        def opener(*args):
+            opened.append(RecordingReader(*args))
+            return opened[-1]
+
+        monkeypatch.setattr(harness, "open", opener, raising=False)
+        header, records = read_event_log(path)
+        return header, records, opened[0].calls
+
     @pytest.mark.parametrize("chunk_size", [1, 90])
     @pytest.mark.parametrize("config", SHIPPED)
-    def test_writer_logs_skip_the_line_pattern(self, tmp_path, monkeypatch, config,
-                                               chunk_size):
+    def test_writer_logs_are_read_in_whole_lines(self, tmp_path, monkeypatch, config,
+                                                 chunk_size):
         cfg = load_experiment(CONFIGS / config)
         result = run_experiment(cfg.model, 1200, cfg.settings, cfg.master_seed, chunk_size)
         path = tmp_path / "events.jsonl"
         result.write_event_log(path)
         expected_header, expected = reference_read(path)
-        monkeypatch.setattr(harness, "_EVENT_LINES", RaisingPattern())
         for size in (97, 1 << 16):
             monkeypatch.setattr(harness, "_READ_BYTES", size)
-            header, records = read_event_log(path)
+            header, records, calls = self.recorded_read(path, monkeypatch)
             assert header == expected_header and np.array_equal(records, expected)
+            assert calls[0] == ("readline", -1)
+            sizes = [size for call, size in calls[1:] if call == "read"]
+            assert [call for call, _ in calls[1:]] == ["read"] * len(sizes)
+            assert sum(sizes) == 1200 * 40
+            assert all(read % 40 == 0 and 0 < read <= max(size, 40) for read in sizes)
 
-    def test_a_ten_by_ten_grid_skips_the_line_pattern(self, tmp_path, monkeypatch):
-        model, spec = grid_model(10, 10)
+    @pytest.mark.parametrize("n_alice, n_bob, width", [(10, 10, 40), (12, 3, 41)])
+    def test_a_grid_log_is_read_in_whole_lines(self, tmp_path, monkeypatch, n_alice, n_bob,
+                                               width):
+        model, spec = grid_model(n_alice, n_bob)
         result = run_experiment(model, 3000, spec, master_seed=31)
         path = tmp_path / "events.jsonl"
         result.write_event_log(path)
         expected_header, expected = reference_read(path)
-        monkeypatch.setattr(harness, "_EVENT_LINES", RaisingPattern())
-        header, records = read_event_log(path)
+        header, records, calls = self.recorded_read(path, monkeypatch)
         assert header == expected_header and np.array_equal(records, expected)
+        assert [size % width for _, size in calls[1:]] == [0] * (len(calls) - 1)
 
-    def test_other_blocks_still_meet_the_pattern(self, tmp_path, monkeypatch):
-        path = tmp_path / "events.jsonl"
-        path.write_text(header_line(2) + RECORD + RECORD.replace('"x_index":1', '"x_index":10'))
-        monkeypatch.setattr(harness, "_EVENT_LINES", RaisingPattern())
-        with pytest.raises(AssertionError, match="the line pattern was asked"):
+    @pytest.mark.parametrize("written, claimed", [((2, 2), (12, 3)), ((12, 3), (2, 2))])
+    def test_lines_of_another_grid_are_refused(self, tmp_path, written, claimed):
+        """Lines written for one grid and a header that names a grid whose
+        lines have another width: the first line is named."""
+        model, spec = grid_model(*written)
+        result = run_experiment(model, 50, spec, master_seed=33)
+        header, _, body = log_bytes(result, tmp_path / "events.jsonl").partition(b"\n")
+        claim = dict(json.loads(header), n_alice=claimed[0], n_bob=claimed[1])
+        path = tmp_path / "claimed.jsonl"
+        path.write_bytes(json.dumps(claim).encode() + b"\n" + body)
+        with pytest.raises(ValueError) as error:
             read_event_log(path)
+        first = body[:body.index(b"\n") + 1]
+        assert str(error.value) == f"{path}: line 2 is not an event record: {first!r}"
 
 
 def reference_cells(p, alice_probs, bob_probs, ux, uy, uo) -> np.ndarray:

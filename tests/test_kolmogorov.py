@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from bellctx.chsh import DEFAULT_COMBINATION, all_combinations, chsh_value, correlations
-from bellctx.gleason import _context_stack, haar_unitary, random_density, random_rank_profile
+from bellctx.gleason import _context_stack, random_density, random_rank_profile
 from bellctx.kolmogorov import (
     SPACE_TOL,
     ClassicalProbabilitySpace,
@@ -29,6 +29,8 @@ from bellctx.quantum import (
     polarization_observable,
     pure_state,
 )
+
+from haar import haar_unitary
 
 RT2 = math.sqrt(2.0)
 

@@ -21,7 +21,9 @@ from bellctx.quantum import (
     pure_state,
 )
 from bellctx.chsh import correlations
-from bellctx.gleason import _context_stack, haar_unitary, random_density, random_rank_profile
+from bellctx.gleason import _context_stack, random_density, random_rank_profile
+
+from haar import haar_unitary
 
 
 def computational_context(dim: int) -> np.ndarray:
