@@ -331,15 +331,16 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
     """Parse an event log into its header and a read-only int32 array.
 
     The array has one row per trial and its columns in ``EVENT_FIELDS``
-    order. A header with a repeated key, a schema_version other than the
-    int ``EVENT_LOG_SCHEMA_VERSION`` or a field of ``_HEADER_FIELDS`` that
-    is missing or not what it must be, a line that is not exactly what the
-    writer writes for the header's grid, or a number of trial lines other
-    than n_trials raises ValueError naming the field, the first bad line or
-    both counts. The lines are read in blocks of whole lines, each viewed as
-    a matrix of one row per line; a block is taken iff it equals the cell
-    lines of the cells decoded from its fixed columns. The records are
-    allocated for no more trials than the file has lines.
+    order. ValueError names the field, the line or the counts at fault: a
+    header with a repeated key, a schema_version other than the int
+    ``EVENT_LOG_SCHEMA_VERSION``, a field of ``_HEADER_FIELDS`` missing or
+    not what it must be, a grid of more cells than both ``_TABLE_CELLS``
+    and the log's lines (checked before its lines are built), the first
+    line that is not what the writer writes for that grid, or a number of
+    trial lines other than n_trials, for which no more records are
+    allocated than the file has lines. A block of whole lines, viewed as
+    a matrix of one row per line, is taken iff it equals the lines of the
+    cells decoded from its fixed columns.
     """
     with open(path, "rb") as fh:
         try:
