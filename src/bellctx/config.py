@@ -43,6 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chsh import ChshCombination
+from .harness import grid_size_error
 from .kolmogorov import SettingsSpec
 from .models import (
     DeterministicStrategy,
@@ -254,6 +255,8 @@ def build_experiment(canon: dict, seed_override: int | None = None) -> Experimen
                                 tuple(bob_angles), tuple(bob_probs))
     except ValueError as exc:
         raise ConfigError(f"settings: {exc}") from exc
+    if error := grid_size_error(settings.n_alice, settings.n_bob):
+        raise ConfigError(f"settings {error}")
     combination = ChshCombination.from_string(canon.get("combination", "+-++"))
     model = _build_model(canon, settings, combination)
     if model.n_alice != settings.n_alice or model.n_bob != settings.n_bob:

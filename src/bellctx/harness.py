@@ -9,9 +9,9 @@ pair of that context, and each becomes the number of its cumulative's
 thresholds (all but the last) at or below it. A trial is therefore one
 cell of p(a,b|x,y), and a run is one column of cell indices, 1 byte per
 trial in the 2x2 scenario. A chunk is only the unit of an RNG stream:
-after the draws everything sees the column, with trial t in chunk
-t // chunk_size. The counts are a sum of ``bincount``s of the column's
-slices (a commutative monoid).
+the column is drawn in slices of at most ``_DRAW_ROWS`` trials, whole
+chunks or part of one, each thread with one buffer whatever the chunk
+size. The counts are a sum of ``bincount``s of its slices (a monoid).
 
 Estimators are the plug-in ones, all array expressions over the counts
 in :func:`estimate_report`: E(x,y) from the per-context counts with a
@@ -37,8 +37,8 @@ on the calling thread, each a ``take`` of the per-cell lines, and writes
 them in trial order. The reader views blocks of whole lines as matrices of
 W-byte rows, decodes each row's cell from fixed columns and takes the
 block iff the cells' lines give its bytes; the first row that differs is
-the first bad line. It fills an ``(n_trials, 4)`` int32 array, 16 bytes per
-trial, and refuses a log with another number of trial lines. One linear
+the first bad line. It fills an ``(n_trials, 4)`` int8 array (int16 above
+128 settings a side) and refuses another number of trial lines. One linear
 cell index orders the cells, the counts and the per-cell lines; every
 artifact is written through :func:`atomic_write`.
 """
@@ -83,16 +83,17 @@ _HEADER_FIELDS = (
     ("n_bob", int, 1, "a positive int"),
 )
 
-# Trials per encoded slice and per counted block, the least a draw task
-# holds in whole chunks, and the most bytes of whole lines the reader takes
-# at once: memory does not grow with the log. At 64 KiB each of a block's
-# arrays stays below glibc's 128 KiB mmap threshold, so the heap reuses
-# them instead of mapping fresh pages for every block.
+# Trials per drawn slice (fewer draw slower), per encoded slice and per
+# counted block, and the most bytes of whole lines the reader takes at once:
+# memory does not grow with the log or the chunk size. At 64 KiB each of a
+# block's arrays stays below glibc's 128 KiB mmap threshold, so the heap
+# reuses them instead of mapping fresh pages for every block.
+_DRAW_ROWS = 1 << 15
 _ENCODE_ROWS = _COUNT_ROWS = 8192
 _READ_BYTES = 1 << 16
 
-# The reader builds a grid's cell lines only if there are at most this many
-# or no more than the log has lines of that grid's width.
+# The most cells a settings grid may have: configs, runs and logs refuse
+# more, and the records of any grid fit in int16.
 _TABLE_CELLS = 1 << 16
 
 # |z| above which a no-signalling row is flagged.
@@ -124,6 +125,13 @@ def atomic_write(path, pieces: Iterable[bytes]) -> None:
         raise
 
 
+def grid_size_error(n_alice: int, n_bob: int) -> str | None:
+    """Why a grid of more than ``_TABLE_CELLS`` cells is refused; None for others."""
+    if 4 * n_alice * n_bob > _TABLE_CELLS:
+        return f"grid {n_alice}x{n_bob} has {4 * n_alice * n_bob} cells, more than {_TABLE_CELLS}"
+    return None
+
+
 def _cell_index(x, y, a, b, n_bob: int) -> np.ndarray:
     """The linear cell index ((x * n_bob + y) * 2 + ia) * 2 + ib of trials
     (x, y, a, b) with outcomes +/-1, ia and ib 0 for +1 and 1 for -1: the
@@ -140,8 +148,12 @@ def _cell_counts(x, y, a, b, n_alice: int, n_bob: int, weights=None) -> np.ndarr
         raise ValueError(f"setting index outside the {n_alice}x{n_bob} settings grid")
     if not (np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)):
         raise ValueError("outcomes must be +/-1")
-    counts = np.zeros(n_alice * n_bob * 4, dtype=np.int64)
-    np.add.at(counts, _cell_index(x, y, a, b, n_bob), 1 if weights is None else weights)
+    index, n_cells = _cell_index(x, y, a, b, n_bob), 4 * n_alice * n_bob
+    if weights is None:
+        counts = np.bincount(index, minlength=n_cells)
+    else:  # a weighted bincount sums in float64, which rounds counts above 2^53
+        counts = np.zeros(n_cells, dtype=np.int64)
+        np.add.at(counts, index, weights)
     return counts.reshape(n_alice, n_bob, 2, 2)
 
 
@@ -159,7 +171,8 @@ class CountsTable:
 
     @classmethod
     def from_records(cls, records, n_alice: int, n_bob: int) -> "CountsTable":
-        """Counts of an ``(n, 4)`` trial array with columns in ``EVENT_FIELDS`` order."""
+        """Counts of an ``(n, 4)`` integer trial array with columns in ``EVENT_FIELDS``
+        order; only a block of ``_COUNT_ROWS`` trials at a time is widened to intp."""
         records = np.asarray(records)
         if records.ndim != 2 or records.shape[1] != len(EVENT_FIELDS):
             raise ValueError(f"records must have shape (n, {len(EVENT_FIELDS)}), "
@@ -207,29 +220,37 @@ def _cell_cumulatives(p: np.ndarray) -> np.ndarray:
 
 def _sample_cells(
     out: np.ndarray,
+    uniforms: np.ndarray,
     cell_cums: np.ndarray,
     alice_cum: np.ndarray,
     bob_cum: np.ndarray,
     master_seed: int,
     chunk_size: int,
-    first_chunk: int,
+    n_trials: int,
+    start: int,
 ) -> np.ndarray:
-    """Fill ``out`` with the cells of consecutive chunks from ``first_chunk``,
-    ``chunk_size`` trials each (the last may hold fewer), and return their
-    ``bincount`` over all cells; a pure function of its arguments.
+    """Fill ``out`` with the cells of trials ``start`` on of a run of
+    ``n_trials`` in chunks of ``chunk_size``, whole chunks or part of one,
+    drawn into the (3, >= len(out)) buffer ``uniforms``, and return their
+    ``bincount`` over all cells.
 
     Each chunk's stream draws three uniforms per trial in a fixed order: all
-    of Alice's setting uniforms, then Bob's, then the outcome uniforms. Each
-    becomes an index, the number of thresholds at or below it among all but
-    the last entry of its cumulative distribution; an outcome's thresholds
-    are those of the trial's context.
+    of Alice's setting uniforms, then Bob's, then the outcome uniforms, so
+    row r of a chunk of m rows draws at r, m + r and 2m + r, which a part
+    of a chunk reaches with ``advance``. Each becomes an index, the number
+    of thresholds at or below it among all but the last entry of its
+    cumulative distribution; an outcome's thresholds are its context's.
     """
-    uniforms = np.empty((3, len(out)))
-    for offset in range(0, len(out), chunk_size):
-        rng = chunk_generator(master_seed, first_chunk + offset // chunk_size)
-        for column in uniforms:
-            rng.random(out=column[offset:offset + chunk_size])
-    ux, uy, uo = uniforms
+    ux, uy, uo = uniforms[:, :len(out)]
+    for first in range(start, start + len(out), chunk_size):
+        chunk, row = divmod(first, chunk_size)
+        rows = min(chunk_size, n_trials - chunk * chunk_size)
+        size = min(start + len(out) - first, rows - row)
+        rng = chunk_generator(master_seed, chunk)
+        for skip, column in zip((row, rows - size, rows - size), (ux, uy, uo)):
+            if skip:
+                rng.bit_generator.advance(skip)
+            rng.random(out=column[first - start:first - start + size])
     context = np.zeros(len(out), dtype=out.dtype)
     for threshold in alice_cum[:-1]:
         context += ux >= threshold
@@ -238,9 +259,11 @@ def _sample_cells(
         context += uy >= threshold
     np.multiply(context, 4, out=out)
     for thresholds in cell_cums.reshape(-1, 4)[:, :-1].T:
-        out += uo >= thresholds.take(context)
-    # Per task, not over the whole run: bincount holds its input as intp.
-    return np.bincount(out, minlength=cell_cums.size)
+        # ux is spent: take the thresholds into it ("clip" copies no buffer).
+        out += uo >= thresholds.take(context, out=ux, mode="clip")
+    # bincount holds its input as intp: count in blocks, not the whole slice.
+    return sum(np.bincount(out[k:k + _COUNT_ROWS], minlength=cell_cums.size)
+               for k in range(0, len(out), _COUNT_ROWS))
 
 
 def _grid_cells(n_alice: int, n_bob: int) -> list[tuple[int, int, int, int]]:
@@ -328,19 +351,18 @@ class ExperimentResult:
 
 
 def read_event_log(path) -> tuple[dict, np.ndarray]:
-    """Parse an event log into its header and a read-only int32 array.
-
-    The array has one row per trial and its columns in ``EVENT_FIELDS``
+    """Parse an event log into its header and a read-only int8 array, 4
+    bytes per trial (int16 above 128 settings a side, the grid's narrowest
+    signed dtype), with one row per trial and its columns in ``EVENT_FIELDS``
     order. ValueError names the field, the line or the counts at fault: a
     header with a repeated key, a schema_version other than the int
     ``EVENT_LOG_SCHEMA_VERSION``, a field of ``_HEADER_FIELDS`` missing or
-    not what it must be, a grid of more cells than both ``_TABLE_CELLS``
-    and the log's lines (checked before its lines are built), the first
-    line that is not what the writer writes for that grid, or a number of
-    trial lines other than n_trials, for which no more records are
-    allocated than the file has lines. A block of whole lines, viewed as
-    a matrix of one row per line, is taken iff it equals the lines of the
-    cells decoded from its fixed columns.
+    not what it must be, a grid of more than ``_TABLE_CELLS`` cells (checked
+    before its lines are built), the first line that is not what the writer
+    writes for that grid, or a number of trial lines other than n_trials,
+    for which no more records are allocated than the file has lines. A
+    block of whole lines, viewed as a matrix of one row per line, is taken
+    iff it equals the lines of the cells decoded from its fixed columns.
     """
     with open(path, "rb") as fh:
         try:
@@ -356,17 +378,16 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
             if type(value) is not kind or least is not None and value < least:
                 raise ValueError(f"{path}: event log {name} {value!r} is not {what}")
         n_trials, n_alice, n_bob = header["n_trials"], header["n_alice"], header["n_bob"]
+        if error := grid_size_error(n_alice, n_bob):
+            raise ValueError(f"{path}: event log {error}")
         start = fh.tell()
         left = os.fstat(fh.fileno()).st_size - start
         wx, wy, _, _ = _field_widths(n_alice, n_bob)
         width = len(_EVENT_LINE % (wx, 0, wy, 0, 1, 1))
-        rows, n_cells = left // width, 4 * n_alice * n_bob
-        if n_cells > max(rows, _TABLE_CELLS):
-            raise ValueError(f"{path}: event log grid {n_alice}x{n_bob} has {n_cells} cells, "
-                             f"more than {_TABLE_CELLS} or its {rows} lines of {width} bytes")
+        rows, dtype = left // width, np.min_scalar_type(-max(n_alice, n_bob))
         lines, decoder = _cell_lines(n_alice, n_bob), _cell_decoder(n_alice, n_bob)
-        cell_records = np.array(_grid_cells(n_alice, n_bob), dtype=np.int32)
-        records = np.empty((min(n_trials, rows), len(EVENT_FIELDS)), dtype=np.int32)
+        cell_records = np.array(_grid_cells(n_alice, n_bob), dtype=dtype)
+        records = np.empty((min(n_trials, rows), len(EVENT_FIELDS)), dtype=dtype)
         step = max(1, _READ_BYTES // width)
         # A part line after the whole ones is the first bad line if they are good.
         bad = rows if left % width else None
@@ -410,6 +431,8 @@ def run_experiment(
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    if error := grid_size_error(settings.n_alice, settings.n_bob):
+        raise ValueError(f"settings {error}")
     if model.n_alice != settings.n_alice or model.n_bob != settings.n_bob:
         raise ValueError(
             f"model declares {model.n_alice}x{model.n_bob} settings but the "
@@ -421,17 +444,24 @@ def run_experiment(
     bob_cum /= bob_cum[-1]
 
     cells = np.empty(n_trials, dtype=np.min_scalar_type(cell_cums.size - 1))
-    starts = range(0, n_trials, chunk_size)
-    group = -(-_ENCODE_ROWS // chunk_size)
+    # Slices of whole chunks, or of at most _DRAW_ROWS rows of one chunk.
+    span = max(chunk_size, _DRAW_ROWS // chunk_size * chunk_size)
+    slices = [(first, min(first + _DRAW_ROWS, group + span, n_trials))
+              for group in range(0, n_trials, span)
+              for first in range(group, min(group + span, n_trials), _DRAW_ROWS)]
 
-    def sample(task: range) -> np.ndarray:
-        return _sample_cells(cells[task.start:task.stop], cell_cums, alice_cum, bob_cum,
-                             master_seed, chunk_size, task.start // chunk_size)
+    def sample(task: list[tuple[int, int]]) -> np.ndarray:
+        uniforms = np.empty((3, min(n_trials, _DRAW_ROWS)))
+        return sum(_sample_cells(cells[start:stop], uniforms, cell_cums, alice_cum, bob_cum,
+                                 master_seed, chunk_size, n_trials, start)
+                   for start, stop in task)
 
-    # Never more threads than chunks, whatever the configured worker count.
-    n_threads = min(n_workers, len(starts))
+    # Never more threads than chunks, whatever the configured worker count;
+    # each task draws every n_threads-th slice into its one buffer.
+    n_threads = min(n_workers, -(-n_trials // chunk_size))
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        total = sum(pool.map(sample, [starts[k:k + group] for k in range(0, len(starts), group)]))
+        total = sum(pool.map(sample, [slices[k::n_threads] for k in range(n_threads)
+                                      if k < len(slices)]))
     cells.setflags(write=False)
     return ExperimentResult(
         counts=CountsTable(total.reshape(settings.n_alice, settings.n_bob, 2, 2)),

@@ -96,6 +96,16 @@ class TestSimulate:
         assert err == f"config error: {path}: invalid JSON: duplicate key 'trials'\n"
         assert not list(tmp_path.glob("*.jsonl"))
 
+    def test_a_grid_of_more_than_65536_cells_exits_2(self, tmp_path, capsys):
+        """A 200x100 grid, 80,000 cells: its log could not be read back."""
+        angles = ", ".join(["0.5"] * 200), ", ".join(["0.25"] * 100)
+        config = write_quick_config(tmp_path, trials=1000, **{
+            "model.kind": "mixed_lhv", "alice.angles": angles[0], "bob.angles": angles[1]})
+        assert main(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("config error: settings grid 200x100 has 80000 "
+                                           "cells, more than 65536\n")
+        assert not (tmp_path / "out").exists()
+
     def test_invalid_model_exits_3(self, tmp_path):
         config = write_quick_config(tmp_path, **{"model.state": "bogus"})
         assert main(["simulate", str(config), "--out-dir", str(tmp_path)]) == 3

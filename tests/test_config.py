@@ -126,6 +126,25 @@ def test_probs_must_be_finite(probs):
         normalize_raw(parse_config_text(MINIMAL + f"bob.probs = {probs}\n"))
 
 
+@pytest.mark.parametrize("n_alice, n_bob, refused", [
+    (200, 100, True), (16385, 1, True), (128, 128, False), (1, 16384, False)])
+def test_a_grid_of_more_than_65536_cells_is_refused(n_alice, n_bob, refused):
+    """4 * n_alice * n_bob cells at most, the bound the event-log reader keeps;
+    it is checked before the model is built."""
+    text = (MINIMAL.replace("0.0, 0.785398", ", ".join(["0.1"] * n_alice))
+            .replace("0.392699, 1.178097", ", ".join(["0.2"] * n_bob))
+            .replace("mixed_lhv", "deterministic")
+            + f"model.a = {', '.join(['1'] * n_alice)}\nmodel.b = {', '.join(['-1'] * n_bob)}\n")
+    raw = normalize_raw(parse_config_text(text))
+    if refused:
+        with pytest.raises(ConfigError) as error:
+            build_experiment(raw)
+        assert str(error.value) == (f"settings grid {n_alice}x{n_bob} has "
+                                    f"{4 * n_alice * n_bob} cells, more than 65536")
+    else:
+        assert build_experiment(raw).settings.n_alice == n_alice
+
+
 def test_missing_file_raises_oserror():
     with pytest.raises(OSError):
         load_raw_config("/nonexistent/path.cfg")

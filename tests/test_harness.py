@@ -140,6 +140,15 @@ class TestCountsTable:
         with pytest.raises(ValueError, match=f"integer array, got dtype {records.dtype}"):
             CountsTable.from_records(records, 2, 2)
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.int16, np.int32, np.int64])
+    def test_from_records_counts_any_signed_integer_dtype(self, dtype):
+        rng = np.random.default_rng(8)
+        records = np.column_stack([rng.integers(0, 3, 20_000), rng.integers(0, 4, 20_000),
+                                   rng.choice([1, -1], (2, 20_000)).T])
+        assert (CountsTable.from_records(records.astype(dtype), 3, 4)
+                == CountsTable.from_records(records, 3, 4))
+        assert CountsTable.from_records(records.astype(dtype), 3, 4).counts.sum() == 20_000
+
     def test_counts_do_not_depend_on_the_count_block(self, monkeypatch):
         rng = np.random.default_rng(7)
         records = np.column_stack([rng.integers(0, 3, 5000), rng.integers(0, 4, 5000),
@@ -216,17 +225,28 @@ class TestRunExperiment:
         assert requested == [3]
         assert threading.enumerate() == threads
 
-    def test_tiny_chunks_share_a_pool_task(self, tmp_path, monkeypatch):
-        """One generation task per run of consecutive chunks holding at least
-        _ENCODE_ROWS trials, the last run excepted, and no pool task to
-        write the log."""
+    @pytest.mark.parametrize("n_trials, chunk_size, workers, slices", [
+        (2000, 1, 2, [(0, 2000)]),
+        (40_000, 1, 2, [(0, 32768), (32768, 40_000)]),
+        (70_000, 3000, 2, [(0, 30_000), (30_000, 60_000), (60_000, 70_000)]),
+        (70_000, 8192, 2, [(0, 32768), (32768, 65536), (65536, 70_000)]),
+        (100_000, 40_000, 3, [(0, 32768), (32768, 40_000), (40_000, 72768),
+                              (72768, 80_000), (80_000, 100_000)]),
+        (70_000, 70_000, 2, [(0, 32768), (32768, 65536), (65536, 70_000)]),
+    ], ids=["one-slice-of-tiny-chunks", "tiny-chunks", "whole-chunks", "four-chunks-a-slice",
+            "parts-of-chunks", "one-chunk"])
+    def test_tasks_are_slices_of_trials(self, tmp_path, monkeypatch, n_trials, chunk_size,
+                                        workers, slices):
+        """Each pool task draws every n_threads-th slice of at most _DRAW_ROWS
+        trials; a slice holds whole chunks or is part of one, and no pool
+        task writes the log."""
         tasks = []
 
         class RecordingExecutor:
-            """Records the chunks or trials of each task and runs it inline."""
+            """Records the slices of each task and runs it inline."""
 
             def __init__(self, max_workers):
-                pass
+                tasks.append(max_workers)
 
             def __enter__(self):
                 return self
@@ -235,36 +255,44 @@ class TestRunExperiment:
                 return False
 
             def map(self, fn, items):
-                tasks.extend(len(task) for task in items)
+                tasks.extend(items)
                 return map(fn, items)
 
         monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
-        for n_trials, chunk_size, per_task in [
-                (2000, 1, [2000]), (20_000, 3000, [3, 3, 1]), (20_000, 8192, [1, 1, 1]),
-                (20_000, 10_000, [1, 1])]:
-            tasks.clear()
-            result = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
-                                    master_seed=7, chunk_size=chunk_size, n_workers=2)
-            assert tasks == per_task
-            tasks.clear()
-            assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
-            assert tasks == []
+        result = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
+                                master_seed=7, chunk_size=chunk_size, n_workers=workers)
+        n_threads = min(workers, len(result.chunks))
+        assert tasks[0] == result.n_threads == n_threads
+        assert tasks[1:] == [slices[k::n_threads] for k in range(min(n_threads, len(slices)))]
+        for start, stop in slices:
+            assert stop - start <= harness._DRAW_ROWS
+            assert (start % chunk_size == 0 and (stop % chunk_size == 0 or stop == n_trials)
+                    or start // chunk_size == (stop - 1) // chunk_size)
+        tasks.clear()
+        assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
+        assert tasks == []
 
+    @pytest.mark.parametrize("chunk_size", [65536, 4_000_000])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_drawing_holds_a_byte_per_trial_and_a_few_mb_per_thread(self, workers):
-        """The cells column and, per thread, one task's uniforms and counts:
-        a bincount over the whole column would hold 8 bytes per trial."""
+    def test_drawing_holds_a_byte_per_trial_and_a_few_mb_per_thread(self, workers,
+                                                                     chunk_size):
+        """The cells column and, per thread, one slice's uniforms and work,
+        whatever the chunk size: a bincount over the whole column would hold
+        8 bytes per trial, and a buffer per chunk 24."""
         cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
         n_trials = 4_000_000
+        # The first draw of a process imports numpy.random: keep that out.
+        run_experiment(cfg.model, 1, cfg.settings, cfg.master_seed)
         tracemalloc.start()
         try:
             result = run_experiment(cfg.model, n_trials, cfg.settings, cfg.master_seed,
-                                    n_workers=workers)
+                                    chunk_size, workers)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.n_threads == workers and result.cells.nbytes == n_trials
-        assert peak <= n_trials + workers * 4_000_000
+        assert result.n_threads == min(workers, len(result.chunks))
+        assert result.cells.nbytes == n_trials
+        assert peak <= n_trials + result.n_threads * 1_600_000
 
     def test_counts_match_record_stream_exactly(self, tmp_path):
         model = quantum_pair_model()
@@ -388,7 +416,7 @@ class TestEventLog:
         assert header == {"schema_version": 3, "master_seed": 12,
                           "model_hash": result.model_hash, "n_trials": 1234,
                           "chunk_size": 500, "n_alice": 2, "n_bob": 2}
-        assert records.shape == (1234, 4) and records.dtype == np.int32
+        assert records.shape == (1234, 4) and records.dtype == np.int8
         assert not records.flags.writeable
         assert CountsTable.from_records(records, 2, 2) == result.counts
 
@@ -433,7 +461,7 @@ class TestEventLog:
                         '{"x_index": 0,"y_index":0,"a":-1,"b": 1}\n'
                         '{"x_index":11,"y_index":0,"a":-1,"b": 1}\n')
         _, records = read_event_log(path)
-        assert records.dtype == np.int32
+        assert records.dtype == np.int8
         assert records.tolist() == [[1, 0, -1, 1], [0, 0, -1, 1], [11, 0, -1, 1]]
 
     def test_an_empty_run_reads_as_no_records(self, tmp_path):
@@ -503,7 +531,7 @@ class TestEventLog:
         (HEADER.replace('"n_bob": 2', '"n_bob": true') + RECORD,
          "n_bob True is not a positive int"),
         (HEADER.replace('"n_alice": 2', '"n_alice": 100000') + RECORD,
-         "grid 100000x2 has 800000 cells, more than 65536 or its 0 lines of 44 bytes"),
+         "grid 100000x2 has 800000 cells, more than 65536$"),
         (HEADER + RECORD + RECORD, "has 2 trial lines, but its header's n_trials is 1"),
     ], ids=["outcome-a-2", "outcome-b-0", "outcome-plus-sign", "outcome-left-aligned",
             "spaced", "renamed-field", "blank-line", "truncated", "negative-setting",
@@ -580,20 +608,44 @@ class TestEventLog:
         path.write_text(header_line(2) + 2 * line)
         assert read_event_log(path)[1].tolist() == [[0, 0, 1, 1]] * 2
 
-    @pytest.mark.parametrize("lines, refused", [(23, True), (24, False)])
-    def test_a_grid_above_the_table_floor_needs_as_many_lines(self, tmp_path, monkeypatch,
-                                                              lines, refused):
-        """With a floor of 16 cells, a 3x2 grid's 24 cells need 24 lines."""
+    @pytest.mark.parametrize("lines", [1, 24, 25])
+    def test_a_grid_above_the_table_bound_is_refused_whatever_its_lines(self, tmp_path,
+                                                                        monkeypatch, lines):
+        """With a bound of 16 cells, a 3x2 grid's 24 cells are refused however
+        many lines the log has, and a 2x2 grid's 16 are read."""
         monkeypatch.setattr(harness, "_TABLE_CELLS", 16)
         path = tmp_path / "events.jsonl"
         path.write_text(header_line(lines, 3, 2) + lines * reference_line(2, 1, -1, 1, 3, 2))
-        if refused:
+        with pytest.raises(ValueError) as error:
+            read_event_log(path)
+        assert str(error.value) == f"{path}: event log grid 3x2 has 24 cells, more than 16"
+        path.write_text(header_line(lines) + lines * reference_line(1, 1, -1, 1, 2, 2))
+        assert read_event_log(path)[1].tolist() == [[1, 1, -1, 1]] * lines
+
+    @pytest.mark.parametrize("n_alice, n_bob", [(200, 100), (16385, 1), (128, 128),
+                                                 (16384, 1)])
+    def test_a_large_grid_round_trips_or_is_refused_by_the_run(self, tmp_path, n_alice, n_bob):
+        """A 1,000-trial run on a grid of more than 65,536 cells is refused
+        before it draws; one at the bound writes a log that reads back."""
+        rng = np.random.default_rng(n_alice)
+        model = DeterministicStrategy(tuple(rng.choice([1, -1], n_alice).tolist()),
+                                      tuple(rng.choice([1, -1], n_bob).tolist()))
+        spec = SettingsSpec.uniform(np.linspace(0.0, np.pi, n_alice),
+                                    np.linspace(0.1, 1.3, n_bob))
+        path = tmp_path / "events.jsonl"
+        if 4 * n_alice * n_bob > 65536:
             with pytest.raises(ValueError) as error:
-                read_event_log(path)
-            assert str(error.value) == (f"{path}: event log grid 3x2 has 24 cells, more "
-                                        f"than 16 or its 23 lines of 40 bytes")
-        else:
-            assert read_event_log(path)[1].tolist() == [[2, 1, -1, 1]] * 24
+                run_experiment(model, 1000, spec, master_seed=34)
+            assert str(error.value) == (f"settings grid {n_alice}x{n_bob} has "
+                                        f"{4 * n_alice * n_bob} cells, more than 65536")
+            return
+        result = run_experiment(model, 1000, spec, master_seed=34)
+        assert log_bytes(result, path) == reference_log(result)
+        header, records = read_event_log(path)
+        assert (header["n_alice"], header["n_bob"]) == (n_alice, n_bob)
+        assert records.dtype == (np.int8 if n_alice <= 128 else np.int16)
+        assert np.array_equal(records, np.column_stack(cell_columns(result.cells, n_bob)))
+        assert CountsTable.from_records(records, n_alice, n_bob) == result.counts
 
     def test_an_oversized_grid_is_refused_before_allocating(self, tmp_path):
         """A 10^9 x 10^9 grid's cell lines would need 2e20 bytes."""
@@ -601,7 +653,7 @@ class TestEventLog:
         path.write_text(header_line(1, 10**9, 10**9) + RECORD)
         peak, error = read_allocations(path)
         assert str(error) == (f"{path}: event log grid {10**9}x{10**9} has {4 * 10**18} "
-                              f"cells, more than 65536 or its 0 lines of 56 bytes")
+                              f"cells, more than 65536")
         assert peak < 1 << 20
 
     @pytest.mark.parametrize("piece", [16, 64, 97, 1000])
@@ -716,17 +768,31 @@ class TestEventLog:
         assert records.shape == (300_000, 4)
         assert peak < 1.5 * records.nbytes
 
-    def test_reading_holds_16_bytes_per_trial(self, tmp_path):
-        """int32 records, allocated for the header's n_trials, plus a
-        block's work; int64 records would need twice that."""
+    def test_reading_holds_4_bytes_per_trial(self, tmp_path):
+        """int8 records on a 2x2 grid, allocated for the header's n_trials,
+        plus a block's work; int32 records would need four times that."""
         cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
         result = run_experiment(cfg.model, 400_000, cfg.settings, cfg.master_seed)
         path = tmp_path / "events.jsonl"
         result.write_event_log(path)
         del result
         peak, (_, records) = read_allocations(path)
-        assert records.shape == (400_000, 4)
-        assert peak <= 16 * 400_000 + 3_000_000
+        assert records.shape == (400_000, 4) and records.dtype == np.int8
+        assert peak <= 4 * 400_000 + 4 * harness._READ_BYTES
+
+    @pytest.mark.parametrize("n_alice, dtype", [(2, np.int8), (128, np.int8), (129, np.int16)])
+    def test_records_take_the_grids_narrowest_signed_dtype(self, tmp_path, n_alice, dtype):
+        """Up to 128 settings a side the records are int8, above it int16,
+        and their values are the trials' either way."""
+        model, spec = grid_model(n_alice, 1)
+        result = run_experiment(model, 3000, spec, master_seed=35, chunk_size=700)
+        path = tmp_path / "events.jsonl"
+        result.write_event_log(path)
+        _, records = read_event_log(path)
+        assert records.dtype == dtype
+        assert np.array_equal(records, np.column_stack(cell_columns(result.cells, 1)))
+        assert np.array_equal(records, reference_read(path)[1])
+        assert records[:, 0].max() == n_alice - 1
 
     def test_a_block_allocates_under_four_times_its_size(self, tmp_path):
         """Beside the records, reading holds a block, its cells' lines and
@@ -779,11 +845,9 @@ def reference_read(path) -> tuple[dict, np.ndarray]:
     for name in ("chunk_size", "n_alice", "n_bob"):
         need(name, lambda v: type(v) is int and v > 0, "a positive int")
     n_alice, n_bob = header["n_alice"], header["n_bob"]
-    width = len(reference_line(0, 0, 1, 1, n_alice, n_bob))
-    if 4 * n_alice * n_bob > max(len(body) // width, harness._TABLE_CELLS):
+    if 4 * n_alice * n_bob > harness._TABLE_CELLS:
         raise ValueError(f"{path}: event log grid {n_alice}x{n_bob} has {4 * n_alice * n_bob} "
-                         f"cells, more than {harness._TABLE_CELLS} or its "
-                         f"{len(body) // width} lines of {width} bytes")
+                         f"cells, more than {harness._TABLE_CELLS}")
     cells = {reference_line(*cell, n_alice, n_bob).encode(): cell for cell in
              itertools.product(range(n_alice), range(n_bob), (1, -1), (1, -1))}
     *lines, last = body.split(b"\n")
@@ -822,7 +886,8 @@ def assert_reads_as_reference(path, monkeypatch, sizes=READ_SIZES):
         else:
             assert not isinstance(got, str), (size, got)
             assert got[0] == expected[0]
-            assert got[1].dtype == np.int32, size
+            n_settings = max(expected[0]["n_alice"], expected[0]["n_bob"])
+            assert got[1].dtype == (np.int8 if n_settings <= 128 else np.int16), size
             assert got[1].shape == expected[1].shape
             assert not got[1].flags.writeable
             assert np.array_equal(got[1], expected[1]), size
@@ -1055,10 +1120,12 @@ def setting_cumulative(probs) -> np.ndarray:
 
 
 def sampled_cells(p, alice_probs, bob_probs, master_seed, chunk_id, size) -> np.ndarray:
+    """The cells of chunk ``chunk_id`` of ``size`` trials, drawn as one slice."""
     alice_cum, bob_cum = setting_cumulative(alice_probs), setting_cumulative(bob_probs)
     cells = np.empty(size, dtype=np.uint8)
-    counts = harness._sample_cells(cells, harness._cell_cumulatives(p), alice_cum, bob_cum,
-                                   master_seed, size, chunk_id)
+    counts = harness._sample_cells(cells, np.empty((3, size)), harness._cell_cumulatives(p),
+                                   alice_cum, bob_cum, master_seed, size,
+                                   (chunk_id + 1) * size, chunk_id * size)
     assert np.array_equal(counts, np.bincount(cells, minlength=p.size))
     return cells
 
@@ -1082,6 +1149,29 @@ class TestSamplerOracle:
             assert np.array_equal(result.cells[start:start + size], reference_cells(
                 cfg.model.behaviour(), cfg.settings.alice_probs, cfg.settings.bob_probs,
                 *uniforms))
+
+    @pytest.mark.parametrize("chunk_size, n_trials", [
+        (1, 40_000), (7, 100_003), (32767, 100_003), (32768, 100_003), (32769, 100_003),
+        (65536, 100_003), (100_003, 100_003)])
+    def test_slices_across_chunk_boundaries_match_the_chunk_streams(self, chunk_size,
+                                                                    n_trials):
+        """Slices of whole chunks and parts of chunks, at 1 and 2 workers,
+        give the cells of each chunk's sequential rng.random(m) x 3."""
+        cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
+        uniforms = [[], [], []]
+        for chunk_id, start in enumerate(range(0, n_trials, chunk_size)):
+            rng = chunk_generator(cfg.master_seed, chunk_id)
+            size = min(chunk_size, n_trials - start)
+            for column in uniforms:
+                column.append(rng.random(size))
+        expected = reference_cells(cfg.model.behaviour(), cfg.settings.alice_probs,
+                                   cfg.settings.bob_probs, *map(np.concatenate, uniforms))
+        for workers in (1, 2):
+            result = run_experiment(cfg.model, n_trials, cfg.settings, cfg.master_seed,
+                                    chunk_size, workers)
+            assert np.array_equal(result.cells, expected), workers
+            assert np.array_equal(result.counts.counts.ravel(),
+                                  np.bincount(expected, minlength=16))
 
     def test_random_behaviours_match_the_reference_sampler(self):
         rng = np.random.default_rng(31)

@@ -95,8 +95,8 @@ def sample_cell(model, x_index, y_index, n, seed):
     alice_cum = (np.arange(model.n_alice) >= x_index).astype(float)
     bob_cum = (np.arange(model.n_bob) >= y_index).astype(float)
     cells = np.empty(n, dtype=np.uint8)
-    _sample_cells(cells, _cell_cumulatives(model.behaviour()), alice_cum, bob_cum,
-                  master_seed=seed, chunk_size=n, first_chunk=0)
+    _sample_cells(cells, np.empty((3, n)), _cell_cumulatives(model.behaviour()), alice_cum,
+                  bob_cum, master_seed=seed, chunk_size=n, n_trials=n, start=0)
     outcome = cells.astype(np.intp) % 4
     return list(zip((1 - 2 * (outcome >> 1)).tolist(), (1 - 2 * (outcome & 1)).tolist()))
 
