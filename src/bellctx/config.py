@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .chsh import ChshCombination
-from .harness import grid_size_error
+from .harness import check_grid_size
 from .kolmogorov import SettingsSpec
 from .models import (
     DeterministicStrategy,
@@ -253,10 +253,9 @@ def build_experiment(canon: dict, seed_override: int | None = None) -> Experimen
         bob_probs = canon.get("bob.probs", [1.0 / len(bob_angles)] * len(bob_angles))
         settings = SettingsSpec(tuple(alice_angles), tuple(alice_probs),
                                 tuple(bob_angles), tuple(bob_probs))
+        check_grid_size(settings.n_alice, settings.n_bob)
     except ValueError as exc:
         raise ConfigError(f"settings: {exc}") from exc
-    if error := grid_size_error(settings.n_alice, settings.n_bob):
-        raise ConfigError(f"settings {error}")
     combination = ChshCombination.from_string(canon.get("combination", "+-++"))
     model = _build_model(canon, settings, combination)
     if model.n_alice != settings.n_alice or model.n_bob != settings.n_bob:

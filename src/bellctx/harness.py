@@ -125,11 +125,11 @@ def atomic_write(path, pieces: Iterable[bytes]) -> None:
         raise
 
 
-def grid_size_error(n_alice: int, n_bob: int) -> str | None:
-    """Why a grid of more than ``_TABLE_CELLS`` cells is refused; None for others."""
+def check_grid_size(n_alice: int, n_bob: int, prefix: str = "") -> None:
+    """Refuse a grid of more than ``_TABLE_CELLS`` cells with ValueError."""
     if 4 * n_alice * n_bob > _TABLE_CELLS:
-        return f"grid {n_alice}x{n_bob} has {4 * n_alice * n_bob} cells, more than {_TABLE_CELLS}"
-    return None
+        raise ValueError(f"{prefix}grid {n_alice}x{n_bob} has {4 * n_alice * n_bob} cells, "
+                         f"more than {_TABLE_CELLS}")
 
 
 def _cell_index(x, y, a, b, n_bob: int) -> np.ndarray:
@@ -148,12 +148,8 @@ def _cell_counts(x, y, a, b, n_alice: int, n_bob: int, weights=None) -> np.ndarr
         raise ValueError(f"setting index outside the {n_alice}x{n_bob} settings grid")
     if not (np.all(np.abs(a) == 1) and np.all(np.abs(b) == 1)):
         raise ValueError("outcomes must be +/-1")
-    index, n_cells = _cell_index(x, y, a, b, n_bob), 4 * n_alice * n_bob
-    if weights is None:
-        counts = np.bincount(index, minlength=n_cells)
-    else:  # a weighted bincount sums in float64, which rounds counts above 2^53
-        counts = np.zeros(n_cells, dtype=np.int64)
-        np.add.at(counts, index, weights)
+    counts = np.zeros(n_alice * n_bob * 4, dtype=np.int64)
+    np.add.at(counts, _cell_index(x, y, a, b, n_bob), 1 if weights is None else weights)
     return counts.reshape(n_alice, n_bob, 2, 2)
 
 
@@ -171,8 +167,7 @@ class CountsTable:
 
     @classmethod
     def from_records(cls, records, n_alice: int, n_bob: int) -> "CountsTable":
-        """Counts of an ``(n, 4)`` integer trial array with columns in ``EVENT_FIELDS``
-        order; only a block of ``_COUNT_ROWS`` trials at a time is widened to intp."""
+        """Counts of an ``(n, 4)`` integer trial array, widened a block at a time."""
         records = np.asarray(records)
         if records.ndim != 2 or records.shape[1] != len(EVENT_FIELDS):
             raise ValueError(f"records must have shape (n, {len(EVENT_FIELDS)}), "
@@ -229,10 +224,9 @@ def _sample_cells(
     n_trials: int,
     start: int,
 ) -> np.ndarray:
-    """Fill ``out`` with the cells of trials ``start`` on of a run of
-    ``n_trials`` in chunks of ``chunk_size``, whole chunks or part of one,
-    drawn into the (3, >= len(out)) buffer ``uniforms``, and return their
-    ``bincount`` over all cells.
+    """Fill ``out`` with the cells of trials ``start`` on (whole chunks of
+    ``chunk_size`` or part of one) of an ``n_trials`` run, drawn into the
+    buffer ``uniforms`` of shape (3, >= len(out)); return their ``bincount``.
 
     Each chunk's stream draws three uniforms per trial in a fixed order: all
     of Alice's setting uniforms, then Bob's, then the outcome uniforms, so
@@ -351,18 +345,18 @@ class ExperimentResult:
 
 
 def read_event_log(path) -> tuple[dict, np.ndarray]:
-    """Parse an event log into its header and a read-only int8 array, 4
-    bytes per trial (int16 above 128 settings a side, the grid's narrowest
-    signed dtype), with one row per trial and its columns in ``EVENT_FIELDS``
-    order. ValueError names the field, the line or the counts at fault: a
-    header with a repeated key, a schema_version other than the int
-    ``EVENT_LOG_SCHEMA_VERSION``, a field of ``_HEADER_FIELDS`` missing or
-    not what it must be, a grid of more than ``_TABLE_CELLS`` cells (checked
-    before its lines are built), the first line that is not what the writer
-    writes for that grid, or a number of trial lines other than n_trials,
-    for which no more records are allocated than the file has lines. A
-    block of whole lines, viewed as a matrix of one row per line, is taken
-    iff it equals the lines of the cells decoded from its fixed columns.
+    """Parse an event log into its header and a read-only array, one row per
+    trial in the grid's narrowest signed dtype (int8 up to 128 settings a
+    side, 4 bytes per trial) and columns in ``EVENT_FIELDS`` order. ValueError
+    names the field, the line or the counts at fault: a header with a repeated
+    key, a schema_version other than the int ``EVENT_LOG_SCHEMA_VERSION``, a
+    field of ``_HEADER_FIELDS`` missing or not what it must be, a grid of more
+    than ``_TABLE_CELLS`` cells (checked before its lines are built), the
+    first line that is not what the writer writes for that grid, or a number
+    of trial lines other than n_trials, for which no more records are
+    allocated than the file has lines. A block of whole lines, viewed as a
+    matrix of one row per line, is taken iff it equals the lines of the cells
+    decoded from its fixed columns.
     """
     with open(path, "rb") as fh:
         try:
@@ -378,8 +372,7 @@ def read_event_log(path) -> tuple[dict, np.ndarray]:
             if type(value) is not kind or least is not None and value < least:
                 raise ValueError(f"{path}: event log {name} {value!r} is not {what}")
         n_trials, n_alice, n_bob = header["n_trials"], header["n_alice"], header["n_bob"]
-        if error := grid_size_error(n_alice, n_bob):
-            raise ValueError(f"{path}: event log {error}")
+        check_grid_size(n_alice, n_bob, f"{path}: event log ")
         start = fh.tell()
         left = os.fstat(fh.fileno()).st_size - start
         wx, wy, _, _ = _field_widths(n_alice, n_bob)
@@ -431,8 +424,7 @@ def run_experiment(
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
-    if error := grid_size_error(settings.n_alice, settings.n_bob):
-        raise ValueError(f"settings {error}")
+    check_grid_size(settings.n_alice, settings.n_bob, "settings ")
     if model.n_alice != settings.n_alice or model.n_bob != settings.n_bob:
         raise ValueError(
             f"model declares {model.n_alice}x{model.n_bob} settings but the "
@@ -456,12 +448,10 @@ def run_experiment(
                                  master_seed, chunk_size, n_trials, start)
                    for start, stop in task)
 
-    # Never more threads than chunks, whatever the configured worker count;
-    # each task draws every n_threads-th slice into its one buffer.
+    # Never more threads than chunks; a task draws every n_threads-th slice.
     n_threads = min(n_workers, -(-n_trials // chunk_size))
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        total = sum(pool.map(sample, [slices[k::n_threads] for k in range(n_threads)
-                                      if k < len(slices)]))
+        total = sum(pool.map(sample, [slices[k::n_threads] for k in range(n_threads)]))
     cells.setflags(write=False)
     return ExperimentResult(
         counts=CountsTable(total.reshape(settings.n_alice, settings.n_bob, 2, 2)),

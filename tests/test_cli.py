@@ -102,7 +102,7 @@ class TestSimulate:
         config = write_quick_config(tmp_path, trials=1000, **{
             "model.kind": "mixed_lhv", "alice.angles": angles[0], "bob.angles": angles[1]})
         assert main(["simulate", str(config), "--out-dir", str(tmp_path / "out")]) == 2
-        assert capsys.readouterr().err == ("config error: settings grid 200x100 has 80000 "
+        assert capsys.readouterr().err == ("config error: settings: grid 200x100 has 80000 "
                                            "cells, more than 65536\n")
         assert not (tmp_path / "out").exists()
 

@@ -139,7 +139,7 @@ def test_a_grid_of_more_than_65536_cells_is_refused(n_alice, n_bob, refused):
     if refused:
         with pytest.raises(ConfigError) as error:
             build_experiment(raw)
-        assert str(error.value) == (f"settings grid {n_alice}x{n_bob} has "
+        assert str(error.value) == (f"settings: grid {n_alice}x{n_bob} has "
                                     f"{4 * n_alice * n_bob} cells, more than 65536")
     else:
         assert build_experiment(raw).settings.n_alice == n_alice

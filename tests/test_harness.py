@@ -263,7 +263,7 @@ class TestRunExperiment:
                                 master_seed=7, chunk_size=chunk_size, n_workers=workers)
         n_threads = min(workers, len(result.chunks))
         assert tasks[0] == result.n_threads == n_threads
-        assert tasks[1:] == [slices[k::n_threads] for k in range(min(n_threads, len(slices)))]
+        assert tasks[1:] == [slices[k::n_threads] for k in range(n_threads)]
         for start, stop in slices:
             assert stop - start <= harness._DRAW_ROWS
             assert (start % chunk_size == 0 and (stop % chunk_size == 0 or stop == n_trials)
