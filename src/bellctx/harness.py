@@ -11,7 +11,9 @@ cell of p(a,b|x,y), and a run is one column of cell indices, 1 byte per
 trial in the 2x2 scenario. A chunk is only the unit of an RNG stream:
 the column is drawn in slices of at most ``_DRAW_ROWS`` trials, whole
 chunks or part of one, each thread with one buffer whatever the chunk
-size. The counts are a sum of ``bincount``s of its slices (a monoid).
+size. The calling thread draws too, so at most ``n_workers - 1`` helper
+threads start, and never more threads draw than there are slices. The
+counts are a sum of ``bincount``s of its slices (a monoid).
 
 Estimators are the plug-in ones, all array expressions over the counts
 in :func:`estimate_report`: E(x,y) from the per-context counts with a
@@ -48,7 +50,7 @@ import itertools
 import json
 import os
 import tempfile
-from concurrent.futures import ThreadPoolExecutor
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -318,7 +320,8 @@ class ExperimentResult:
     chunk_size: int
     model_hash: str
     settings: SettingsSpec
-    # Threads that generated the chunks; the log is encoded on the caller's.
+    # Threads that drew the slices, the caller's among them and at most one
+    # per slice; the log is encoded on the caller's.
     n_threads: int
 
     @property
@@ -442,19 +445,35 @@ def run_experiment(
               for group in range(0, n_trials, span)
               for first in range(group, min(group + span, n_trials), _DRAW_ROWS)]
 
-    def sample(task: list[tuple[int, int]]) -> np.ndarray:
-        uniforms = np.empty((3, min(n_trials, _DRAW_ROWS)))
-        return sum(_sample_cells(cells[start:stop], uniforms, cell_cums, alice_cum, bob_cum,
-                                 master_seed, chunk_size, n_trials, start)
-                   for start, stop in task)
+    # Never more threads than slices: thread k draws every n_threads-th slice
+    # from slice k into its one buffer, and the calling thread is thread 0.
+    n_threads = min(n_workers, len(slices))
+    totals: list = [None] * n_threads
 
-    # Never more threads than chunks; a task draws every n_threads-th slice.
-    n_threads = min(n_workers, -(-n_trials // chunk_size))
-    with ThreadPoolExecutor(max_workers=n_threads) as pool:
-        total = sum(pool.map(sample, [slices[k::n_threads] for k in range(n_threads)]))
+    def sample(k: int) -> None:
+        uniforms = np.empty((3, min(n_trials, _DRAW_ROWS)))
+        try:
+            totals[k] = sum(_sample_cells(cells[start:stop], uniforms, cell_cums, alice_cum,
+                                          bob_cum, master_seed, chunk_size, n_trials, start)
+                            for start, stop in slices[k::n_threads])
+        except BaseException as error:
+            totals[k] = error
+
+    helpers = [threading.Thread(target=sample, args=(k,)) for k in range(1, n_threads)]
+    try:
+        for helper in helpers:
+            helper.start()
+        sample(0)
+    finally:
+        # A helper that failed to start is not alive and is not joined.
+        for helper in filter(threading.Thread.is_alive, helpers):
+            helper.join()
+    for total in totals:
+        if isinstance(total, BaseException):
+            raise total
     cells.setflags(write=False)
     return ExperimentResult(
-        counts=CountsTable(total.reshape(settings.n_alice, settings.n_bob, 2, 2)),
+        counts=CountsTable(sum(totals).reshape(settings.n_alice, settings.n_bob, 2, 2)),
         cells=cells,
         n_trials=n_trials,
         master_seed=master_seed,

@@ -2,11 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+import bellctx
 from bellctx.chsh import correlations
 from bellctx.cli import main
 from bellctx.config import load_experiment, parse_config_text
@@ -472,3 +476,16 @@ def test_removed_flag_is_a_usage_error(tmp_path, monkeypatch, capsys, command, f
     assert exit_info.value.code == 2
     assert flag in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+def test_importing_the_cli_starts_no_pool():
+    """Drawing uses plain threads: a fresh interpreter that imports the CLI
+    loads neither concurrent.futures nor the logging it imports."""
+    src = str(Path(bellctx.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    loaded = subprocess.run(
+        [sys.executable, "-c", "import sys, bellctx.cli; "
+         "print(sorted({'concurrent.futures', 'logging'} & set(sys.modules)))"],
+        env=env, capture_output=True, text=True, check=True, timeout=60).stdout
+    assert loaded == "[]\n"

@@ -195,34 +195,24 @@ class TestRunExperiment:
         assert (log_bytes(serial, tmp_path / "serial.jsonl")
                 == log_bytes(threaded, tmp_path / "threaded.jsonl"))
 
-    def test_thread_count_is_capped_at_the_chunk_count(self, tmp_path, monkeypatch):
-        requested = []
-
-        class RecordingExecutor:
-            """Records the requested pool size and runs work inline: no threads start."""
-
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
+    @pytest.mark.parametrize("n_trials, n_slices", [(300, 1), (70_000, 3)],
+                             ids=["one-slice", "three-slices"])
+    def test_thread_count_is_capped_at_the_slice_count(self, tmp_path, monkeypatch, n_trials,
+                                                       n_slices):
+        """A million workers draw on one thread per slice: the caller and
+        n_slices - 1 helpers, all joined before run_experiment returns."""
+        drawn, _ = record_draws(monkeypatch)
         threads = threading.enumerate()
-        result = run_experiment(quantum_pair_model(), 300, optimal_settings(), master_seed=7,
-                                chunk_size=100, n_workers=10**6)
-        assert requested == [3]
-        assert list(result.chunks) == [0, 100, 200]
-        assert result.counts.counts.sum() == 300
+        result = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
+                                master_seed=7, chunk_size=100, n_workers=10**6)
+        assert result.n_threads == n_slices
+        assert len(drawn) == n_slices
+        assert len({thread for thread, _ in drawn}) == n_slices
+        assert result.counts.counts.sum() == n_trials
+        assert threading.enumerate() == threads
         # The writer encodes on the calling thread.
         assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
-        assert requested == [3]
+        assert len(drawn) == n_slices
         assert threading.enumerate() == threads
 
     @pytest.mark.parametrize("n_trials, chunk_size, workers, slices", [
@@ -237,40 +227,60 @@ class TestRunExperiment:
             "parts-of-chunks", "one-chunk"])
     def test_tasks_are_slices_of_trials(self, tmp_path, monkeypatch, n_trials, chunk_size,
                                         workers, slices):
-        """Each pool task draws every n_threads-th slice of at most _DRAW_ROWS
-        trials; a slice holds whole chunks or is part of one, and no pool
-        task writes the log."""
-        tasks = []
-
-        class RecordingExecutor:
-            """Records the slices of each task and runs it inline."""
-
-            def __init__(self, max_workers):
-                tasks.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc_info):
-                return False
-
-            def map(self, fn, items):
-                tasks.extend(items)
-                return map(fn, items)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", RecordingExecutor)
-        result = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
-                                master_seed=7, chunk_size=chunk_size, n_workers=workers)
-        n_threads = min(workers, len(result.chunks))
-        assert tasks[0] == result.n_threads == n_threads
-        assert tasks[1:] == [slices[k::n_threads] for k in range(n_threads)]
+        """Thread k of n draws slices[k::n], each of at most _DRAW_ROWS trials
+        holding whole chunks or part of one; the calling thread is thread 0,
+        one worker starts no thread, and writing the log draws nothing."""
         for start, stop in slices:
             assert stop - start <= harness._DRAW_ROWS
             assert (start % chunk_size == 0 and (stop % chunk_size == 0 or stop == n_trials)
                     or start // chunk_size == (stop - 1) // chunk_size)
-        tasks.clear()
+        threads = threading.enumerate()
+        drawn, alive = record_draws(monkeypatch)
+        serial = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
+                                master_seed=7, chunk_size=chunk_size, n_workers=1)
+        assert serial.n_threads == 1
+        assert drawn == [(threading.current_thread(), start) for start, _ in slices]
+        assert alive == [threads] * len(slices)
+        drawn.clear()
+        result = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
+                                master_seed=7, chunk_size=chunk_size, n_workers=workers)
+        n_threads = min(workers, len(slices))
+        assert result.n_threads == n_threads
+        by_thread = {}
+        for thread, start in drawn:
+            by_thread.setdefault(thread, []).append(start)
+        caller = by_thread.pop(threading.current_thread())
+        assert caller == [start for start, _ in slices[0::n_threads]]
+        assert sorted(by_thread.values()) == [[start for start, _ in slices[k::n_threads]]
+                                              for k in range(1, n_threads)]
+        assert threading.enumerate() == threads
+        assert result.counts == serial.counts
+        drawn.clear()
         assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
-        assert tasks == []
+        assert drawn == []
+
+    @pytest.mark.parametrize("failing, drawer", [(32768, "helper"), (0, "caller")])
+    def test_a_failed_draw_reaches_the_caller(self, monkeypatch, failing, drawer):
+        """The exception of the slice that fails, on a helper thread or on the
+        caller's, is the one run_experiment raises, after every helper is
+        joined."""
+        sample_cells, failures = harness._sample_cells, []
+
+        def fail_on_one_slice(out, uniforms, *args):
+            if args[-1] == failing:
+                failures.append((threading.current_thread(), RuntimeError(f"slice {failing}")))
+                raise failures[-1][1]
+            return sample_cells(out, uniforms, *args)
+
+        monkeypatch.setattr(harness, "_sample_cells", fail_on_one_slice)
+        threads = threading.enumerate()
+        with pytest.raises(RuntimeError) as error:
+            run_experiment(quantum_pair_model(), 100_000, optimal_settings(), master_seed=7,
+                           chunk_size=8192, n_workers=2)
+        [(thread, raised)] = failures
+        assert error.value is raised
+        assert (thread is threading.current_thread()) == (drawer == "caller")
+        assert threading.enumerate() == threads
 
     @pytest.mark.parametrize("chunk_size", [65536, 4_000_000])
     @pytest.mark.parametrize("workers", [1, 2])
@@ -290,7 +300,8 @@ class TestRunExperiment:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert result.n_threads == min(workers, len(result.chunks))
+        # 123 slices of at most _DRAW_ROWS trials: one thread per worker.
+        assert result.n_threads == workers
         assert result.cells.nbytes == n_trials
         assert peak <= n_trials + result.n_threads * 1_600_000
 
@@ -343,6 +354,20 @@ def cell_columns(cells, n_bob: int) -> tuple[np.ndarray, ...]:
     """The x_index, y_index, a and b columns of trials, decoded from their cells."""
     context, outcome = np.divmod(cells.astype(np.intp), 4)
     return (*np.divmod(context, n_bob), 1 - 2 * (outcome >> 1), 1 - 2 * (outcome & 1))
+
+
+def record_draws(monkeypatch) -> tuple[list, list]:
+    """Wrap harness._sample_cells to record, for each slice it draws, the
+    drawing thread and the slice's first trial, and the threads alive."""
+    sample_cells, drawn, alive = harness._sample_cells, [], []
+
+    def recording(out, uniforms, *args):
+        drawn.append((threading.current_thread(), args[-1]))
+        alive.append(threading.enumerate())
+        return sample_cells(out, uniforms, *args)
+
+    monkeypatch.setattr(harness, "_sample_cells", recording)
+    return drawn, alive
 
 
 def log_bytes(result, path: Path) -> bytes:
@@ -713,12 +738,13 @@ class TestEventLog:
 
     def test_many_drawing_threads_give_the_reference_log(self, tmp_path):
         """More drawing threads than CPUs and a short switch interval, so
-        tasks finish out of order; the log is still written in trial order."""
-        result = run_experiment(quantum_pair_model(), 60_000, optimal_settings(),
-                                master_seed=30, chunk_size=1000, n_workers=8)
+        threads finish out of order; the log is still written in trial order.
+        Eight slices of 32 chunks keep all eight threads."""
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
+            result = run_experiment(quantum_pair_model(), 8 * 32_000, optimal_settings(),
+                                    master_seed=30, chunk_size=1000, n_workers=8)
             written = log_bytes(result, tmp_path / "events.jsonl")
         finally:
             sys.setswitchinterval(interval)
