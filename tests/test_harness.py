@@ -206,6 +206,7 @@ class TestRunExperiment:
         result = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
                                 master_seed=7, chunk_size=100, n_workers=10**6)
         assert result.n_threads == n_slices
+        assert list(result.chunks) == list(range(0, n_trials, 100))
         assert len(drawn) == n_slices
         assert len({thread for thread, _ in drawn}) == n_slices
         assert result.counts.counts.sum() == n_trials
