@@ -9,11 +9,11 @@ pair of that context, and each becomes the number of its cumulative's
 thresholds (all but the last) at or below it. A trial is therefore one
 cell of p(a,b|x,y), and a run is one column of cell indices, 1 byte per
 trial in the 2x2 scenario. A chunk is only the unit of an RNG stream:
-the column is drawn in slices of at most ``_DRAW_ROWS`` trials, whole
-chunks or part of one, each thread with one buffer whatever the chunk
-size. The calling thread draws too, so at most ``n_workers - 1`` helper
-threads start, and never more threads draw than there are slices. The
-counts are a sum of ``bincount``s of its slices (a monoid).
+the column is drawn in fixed slices of ``_DRAW_ROWS`` trials whatever the
+chunk boundaries, slice k from trial k * ``_DRAW_ROWS``, each thread with
+one buffer. The calling thread draws too, so at most ``n_workers - 1``
+helper threads start, and never more threads draw than there are slices.
+The counts are a sum of ``bincount``s of its slices (a monoid).
 
 Estimators are the plug-in ones, all array expressions over the counts
 in :func:`estimate_report`: E(x,y) from the per-context counts with a
@@ -204,6 +204,10 @@ class CountsTable:
         if n_alice * n_bob * 4 > len(rows):
             raise ValueError(f"counts CSV has {len(rows)} row(s) for a {n_alice}x{n_bob} "
                              f"settings grid; it needs one row per cell")
+        cells, repeats = np.unique(rows[:, :4], axis=0, return_counts=True)
+        if repeats.max() > 1:
+            raise ValueError(f"counts CSV repeats the cell (x, y, a, b) = "
+                             f"{tuple(cells[repeats.argmax()].tolist())}; it needs one row per cell")
         return cls(_cell_counts(x, y, a, b, n_alice, n_bob, weights=count))
 
 
@@ -226,9 +230,9 @@ def _sample_cells(
     n_trials: int,
     start: int,
 ) -> np.ndarray:
-    """Fill ``out`` with the cells of trials ``start`` on (whole chunks of
-    ``chunk_size`` or part of one) of an ``n_trials`` run, drawn into the
-    buffer ``uniforms`` of shape (3, >= len(out)); return their ``bincount``.
+    """Fill ``out`` with the cells of trials ``start`` on of an ``n_trials``
+    run, drawn into the buffer ``uniforms`` of shape (3, >= len(out)); return
+    their ``bincount``. They take a piece of each ``chunk_size`` chunk they touch.
 
     Each chunk's stream draws three uniforms per trial in a fixed order: all
     of Alice's setting uniforms, then Bob's, then the outcome uniforms, so
@@ -238,10 +242,11 @@ def _sample_cells(
     cumulative distribution; an outcome's thresholds are its context's.
     """
     ux, uy, uo = uniforms[:, :len(out)]
-    for first in range(start, start + len(out), chunk_size):
+    stop = start + len(out)
+    for first in (start, *range(start - start % chunk_size + chunk_size, stop, chunk_size)):
         chunk, row = divmod(first, chunk_size)
         rows = min(chunk_size, n_trials - chunk * chunk_size)
-        size = min(start + len(out) - first, rows - row)
+        size = min(stop - first, rows - row)
         rng = chunk_generator(master_seed, chunk)
         for skip, column in zip((row, rows - size, rows - size), (ux, uy, uo)):
             if skip:
@@ -320,9 +325,6 @@ class ExperimentResult:
     chunk_size: int
     model_hash: str
     settings: SettingsSpec
-    # Threads that drew the slices, the caller's among them and at most one
-    # per slice; the log is encoded on the caller's.
-    n_threads: int
 
     @property
     def chunks(self) -> range:
@@ -427,6 +429,8 @@ def run_experiment(
         raise ValueError(f"n_trials must be at least 1, got {n_trials}")
     if chunk_size < 1:
         raise ValueError(f"chunk_size must be at least 1, got {chunk_size}")
+    if n_workers < 1:
+        raise ValueError(f"n_workers must be at least 1, got {n_workers}")
     check_grid_size(settings.n_alice, settings.n_bob, "settings ")
     if model.n_alice != settings.n_alice or model.n_bob != settings.n_bob:
         raise ValueError(
@@ -439,11 +443,7 @@ def run_experiment(
     bob_cum /= bob_cum[-1]
 
     cells = np.empty(n_trials, dtype=np.min_scalar_type(cell_cums.size - 1))
-    # Slices of whole chunks, or of at most _DRAW_ROWS rows of one chunk.
-    span = max(chunk_size, _DRAW_ROWS // chunk_size * chunk_size)
-    slices = [(first, min(first + _DRAW_ROWS, group + span, n_trials))
-              for group in range(0, n_trials, span)
-              for first in range(group, min(group + span, n_trials), _DRAW_ROWS)]
+    slices = range(0, n_trials, _DRAW_ROWS)
 
     # Never more threads than slices: thread k draws every n_threads-th slice
     # from slice k into its one buffer, and the calling thread is thread 0.
@@ -453,9 +453,9 @@ def run_experiment(
     def sample(k: int) -> None:
         uniforms = np.empty((3, min(n_trials, _DRAW_ROWS)))
         try:
-            totals[k] = sum(_sample_cells(cells[start:stop], uniforms, cell_cums, alice_cum,
-                                          bob_cum, master_seed, chunk_size, n_trials, start)
-                            for start, stop in slices[k::n_threads])
+            totals[k] = sum(_sample_cells(cells[start:start + _DRAW_ROWS], uniforms, cell_cums,
+                                          alice_cum, bob_cum, master_seed, chunk_size, n_trials,
+                                          start) for start in slices[k::n_threads])
         except BaseException as error:
             totals[k] = error
 
@@ -480,7 +480,6 @@ def run_experiment(
         chunk_size=chunk_size,
         model_hash=model_description_hash(model),
         settings=settings,
-        n_threads=n_threads,
     )
 
 

@@ -468,8 +468,8 @@ def tables_from_json(text: str) -> np.ndarray:
     """Parse {"x,y": {"++": p, "+-": p, "-+": p, "--": p}} into a validated p[x, y, a, b].
 
     Every cell of the nx-by-ny layout must be present with all four
-    outcome pairs; malformed input, a repeated key included, raises
-    ValueError.
+    outcome pairs; malformed input, a repeated key or a boolean
+    probability included, raises ValueError.
     """
     data = strict_json_loads(text)
     if not isinstance(data, dict) or not data:
@@ -483,7 +483,7 @@ def tables_from_json(text: str) -> np.ndarray:
         ix, iy = map(int, match.groups())
         if not isinstance(cell, dict) or sorted(cell) != sorted(PAIR_KEYS):
             raise ValueError(f"cell {key!r} must give exactly the outcome pairs {PAIR_KEYS}")
-        if not all(isinstance(cell[k], (int, float)) for k in PAIR_KEYS):
+        if not all(type(cell[k]) in (int, float) for k in PAIR_KEYS):
             raise ValueError(f"cell {key!r} has a non-numeric probability")
         cells[(ix, iy)] = [cell[k] for k in PAIR_KEYS]
     shape = (1 + max(ix for ix, _ in cells), 1 + max(iy for _, iy in cells))

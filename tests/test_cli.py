@@ -400,7 +400,9 @@ class TestLhvBound:
         ({"0,0": dict(CELL, **{"+-": 0.4}), "0,1": CELL, "1,0": CELL, "1,1": CELL},
          "sums to 1.4"),
         ([CELL, CELL, CELL, CELL], "JSON object"),
-    ], ids=["missing-pair", "missing-cell", "cell-sum-1.4", "top-level-list"])
+        ({"0,0": {"++": True, "+-": False, "-+": False, "--": False}, "0,1": CELL,
+          "1,0": CELL, "1,1": CELL}, "cell '0,0' has a non-numeric probability"),
+    ], ids=["missing-pair", "missing-cell", "cell-sum-1.4", "top-level-list", "booleans"])
     def test_malformed_tables_exit_2_without_traceback(self, tmp_path, capsys, tables, message):
         path = tmp_path / "tables.json"
         path.write_text(json.dumps(tables))

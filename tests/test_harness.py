@@ -118,9 +118,15 @@ class TestCountsTable:
         ("x_index,y_index,a,b,count\n-1,0,1,1,5\n", "outside the"),
         ("x_index,y_index,a,b,count\n1000000000000000,0,1,1,5\n", "one row per cell"),
         ("x_index,y_index,a,b,count\n0,0,1,1,5\n0,1,1,1,5\n", "one row per cell"),
+        ("x_index,y_index,a,b,count\n" + "0,0,1,1,5\n" * 4,
+         r"repeats the cell \(x, y, a, b\) = \(0, 0, 1, 1\); it needs one row per cell"),
+        ("x_index,y_index,a,b,count\n" + "".join(
+            f"{x},{y},{a},{b},1\n" for x in (0, 1) for y in (0, 1) for a in (1, -1)
+            for b in (1, -1) if (x, y, a, b) != (1, 0, -1, 1)) + "0,1,1,-1,1\n",
+         r"repeats the cell \(x, y, a, b\) = \(0, 1, 1, -1\); it needs one row per cell"),
     ], ids=["empty", "bad-header", "header-only", "short-row", "ragged-rows", "non-integer",
             "count-above-int64", "outcome-2", "negative-setting", "grid-of-1e15-settings",
-            "missing-cells"])
+            "missing-cells", "duplicate-cell", "repeated-and-missing"])
     def test_malformed_csv_rejected(self, text, message):
         with pytest.raises(ValueError, match=message):
             CountsTable.from_csv(text)
@@ -205,7 +211,6 @@ class TestRunExperiment:
         threads = threading.enumerate()
         result = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
                                 master_seed=7, chunk_size=100, n_workers=10**6)
-        assert result.n_threads == n_slices
         assert list(result.chunks) == list(range(0, n_trials, 100))
         assert len(drawn) == n_slices
         assert len({thread for thread, _ in drawn}) == n_slices
@@ -219,34 +224,37 @@ class TestRunExperiment:
     @pytest.mark.parametrize("n_trials, chunk_size, workers, slices", [
         (2000, 1, 2, [(0, 2000)]),
         (40_000, 1, 2, [(0, 32768), (32768, 40_000)]),
-        (70_000, 3000, 2, [(0, 30_000), (30_000, 60_000), (60_000, 70_000)]),
+        (70_000, 3000, 2, [(0, 32768), (32768, 65536), (65536, 70_000)]),
         (70_000, 8192, 2, [(0, 32768), (32768, 65536), (65536, 70_000)]),
-        (100_000, 40_000, 3, [(0, 32768), (32768, 40_000), (40_000, 72768),
-                              (72768, 80_000), (80_000, 100_000)]),
+        (100_000, 40_000, 3, [(0, 32768), (32768, 65536), (65536, 98304),
+                              (98304, 100_000)]),
         (70_000, 70_000, 2, [(0, 32768), (32768, 65536), (65536, 70_000)]),
-    ], ids=["one-slice-of-tiny-chunks", "tiny-chunks", "whole-chunks", "four-chunks-a-slice",
-            "parts-of-chunks", "one-chunk"])
+        (100_000, 1000, 3, [(0, 32768), (32768, 65536), (65536, 98304), (98304, 100_000)]),
+        (150_000, 50_000, 2, [(0, 32768), (32768, 65536), (65536, 98304), (98304, 131072),
+                              (131072, 150_000)]),
+    ], ids=["one-slice-of-tiny-chunks", "tiny-chunks", "chunks-of-3000", "four-chunks-a-slice",
+            "chunks-of-40000", "one-chunk", "chunks-of-1000", "chunks-of-50000"])
     def test_tasks_are_slices_of_trials(self, tmp_path, monkeypatch, n_trials, chunk_size,
                                         workers, slices):
-        """Thread k of n draws slices[k::n], each of at most _DRAW_ROWS trials
-        holding whole chunks or part of one; the calling thread is thread 0,
-        one worker starts no thread, and writing the log draws nothing."""
-        for start, stop in slices:
-            assert stop - start <= harness._DRAW_ROWS
-            assert (start % chunk_size == 0 and (stop % chunk_size == 0 or stop == n_trials)
-                    or start // chunk_size == (stop - 1) // chunk_size)
+        """Thread k of n draws slices[k::n], slice k being trials from
+        k * _DRAW_ROWS up to the next slice or n_trials whatever the chunk
+        boundaries; the calling thread is thread 0, one worker starts no
+        thread, and writing the log draws nothing."""
+        for k, (start, stop) in enumerate(slices):
+            assert (start, stop) == (k * harness._DRAW_ROWS,
+                                     min((k + 1) * harness._DRAW_ROWS, n_trials))
+        assert slices[-1][1] == n_trials
         threads = threading.enumerate()
         drawn, alive = record_draws(monkeypatch)
         serial = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
                                 master_seed=7, chunk_size=chunk_size, n_workers=1)
-        assert serial.n_threads == 1
         assert drawn == [(threading.current_thread(), start) for start, _ in slices]
         assert alive == [threads] * len(slices)
         drawn.clear()
         result = run_experiment(quantum_pair_model(), n_trials, optimal_settings(),
                                 master_seed=7, chunk_size=chunk_size, n_workers=workers)
         n_threads = min(workers, len(slices))
-        assert result.n_threads == n_threads
+        assert len({thread for thread, _ in drawn}) == n_threads
         by_thread = {}
         for thread, start in drawn:
             by_thread.setdefault(thread, []).append(start)
@@ -256,9 +264,29 @@ class TestRunExperiment:
                                               for k in range(1, n_threads)]
         assert threading.enumerate() == threads
         assert result.counts == serial.counts
+        assert np.array_equal(result.cells, serial.cells)
         drawn.clear()
         assert log_bytes(result, tmp_path / "events.jsonl") == reference_log(result)
         assert drawn == []
+
+    @pytest.mark.parametrize("chunk_size", [7, 1000, 50_000])
+    def test_any_range_of_trials_redraws_from_its_start(self, chunk_size):
+        """_sample_cells gives a run's cells and counts of any range of its
+        trials, whatever chunk boundaries the range starts on or crosses."""
+        model, spec, n_trials = quantum_pair_model(), optimal_settings(), 120_000
+        result = run_experiment(model, n_trials, spec, master_seed=12, chunk_size=chunk_size)
+        cell_cums = harness._cell_cumulatives(model.behaviour())
+        alice_cum, bob_cum = map(setting_cumulative, (spec.alice_probs, spec.bob_probs))
+        rng = np.random.default_rng(chunk_size)
+        ranges = [(0, 1), (n_trials - 1, 1), (chunk_size - 1, 2), (chunk_size, chunk_size),
+                  *zip(rng.integers(0, n_trials, 20), rng.integers(1, 5 * chunk_size, 20))]
+        for start, size in ranges:
+            start, size = int(start), int(min(size, n_trials - start))
+            cells = np.empty(size, dtype=result.cells.dtype)
+            counts = harness._sample_cells(cells, np.empty((3, size)), cell_cums, alice_cum,
+                                           bob_cum, 12, chunk_size, n_trials, start)
+            assert np.array_equal(cells, result.cells[start:start + size]), (start, size)
+            assert np.array_equal(counts, np.bincount(cells, minlength=16))
 
     @pytest.mark.parametrize("failing, drawer", [(32768, "helper"), (0, "caller")])
     def test_a_failed_draw_reaches_the_caller(self, monkeypatch, failing, drawer):
@@ -285,8 +313,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("chunk_size", [65536, 4_000_000])
     @pytest.mark.parametrize("workers", [1, 2])
-    def test_drawing_holds_a_byte_per_trial_and_a_few_mb_per_thread(self, workers,
-                                                                     chunk_size):
+    def test_drawing_holds_a_byte_per_trial_and_a_few_mb_per_thread(self, monkeypatch,
+                                                                     workers, chunk_size):
         """The cells column and, per thread, one slice's uniforms and work,
         whatever the chunk size: a bincount over the whole column would hold
         8 bytes per trial, and a buffer per chunk 24."""
@@ -294,6 +322,7 @@ class TestRunExperiment:
         n_trials = 4_000_000
         # The first draw of a process imports numpy.random: keep that out.
         run_experiment(cfg.model, 1, cfg.settings, cfg.master_seed)
+        drawn, _ = record_draws(monkeypatch)
         tracemalloc.start()
         try:
             result = run_experiment(cfg.model, n_trials, cfg.settings, cfg.master_seed,
@@ -302,9 +331,10 @@ class TestRunExperiment:
         finally:
             tracemalloc.stop()
         # 123 slices of at most _DRAW_ROWS trials: one thread per worker.
-        assert result.n_threads == workers
+        n_threads = len({thread for thread, _ in drawn})
+        assert n_threads == workers
         assert result.cells.nbytes == n_trials
-        assert peak <= n_trials + result.n_threads * 1_600_000
+        assert peak <= n_trials + n_threads * 1_600_000
 
     def test_counts_match_record_stream_exactly(self, tmp_path):
         model = quantum_pair_model()
@@ -349,6 +379,15 @@ class TestRunExperiment:
     def test_invalid_trial_count_rejected(self):
         with pytest.raises(ValueError, match="n_trials"):
             run_experiment(quantum_pair_model(), 0, optimal_settings(), master_seed=0)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, monkeypatch, workers):
+        """Refused before anything is drawn, not an IndexError from a drawing thread."""
+        drawn, _ = record_draws(monkeypatch)
+        with pytest.raises(ValueError, match=f"n_workers must be at least 1, got {workers}$"):
+            run_experiment(quantum_pair_model(), 10, optimal_settings(), master_seed=0,
+                           n_workers=workers)
+        assert drawn == []
 
 
 def cell_columns(cells, n_bob: int) -> tuple[np.ndarray, ...]:
@@ -737,10 +776,12 @@ class TestEventLog:
         # The slices are encoded as they are written: none after the failure.
         assert slices == [8192, 8192]
 
-    def test_many_drawing_threads_give_the_reference_log(self, tmp_path):
+    def test_many_drawing_threads_give_the_reference_log(self, tmp_path, monkeypatch):
         """More drawing threads than CPUs and a short switch interval, so
         threads finish out of order; the log is still written in trial order.
-        Eight slices of 32 chunks keep all eight threads."""
+        Eight slices of _DRAW_ROWS trials, across chunks of 1,000, keep all
+        eight threads."""
+        drawn, _ = record_draws(monkeypatch)
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
@@ -749,7 +790,7 @@ class TestEventLog:
             written = log_bytes(result, tmp_path / "events.jsonl")
         finally:
             sys.setswitchinterval(interval)
-        assert result.n_threads == 8
+        assert len({thread for thread, _ in drawn}) == 8
         assert written == reference_log(result)
 
     def test_cell_lines_follow_the_cell_index(self):
@@ -1182,7 +1223,7 @@ class TestSamplerOracle:
         (65536, 100_003), (100_003, 100_003)])
     def test_slices_across_chunk_boundaries_match_the_chunk_streams(self, chunk_size,
                                                                     n_trials):
-        """Slices of whole chunks and parts of chunks, at 1 and 2 workers,
+        """Fixed slices across chunk boundaries, at 1 and 2 workers,
         give the cells of each chunk's sequential rng.random(m) x 3."""
         cfg = load_experiment(CONFIGS / "chsh_quantum.cfg")
         uniforms = [[], [], []]
